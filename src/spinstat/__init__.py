@@ -40,13 +40,9 @@ from .harness import (
 )
 from .montecarlo import (
     PredictionReport,
-    SeededSampler,
     TotalSpinDistribution,
-    TrialRecord,
     TrialStatistics,
     exact_total_distribution,
-    measure_ensemble_total,
-    measure_particle,
     preparation_aware_prediction,
     run_trials,
 )
@@ -99,11 +95,9 @@ __all__ = [
     "OutputError",
     "PredictionReport",
     "PseudoOperatorReport",
-    "SeededSampler",
     "SpinOutcome",
     "Spinor",
     "TotalSpinDistribution",
-    "TrialRecord",
     "TrialStatistics",
     "Verdict",
     "X",
@@ -128,8 +122,6 @@ __all__ = [
     "make_ensemble_A",
     "make_ensemble_B",
     "make_pair_ensemble",
-    "measure_ensemble_total",
-    "measure_particle",
     "null_operator_contradiction",
     "outer_product",
     "preparation_aware_prediction",

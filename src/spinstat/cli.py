@@ -98,8 +98,7 @@ def _config_from_demo_args(args: argparse.Namespace) -> ExperimentConfig:
 
 def _run_and_render(cfg: ExperimentConfig, stdout) -> None:
     report: ComparisonReport = run_experiment(cfg)
-    text, _ = render_report(report)
-    stdout.write(text)
+    stdout.write(render_report(report))
 
 
 def main(argv: list[str] | None = None) -> int:

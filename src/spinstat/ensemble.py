@@ -116,16 +116,26 @@ def ensemble_from_json(data: Any) -> EnsembleSpec:
             return make_ensemble_B(n)
         raise ValueError(f"unknown preset {preset!r}; expected 'A' or 'B'")
 
-    try:
-        raw_components = data["components"]
-    except KeyError:
-        raise ValueError("ensemble object needs 'components' or 'preset'") from None
+    if "components" not in data:
+        raise ValueError("ensemble object needs 'components' or 'preset'")
+    raw_components = data["components"]
+    if not isinstance(raw_components, list):
+        raise ValueError(f"'components' must be a list, got {raw_components!r}")
     components = []
-    for entry in raw_components:
-        axis = Axis.from_json(entry["axis"])
+    for i, entry in enumerate(raw_components):
+        where = f"components[{i}]"
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where} must be an object, got {entry!r}")
+        for key in ("axis", "sign", "count"):
+            if key not in entry:
+                raise ValueError(f"{where}.{key} is required")
+        try:
+            axis = Axis.from_json(entry["axis"])
+        except ValueError as exc:
+            raise ValueError(f"{where}.axis: {exc}") from None
         sign = SpinOutcome(entry["sign"])
         count = entry["count"]
         if not isinstance(count, int) or isinstance(count, bool):
-            raise ValueError(f"component count must be an integer, got {count!r}")
+            raise ValueError(f"{where}.count must be an integer, got {count!r}")
         components.append(EnsembleComponent(eigenstate(axis, sign), count))
     return EnsembleSpec(tuple(components), name=str(data.get("name", "")))

@@ -19,7 +19,6 @@ from .density import density_equal, density_operator, entrywise_difference, expe
 from .ensemble import EnsembleSpec, ensemble_from_json, make_ensemble_A, make_ensemble_B
 from .montecarlo import (
     PredictionReport,
-    TrialRecord,
     TrialStatistics,
     preparation_aware_prediction,
     run_trials,
@@ -109,6 +108,11 @@ class ExperimentConfig:
             raise ConfigError("field 'trials' must be an integer")
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise ConfigError("field 'seed' must be an integer")
+        hbar, workers = data.get("hbar", 1.0), data.get("workers", 1)
+        if not isinstance(hbar, (int, float)) or isinstance(hbar, bool):
+            raise ConfigError("field 'hbar' must be a number")
+        if not isinstance(workers, int) or isinstance(workers, bool):
+            raise ConfigError("field 'workers' must be an integer")
         outputs = data.get("outputs", {})
         if not isinstance(outputs, dict) or set(outputs) - {"report", "totals"}:
             raise ConfigError("field 'outputs' must be an object with 'report'/'totals' paths")
@@ -118,10 +122,10 @@ class ExperimentConfig:
             axis=axis,
             trials=trials,
             seed=seed,
-            hbar=float(data.get("hbar", 1.0)),
+            hbar=float(hbar),
             report_path=outputs.get("report"),
             totals_path=outputs.get("totals"),
-            workers=int(data.get("workers", 1)),
+            workers=workers,
         )
 
     def echo_json(self) -> dict:
@@ -251,11 +255,9 @@ def _write_file(path: str, text: str) -> None:
         raise OutputError(f"cannot write output path {path!r}: {exc}") from exc
 
 
-def _totals_csv(records: list[TrialRecord]) -> str:
+def _totals_csv(n_plus: list[int], n: int) -> str:
     lines = ["trial,total_half_quanta,n_plus,n_minus"]
-    lines.extend(
-        f"{r.trial_index},{r.total_half_quanta},{r.n_plus},{r.n_minus}" for r in records
-    )
+    lines.extend(f"{t},{2 * plus - n},{plus},{n - plus}" for t, plus in enumerate(n_plus))
     return "\n".join(lines) + "\n"
 
 
@@ -277,8 +279,8 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
         method="density_unnormalized",
     )
 
-    empirical, records = run_trials(
-        cfg.ensemble, cfg.axis, cfg.trials, cfg.seed, workers=cfg.workers, keep_records=True
+    empirical, n_plus = run_trials(
+        cfg.ensemble, cfg.axis, cfg.trials, cfg.seed, workers=cfg.workers, keep_counts=True
     )
 
     report = ComparisonReport(
@@ -298,7 +300,7 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
     if cfg.report_path is not None:
         _write_file(cfg.report_path, _dump_json(report.to_json_dict()))
     if cfg.totals_path is not None:
-        _write_file(cfg.totals_path, _totals_csv(records))
+        _write_file(cfg.totals_path, _totals_csv(n_plus.tolist(), cfg.ensemble.total_count))
     return report
 
 
@@ -350,8 +352,8 @@ def _fmt(value: float) -> str:
     return f"{value:.4g}"
 
 
-def render_report(report: ComparisonReport, scale: HbarScale | None = None) -> tuple[str, str]:
-    """Human-readable text plus the canonical JSON of a comparison report.
+def render_report(report: ComparisonReport, scale: HbarScale | None = None) -> str:
+    """Human-readable text of a comparison report.
 
     Half-quantum values are converted to physical units (mean and sigma scale
     with hbar/2, variances with hbar^2/4); the text states totals as
@@ -387,4 +389,4 @@ def render_report(report: ComparisonReport, scale: HbarScale | None = None) -> t
             f"  density matrices of presets A and B (n={report.density_check.n}): {verdict} "
             f"(max entry diff {report.density_check.max_abs_diff:.3g})"
         )
-    return "\n".join(rows) + "\n", _dump_json(report.to_json_dict())
+    return "\n".join(rows) + "\n"

@@ -90,7 +90,11 @@ class Axis:
                 raise ValueError(f"unexpected axis fields: {sorted(extra)}")
             if "theta" not in data:
                 raise ValueError("an axis object requires a 'theta' field")
-            return cls(float(data["theta"]), float(data.get("phi", 0.0)))
+            angles = {"theta": data["theta"], "phi": data.get("phi", 0.0)}
+            for key, value in angles.items():
+                if not isinstance(value, (int, float)) or isinstance(value, bool):
+                    raise ValueError(f"axis field '{key}' must be a number, got {value!r}")
+            return cls(float(angles["theta"]), float(angles["phi"]))
         raise ValueError(f"axis must be a name or an object with angles, got {data!r}")
 
     def to_json(self) -> Any:

@@ -2,9 +2,11 @@
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import strategies as st
+from numpy.random import Generator, Philox
 
 from spinstat import Axis, EnsembleComponent, EnsembleSpec, SpinOutcome, Spinor, born_probability
 
@@ -89,3 +91,66 @@ def slow_enumerate_totals(e: EnsembleSpec, axis: Axis) -> dict[int, float]:
         total = sum(pattern)
         out[total] = out.get(total, 0.0) + prob
     return out
+
+
+@dataclass(frozen=True)
+class SeededSampler:
+    """Reference random source: a fresh numpy Philox generator per trial.
+
+    Trial ``t`` draws from a Philox generator whose 256-bit counter starts at
+    ``t * 2**128``; within a trial, particle ``j`` consumes the ``j``-th
+    uniform. ``run_trials`` must reproduce these draws' outcomes exactly.
+    """
+
+    seed: int
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", self.seed % (1 << 64))
+
+    def stream(self, trial_index: int) -> Generator:
+        if trial_index < 0:
+            raise ValueError("trial index must be non-negative")
+        return Generator(Philox(counter=trial_index << 128, key=self.seed))
+
+    def uniforms(self, trial_index: int, count: int) -> np.ndarray:
+        """The first ``count`` uniform draws of the trial's stream."""
+        return self.stream(trial_index).random(count)
+
+
+@dataclass(frozen=True)
+class TrialRecord:
+    """Outcome of measuring every particle of the ensemble once."""
+
+    trial_index: int
+    total_half_quanta: int
+    n_plus: int
+    n_minus: int
+
+    def __post_init__(self) -> None:
+        if self.n_plus < 0 or self.n_minus < 0:
+            raise ValueError("outcome counts must be non-negative")
+        if self.total_half_quanta != self.n_plus - self.n_minus:
+            raise ValueError("total must equal n_plus - n_minus")
+
+
+def measure_particle(state: Spinor, axis: Axis, draw: float) -> SpinOutcome:
+    """Reference projective measurement of one particle given a uniform draw in [0, 1)."""
+    if not (0.0 <= draw < 1.0):
+        raise ValueError(f"draw must lie in [0, 1), got {draw!r}")
+    p_plus = born_probability(state, axis, SpinOutcome.PLUS)
+    return SpinOutcome.PLUS if draw < p_plus else SpinOutcome.MINUS
+
+
+def measure_ensemble_total(e: EnsembleSpec, axis: Axis, sampler: SeededSampler, trial_index: int) -> TrialRecord:
+    """Reference trial: measure every particle once against its own stream."""
+    n = e.total_count
+    draws = sampler.uniforms(trial_index, n)
+    plus = 0
+    offset = 0
+    for comp in e.components:
+        p_plus = born_probability(comp.state, axis, SpinOutcome.PLUS)
+        plus += int(np.count_nonzero(draws[offset : offset + comp.count] < p_plus))
+        offset += comp.count
+    return TrialRecord(trial_index, 2 * plus - n, plus, n - plus)

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from spinstat import (
     ComparisonReport,
+    cli,
     ConfigError,
     ExperimentConfig,
     HbarScale,
@@ -112,8 +113,7 @@ class TestRunExperiment:
 class TestReportSerialization:
     def test_round_trip_through_json(self):
         report = run_experiment(make_config(trials=64))
-        _, payload = render_report(report)
-        parsed = ComparisonReport.from_json_dict(json.loads(payload))
+        parsed = ComparisonReport.from_json_dict(json.loads(json.dumps(report.to_json_dict())))
         assert parsed == report
 
     def test_schema_keys(self):
@@ -129,14 +129,14 @@ class TestReportSerialization:
 
     def test_render_text_scales_to_physical_units(self):
         report = run_experiment(make_config(preset="B", n=1000, trials=10_000, seed=42))
-        text, _ = render_report(report, HbarScale(1.0))
+        text = render_report(report, HbarScale(1.0))
         assert "0 ± 15.81" in text  # hbar*sqrt(1000)/2 at hbar=1
         assert "0 ± 0.5" in text  # the normalized-density prediction, hbar/2
         assert "matches empirical" in text and "disagrees" in text
 
     def test_render_text_definite_ensemble_shows_zero_spread(self):
         report = run_experiment(make_config(preset="A", trials=100))
-        text, _ = render_report(report)
+        text = render_report(report)
         assert "0 ± 0 " in text
 
 
@@ -239,3 +239,53 @@ class TestCli:
         )
         assert proc.returncode == 3
         assert "output-error" in proc.stderr
+
+
+def _tilted_config(**component_overrides):
+    component = {"axis": "y", "sign": 1, "count": 4}
+    component.update(component_overrides)
+    return {"ensemble": {"components": [component]}, "axis": "x", "trials": 10, "seed": 0}
+
+
+class TestMalformedConfigs:
+    """Each malformed config exits 2, naming the field, with no traceback."""
+
+    def run_config(self, tmp_path, capsys, data):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        code = cli.main(["run", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "invalid-config" in err and "Traceback" not in err
+        return err
+
+    def test_component_without_axis(self, tmp_path, capsys):
+        data = _tilted_config()
+        del data["ensemble"]["components"][0]["axis"]
+        assert "components[0].axis is required" in self.run_config(tmp_path, capsys, data)
+
+    def test_components_not_a_list(self, tmp_path, capsys):
+        data = _tilted_config()
+        data["ensemble"]["components"] = 5
+        assert "'components' must be a list" in self.run_config(tmp_path, capsys, data)
+
+    def test_component_not_an_object(self, tmp_path, capsys):
+        data = _tilted_config()
+        data["ensemble"]["components"] = ["y"]
+        assert "components[0] must be an object" in self.run_config(tmp_path, capsys, data)
+
+    def test_null_axis_angle(self, tmp_path, capsys):
+        err = self.run_config(tmp_path, capsys, _tilted_config(axis={"theta": None}))
+        assert "components[0].axis" in err and "'theta'" in err
+
+    def test_fractional_workers(self, tmp_path, capsys):
+        data = dict(_tilted_config(), workers=2.7)
+        assert "field 'workers'" in self.run_config(tmp_path, capsys, data)
+
+    def test_boolean_workers(self, tmp_path, capsys):
+        data = dict(_tilted_config(), workers=True)
+        assert "field 'workers'" in self.run_config(tmp_path, capsys, data)
+
+    def test_boolean_hbar(self, tmp_path, capsys):
+        data = dict(_tilted_config(), hbar=True)
+        assert "field 'hbar'" in self.run_config(tmp_path, capsys, data)

@@ -1,14 +1,23 @@
 """Unit tests for the simulated apparatus and exact distributions."""
 
 import math
+from concurrent.futures import Future
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import (
+    SeededSampler,
+    TrialRecord,
+    axes,
     enumerate_mean_variance,
     enumerate_totals,
+    measure_ensemble_total,
+    measure_particle,
     random_axis,
     random_ensemble,
     slow_enumerate_totals,
@@ -17,9 +26,7 @@ from spinstat import (
     Axis,
     EnsembleComponent,
     EnsembleSpec,
-    SeededSampler,
     SpinOutcome,
-    TrialRecord,
     X,
     Z,
     eigenstate,
@@ -27,8 +34,7 @@ from spinstat import (
     make_ensemble_A,
     make_ensemble_B,
     make_pair_ensemble,
-    measure_ensemble_total,
-    measure_particle,
+    montecarlo,
     preparation_aware_prediction,
     run_trials,
 )
@@ -49,7 +55,7 @@ class TestSampler:
     def test_single_draw_matches_block(self):
         sampler = SeededSampler(77)
         block = sampler.uniforms(3, 6)
-        assert sampler.uniform(3, 4) == block[4]
+        assert sampler.uniforms(3, 5)[4] == block[4]
 
 
 class TestMeasureParticle:
@@ -100,9 +106,9 @@ class TestRunTrials:
     def test_matches_per_trial_measurement(self):
         e = make_pair_ensemble(Axis(0.8, 2.0), 30)
         sampler = SeededSampler(55)
-        _, records = run_trials(e, X, 12, seed=55, keep_records=True)
-        for t, record in enumerate(records):
-            assert record == measure_ensemble_total(e, X, sampler, t)
+        _, n_plus = run_trials(e, X, 12, seed=55, keep_counts=True)
+        for t, plus in enumerate(n_plus.tolist()):
+            assert TrialRecord(t, 2 * plus - 30, plus, 30 - plus) == measure_ensemble_total(e, X, sampler, t)
 
     def test_worker_count_does_not_change_results(self):
         e = make_ensemble_B(100)
@@ -112,15 +118,15 @@ class TestRunTrials:
 
     def test_sampled_totals_have_ensemble_parity(self):
         e = make_pair_ensemble(Axis(1.1, 0.3), 9 * 2)
-        _, records = run_trials(e, X, 50, seed=14, keep_records=True)
-        for r in records:
-            assert abs(r.total_half_quanta) <= 18
-            assert r.total_half_quanta % 2 == 0
+        _, n_plus = run_trials(e, X, 50, seed=14, keep_counts=True)
+        for total in (2 * n_plus - 18).tolist():
+            assert abs(total) <= 18
+            assert total % 2 == 0
 
     def test_statistics_match_records(self):
         e = make_ensemble_B(50)
-        stats, records = run_trials(e, X, 100, seed=3, keep_records=True)
-        totals = np.array([r.total_half_quanta for r in records])
+        stats, n_plus = run_trials(e, X, 100, seed=3, keep_counts=True)
+        totals = 2 * n_plus - 50
         assert stats.trials == 100
         assert_allclose(stats.sample_mean, totals.mean(), atol=1e-12)
         assert_allclose(stats.sample_variance, totals.var(ddof=1), atol=1e-9)
@@ -129,9 +135,8 @@ class TestRunTrials:
 
     def test_variance_of_total_is_four_times_count_variance(self):
         e = make_ensemble_B(40)
-        _, records = run_trials(e, X, 400, seed=21, keep_records=True)
-        totals = np.array([r.total_half_quanta for r in records])
-        counts = np.array([r.n_plus for r in records])
+        _, counts = run_trials(e, X, 400, seed=21, keep_counts=True)
+        totals = 2 * counts - 40
         assert_allclose(totals.var(ddof=1), 4.0 * counts.var(ddof=1), atol=1e-9)
 
     def test_rejects_degenerate_parameters(self):
@@ -234,3 +239,122 @@ def test_single_particle_ensemble_distribution():
     dist = exact_total_distribution(e, X)
     assert dist.support.tolist() == [-1, 1]
     assert_allclose(dist.probabilities, [0.5, 0.5], atol=0)
+
+
+def _tilted(counts):
+    """Components along distinct tilted axes, alternating + and - eigenstates."""
+    return EnsembleSpec(tuple(
+        EnsembleComponent(eigenstate(Axis(0.4 + 0.7 * i, 1.3 * i), SpinOutcome(1 - 2 * (i % 2))), count)
+        for i, count in enumerate(counts)
+    ))
+
+
+@st.composite
+def sampled_ensembles(draw):
+    """An ensemble and a measurement axis for the sampler cross-check.
+
+    Up to three components of 0-90 particles, so n falls on both sides of
+    BATCH_MAX_PARTICLES. A component is an eigenstate either of the
+    measurement axis (p+ exactly 0 or 1) or of a random axis, so some
+    ensembles take the no-draw shortcut and some mix certain and random
+    outcomes.
+    """
+    axis = draw(axes())
+    components = []
+    for _ in range(draw(st.integers(1, 3))):
+        own_axis = axis if draw(st.booleans()) else draw(axes())
+        sign = draw(st.sampled_from([SpinOutcome.PLUS, SpinOutcome.MINUS]))
+        components.append(EnsembleComponent(eigenstate(own_axis, sign), draw(st.integers(0, 90))))
+    if sum(c.count for c in components) == 0:
+        components[0] = EnsembleComponent(components[0].state, 1)
+    return EnsembleSpec(tuple(components)), axis
+
+
+SEEDS = st.one_of(st.integers(-(2**70), 2**70), st.integers(2**64 - 4, 2**64 + 4), st.integers(-4, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=sampled_ensembles(),
+    trials=st.integers(2, 200),
+    seed=SEEDS,
+    workers=st.sampled_from([1, 2, 3]),
+    batch_blocks=st.integers(1, 64),
+    draw_block=st.integers(1, 50),
+)
+# n = 70003 > 2**16 at the real draw block: the large component is drawn in two pieces.
+@example(case=(_tilted((3, 70_000)), Axis(1.1, 0.4)), trials=3, seed=2**64 - 1, workers=2,
+         batch_blocks=None, draw_block=None)
+# n = 13 at the real batch size: 2048 trials per kernel call, so 5000 trials cross two edges.
+@example(case=(_tilted((6, 4, 3)), Axis(0.8, 0.7)), trials=5000, seed=2**64 + 1, workers=1,
+         batch_blocks=None, draw_block=None)
+@example(case=(_tilted((6, 4, 3)), Axis(0.8, 0.7)), trials=5000, seed=7, workers=3,
+         batch_blocks=None, draw_block=None)
+def test_run_trials_matches_reference_sampler(case, trials, seed, workers, batch_blocks, draw_block):
+    """Trial by trial, every sampling path counts what the reference stream counts.
+
+    The batch and draw-block sizes are shrunk at random, so kernel calls and
+    draw blocks end at arbitrary trials and particles.
+    """
+    e, axis = case
+    with mock.patch.object(montecarlo, "_BATCH_BLOCKS", batch_blocks or montecarlo._BATCH_BLOCKS), \
+            mock.patch.object(montecarlo, "_DRAW_BLOCK", draw_block or montecarlo._DRAW_BLOCK):
+        stats, n_plus = run_trials(e, axis, trials, seed, workers=workers, keep_counts=True)
+    sampler = SeededSampler(seed)
+    expected = [measure_ensemble_total(e, axis, sampler, t).n_plus for t in range(trials)]
+    assert n_plus.tolist() == expected
+    assert stats == run_trials(e, axis, trials, seed)
+
+
+def test_certain_outcomes_draw_no_uniforms(monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("drew uniforms for outcomes that are certain")
+
+    monkeypatch.setattr(montecarlo, "_batched_counts", no_sampling)
+    monkeypatch.setattr(montecarlo, "_reset_counts", no_sampling)
+    _, n_plus = run_trials(make_ensemble_A(1000), X, 50, seed=3, keep_counts=True)
+    assert n_plus.tolist() == [500] * 50
+    along_x = EnsembleSpec((
+        EnsembleComponent(eigenstate(X, SpinOutcome.PLUS), 3),
+        EnsembleComponent(eigenstate(X, SpinOutcome.MINUS), 5),
+    ))
+    stats = run_trials(along_x, X, 10, seed=0)
+    assert stats.sample_mean == -2.0 and stats.sample_variance == 0.0
+
+
+@pytest.mark.parametrize(
+    "workers, trials, cpus, pool_size",
+    [
+        (10**6, 50, 4, 4),  # huge request: capped by the CPU count
+        (3, 100, 8, 3),  # fewer workers than CPUs
+        (8, 5, 8, 5),  # fewer trials than workers: one chunk per trial
+        (4, 100, None, None),  # CPU count unknown: no pool
+        (1, 100, 8, None),
+    ],
+)
+def test_thread_pool_is_bounded(monkeypatch, workers, trials, cpus, pool_size):
+    e = make_pair_ensemble(Axis(0.8, 2.0), 30)
+    reference = run_trials(e, X, trials, seed=4)
+    sizes = []
+
+    class InlineExecutor:
+        """Records the requested pool size and runs every task at submission."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+    assert run_trials(e, X, trials, seed=4, workers=workers) == reference
+    assert sizes == ([] if pool_size is None else [pool_size])
