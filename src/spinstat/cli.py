@@ -30,7 +30,6 @@ from .harness import (
 __all__ = ["main", "build_parser"]
 
 EXIT_OK = 0
-EXIT_UNEXPECTED = 1
 EXIT_INVALID_CONFIG = 2
 EXIT_OUTPUT_ERROR = 3
 
@@ -121,9 +120,6 @@ def main(argv: list[str] | None = None) -> int:
                         fh.write(payload)
                 except OSError as exc:
                     raise OutputError(f"cannot write output path {args.out!r}: {exc}") from exc
-    except ConfigError as exc:
-        print(f"error [invalid-config]: {exc}", file=sys.stderr)
-        return EXIT_INVALID_CONFIG
     except OutputError as exc:
         print(f"error [output-error]: {exc}", file=sys.stderr)
         return EXIT_OUTPUT_ERROR

@@ -1,4 +1,4 @@
-"""Density operators and matrices, with trace-based expectation and variance.
+"""Density operators, with trace-based expectation and variance.
 
 Normalization is an explicit tag, never inferred from the trace: the
 normalized (trace 1) and unnormalized (trace N) operators make different
@@ -12,29 +12,15 @@ import math
 from dataclasses import dataclass
 
 from .ensemble import EnsembleSpec
-from .qcore import (
-    ATOL_EXACT,
-    HermitianOp,
-    Spinor,
-    apply,
-    eigensystem,
-    expectation,
-    inner_product,
-    outer_product,
-    trace_product,
-)
+from .qcore import ATOL_EXACT, HermitianOp, min_eigenvalue, outer_product, trace_product
 
 __all__ = [
     "DensityOp",
-    "DensityMatrix",
     "density_operator",
-    "density_matrix",
     "expectation_tr",
     "variance_tr",
-    "statistical_average_expectation",
     "entrywise_difference",
     "density_equal",
-    "purity",
 ]
 
 
@@ -62,43 +48,9 @@ class DensityOp:
         # PSD tolerance scales with the trace so large unnormalized operators
         # are not rejected over accumulated rounding.
         psd_tol = ATOL_EXACT * max(1.0, target)
-        eig = eigensystem(self.op)
-        if eig.eigenvalue_minus < -psd_tol:
-            raise ValueError(
-                f"operator is not positive semidefinite (eigenvalue {eig.eigenvalue_minus})"
-            )
-
-    @property
-    def trace_target(self) -> float:
-        return 1.0 if self.normalized else float(self.particle_count)
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Matrix elements of a density operator in a declared orthonormal basis."""
-
-    entries: tuple[tuple[complex, complex], tuple[complex, complex]]
-    basis: tuple[Spinor, Spinor]
-
-    def __post_init__(self) -> None:
-        (r00, r01), (r10, r11) = self.entries
-        if abs(r00.imag) > ATOL_EXACT or abs(r11.imag) > ATOL_EXACT:
-            raise ValueError("density matrix diagonal must be real")
-        if abs(r01 - r10.conjugate()) > ATOL_EXACT:
-            raise ValueError("density matrix must be Hermitian")
-
-    @property
-    def trace(self) -> float:
-        return self.entries[0][0].real + self.entries[1][1].real
-
-    def to_json_dict(self) -> dict:
-        def pair(z: complex) -> list[float]:
-            return [z.real, z.imag]
-
-        return {
-            "basis": [[pair(b.a0), pair(b.a1)] for b in self.basis],
-            "entries": [[pair(z) for z in row] for row in self.entries],
-        }
+        lowest = min_eigenvalue(self.op)
+        if lowest < -psd_tol:
+            raise ValueError(f"operator is not positive semidefinite (eigenvalue {lowest})")
 
 
 def density_operator(e: EnsembleSpec, normalized: bool = True) -> DensityOp:
@@ -124,23 +76,6 @@ def density_operator(e: EnsembleSpec, normalized: bool = True) -> DensityOp:
     return DensityOp(op, normalized, None if normalized else n)
 
 
-def _require_orthonormal(basis: tuple[Spinor, Spinor]) -> None:
-    # Spinor construction guarantees unit norm; orthogonality is the real check.
-    if abs(inner_product(basis[0], basis[1])) > ATOL_EXACT:
-        raise ValueError("basis spinors are not orthogonal")
-
-
-def density_matrix(p: DensityOp, basis: tuple[Spinor, Spinor]) -> DensityMatrix:
-    """Matrix elements <b_i|P|b_j> of the operator in an orthonormal basis."""
-    b0, b1 = basis
-    _require_orthonormal((b0, b1))
-    r00 = complex(expectation(p.op, b0))
-    r11 = complex(expectation(p.op, b1))
-    pb1 = apply(p.op, b1)
-    r01 = b0.a0.conjugate() * pb1[0] + b0.a1.conjugate() * pb1[1]
-    return DensityMatrix(((r00, r01), (r01.conjugate(), r11)), (b0, b1))
-
-
 def expectation_tr(p: DensityOp, obs: HermitianOp) -> float:
     """Trace-formalism expectation Tr[P O], in half-quantum units."""
     return trace_product(p.op, obs)
@@ -155,21 +90,6 @@ def variance_tr(p: DensityOp, obs: HermitianOp) -> float:
     first = trace_product(p.op, obs)
     second = trace_product(p.op, obs.square())
     return second - first * first
-
-
-def statistical_average_expectation(e: EnsembleSpec, obs: HermitianOp, extensive: bool = False) -> float:
-    """Weighted average of per-state expectations over the preparation record.
-
-    Weights are particle fractions for intensive quantities or raw counts for
-    extensive ones; agrees with ``expectation_tr`` under the matching
-    normalization.
-    """
-    n = e.total_count
-    total = 0.0
-    for component in e.components:
-        weight = float(component.count) if extensive else component.count / n
-        total += weight * expectation(obs, component.state)
-    return total
 
 
 def entrywise_difference(p: DensityOp, q: DensityOp) -> float:
@@ -188,10 +108,3 @@ def density_equal(p: DensityOp, q: DensityOp, tol: float) -> bool:
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError("tolerance must be a non-negative real")
     return entrywise_difference(p, q) <= tol
-
-
-def purity(p: DensityOp) -> float:
-    """Tr[rho^2] of the normalized form; 1 for pure states, 1/2 when maximally mixed."""
-    scale = 1.0 if p.normalized else 1.0 / float(p.particle_count)
-    op = p.op * scale
-    return trace_product(op, op)

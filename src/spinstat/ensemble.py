@@ -40,7 +40,6 @@ class EnsembleSpec:
     """Full preparation record: component states with exact particle counts."""
 
     components: tuple[EnsembleComponent, ...]
-    name: str = ""
 
     def __post_init__(self) -> None:
         components = tuple(self.components)
@@ -52,11 +51,6 @@ class EnsembleSpec:
     def total_count(self) -> int:
         return sum(c.count for c in self.components)
 
-    def weights(self) -> list[float]:
-        """Intensive weights count/N, derived on demand."""
-        n = self.total_count
-        return [c.count / n for c in self.components]
-
 
 def _require_even(n: int, what: str) -> None:
     if not isinstance(n, int) or isinstance(n, bool):
@@ -67,7 +61,7 @@ def _require_even(n: int, what: str) -> None:
         )
 
 
-def make_pair_ensemble(axis: Axis, n: int, name: str = "") -> EnsembleSpec:
+def make_pair_ensemble(axis: Axis, n: int) -> EnsembleSpec:
     """n/2 particles in each of the two opposite eigenstates along ``axis``."""
     _require_even(n, "pair ensemble")
     half = n // 2
@@ -75,21 +69,20 @@ def make_pair_ensemble(axis: Axis, n: int, name: str = "") -> EnsembleSpec:
         (
             EnsembleComponent(eigenstate(axis, SpinOutcome.PLUS), half),
             EnsembleComponent(eigenstate(axis, SpinOutcome.MINUS), half),
-        ),
-        name=name or f"pair(theta={axis.theta:.6g}, phi={axis.phi:.6g}, n={n})",
+        )
     )
 
 
 def make_ensemble_A(n: int) -> EnsembleSpec:
     """Totally unpolarized preparation: an even split of the two x eigenstates."""
     _require_even(n, "ensemble A")
-    return make_pair_ensemble(X, n, name=f"A(n={n})")
+    return make_pair_ensemble(X, n)
 
 
 def make_ensemble_B(n: int) -> EnsembleSpec:
     """Totally unpolarized preparation: an even split of the two z eigenstates."""
     _require_even(n, "ensemble B")
-    return make_pair_ensemble(Z, n, name=f"B(n={n})")
+    return make_pair_ensemble(Z, n)
 
 
 def ensemble_from_json(data: Any) -> EnsembleSpec:
@@ -118,6 +111,11 @@ def ensemble_from_json(data: Any) -> EnsembleSpec:
 
     if "components" not in data:
         raise ValueError("ensemble object needs 'components' or 'preset'")
+    extra = set(data) - {"name", "components"}
+    if extra:
+        raise ValueError(f"unexpected ensemble fields: {sorted(extra)}")
+    if not isinstance(data.get("name", ""), str):
+        raise ValueError(f"'name' must be a string, got {data['name']!r}")
     raw_components = data["components"]
     if not isinstance(raw_components, list):
         raise ValueError(f"'components' must be a list, got {raw_components!r}")
@@ -129,13 +127,18 @@ def ensemble_from_json(data: Any) -> EnsembleSpec:
         for key in ("axis", "sign", "count"):
             if key not in entry:
                 raise ValueError(f"{where}.{key} is required")
+        extra = set(entry) - {"axis", "sign", "count"}
+        if extra:
+            raise ValueError(f"unexpected {where} fields: {sorted(extra)}")
         try:
             axis = Axis.from_json(entry["axis"])
         except ValueError as exc:
             raise ValueError(f"{where}.axis: {exc}") from None
-        sign = SpinOutcome(entry["sign"])
+        sign = entry["sign"]
+        if not isinstance(sign, int) or isinstance(sign, bool) or sign not in (1, -1):
+            raise ValueError(f"{where}.sign must be 1 or -1, got {sign!r}")
         count = entry["count"]
         if not isinstance(count, int) or isinstance(count, bool):
             raise ValueError(f"{where}.count must be an integer, got {count!r}")
-        components.append(EnsembleComponent(eigenstate(axis, sign), count))
-    return EnsembleSpec(tuple(components), name=str(data.get("name", "")))
+        components.append(EnsembleComponent(eigenstate(axis, SpinOutcome(sign)), count))
+    return EnsembleSpec(tuple(components))

@@ -29,7 +29,7 @@ from .paradox import (
     null_operator_contradiction,
 )
 from .qcore import HermitianOp, Spinor
-from .spin import Axis, HbarScale, SpinOutcome, X, eigenstate, spin_operator
+from .spin import Axis, SpinOutcome, X, eigenstate, spin_operator
 
 __all__ = [
     "ConfigError",
@@ -113,16 +113,23 @@ class ExperimentConfig:
             raise ConfigError("field 'hbar' must be a number")
         if not isinstance(workers, int) or isinstance(workers, bool):
             raise ConfigError("field 'workers' must be an integer")
+        try:
+            hbar = float(hbar)
+        except OverflowError:
+            raise ConfigError("field 'hbar' is too large for a float") from None
         outputs = data.get("outputs", {})
         if not isinstance(outputs, dict) or set(outputs) - {"report", "totals"}:
             raise ConfigError("field 'outputs' must be an object with 'report'/'totals' paths")
+        for key, path in outputs.items():
+            if not isinstance(path, str):
+                raise ConfigError(f"field 'outputs.{key}' must be a path string, got {path!r}")
         return cls(
             ensemble=ensemble,
             ensemble_json=data["ensemble"],
             axis=axis,
             trials=trials,
             seed=seed,
-            hbar=float(hbar),
+            hbar=hbar,
             report_path=outputs.get("report"),
             totals_path=outputs.get("totals"),
             workers=workers,
@@ -154,15 +161,6 @@ class Verdict:
             "z_score": self.z_score,
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Verdict":
-        z = data["z_score"]
-        return cls(
-            matches_empirical=bool(data["matches_empirical"]),
-            exact_zero_prediction=bool(data["exact_zero_prediction"]),
-            z_score=None if z is None else float(z),
-        )
-
 
 @dataclass(frozen=True)
 class DensityCheck:
@@ -174,10 +172,6 @@ class DensityCheck:
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "a_equals_b": self.a_equals_b, "max_abs_diff": self.max_abs_diff}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "DensityCheck":
-        return cls(int(data["n"]), bool(data["a_equals_b"]), float(data["max_abs_diff"]))
 
 
 @dataclass(frozen=True)
@@ -205,20 +199,6 @@ class ComparisonReport:
             "density_check": None if self.density_check is None else self.density_check.to_json_dict(),
             "units": {"hbar": self.config["hbar"]},
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ComparisonReport":
-        predictions = data["predictions"]
-        check = data.get("density_check")
-        return cls(
-            config=data["config"],
-            preparation_aware=PredictionReport.from_json_dict(predictions["preparation_aware"]),
-            density_normalized=PredictionReport.from_json_dict(predictions["density_normalized"]),
-            density_unnormalized=PredictionReport.from_json_dict(predictions["density_unnormalized"]),
-            empirical=TrialStatistics.from_json_dict(data["empirical"]),
-            verdicts={name: Verdict.from_json_dict(v) for name, v in data["verdicts"].items()},
-            density_check=None if check is None else DensityCheck.from_json_dict(check),
-        )
 
 
 def _judge(predicted: PredictionReport, empirical: TrialStatistics) -> Verdict:
@@ -348,39 +328,42 @@ def demo_paradox(samples: int = 100_000, seed: int = 0) -> dict:
     }
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.4g}"
+def _physical(mean: float, sigma: float, variance: float, hbar: float) -> tuple[str, str, str]:
+    """Half-quantum mean, sigma and variance in physical units, formatted."""
+    return (
+        f"{mean * hbar / 2.0:.4g}",
+        f"{sigma * hbar / 2.0:.4g}",
+        f"{variance * hbar * hbar / 4.0:.4g}",
+    )
 
 
-def render_report(report: ComparisonReport, scale: HbarScale | None = None) -> str:
+def render_report(report: ComparisonReport) -> str:
     """Human-readable text of a comparison report.
 
-    Half-quantum values are converted to physical units (mean and sigma scale
-    with hbar/2, variances with hbar^2/4); the text states totals as
-    ``mean +/- sigma``.
+    Half-quantum values are converted to physical units with the report's
+    hbar (mean and sigma scale with hbar/2, variances with hbar^2/4); the
+    text states totals as ``mean +/- sigma``.
     """
-    if scale is None:
-        scale = HbarScale(report.config["hbar"])
+    hbar = report.config["hbar"]
 
     def line(name: str, pred: PredictionReport, verdict: Verdict | None) -> str:
-        mean = _fmt(scale.mean_to_physical(pred.mean))
-        sigma = _fmt(scale.sigma_to_physical(pred.sigma))
-        var = _fmt(scale.variance_to_physical(pred.variance))
+        mean, sigma, var = _physical(pred.mean, pred.sigma, pred.variance, hbar)
         tail = ""
         if verdict is not None:
             tail = "  [matches empirical]" if verdict.matches_empirical else "  [disagrees]"
         return f"  {name:<22} {mean} ± {sigma}   (variance {var} hbar²){tail}"
 
     emp = report.empirical
-    emp_sigma = math.sqrt(max(emp.sample_variance, 0.0))
+    emp_mean, emp_sigma, emp_var = _physical(
+        emp.sample_mean, math.sqrt(max(emp.sample_variance, 0.0)), emp.sample_variance, hbar
+    )
     rows = [
         "spin totals along the measurement axis (mean ± sigma, hbar units):",
         line("preparation-aware", report.preparation_aware, report.verdicts.get("preparation_aware")),
         line("density normalized", report.density_normalized, report.verdicts.get("density_normalized")),
         line("density unnormalized", report.density_unnormalized, report.verdicts.get("density_unnormalized")),
-        f"  {'empirical':<22} {_fmt(scale.mean_to_physical(emp.sample_mean))} ± "
-        f"{_fmt(scale.sigma_to_physical(emp_sigma))}   "
-        f"(variance {_fmt(scale.variance_to_physical(emp.sample_variance))} hbar², {emp.trials} trials, "
+        f"  {'empirical':<22} {emp_mean} ± {emp_sigma}   "
+        f"(variance {emp_var} hbar², {emp.trials} trials, "
         f"half-quantum totals in [{emp.min_total}, {emp.max_total}])",
     ]
     if report.density_check is not None:

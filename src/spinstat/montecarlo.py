@@ -90,16 +90,6 @@ class TrialStatistics:
             "max": self.max_total,
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "TrialStatistics":
-        return cls(
-            trials=int(data["trials"]),
-            sample_mean=float(data["sample_mean"]),
-            sample_variance=float(data["sample_variance"]),
-            min_total=int(data["min"]),
-            max_total=int(data["max"]),
-        )
-
 
 class TotalSpinDistribution:
     """Exact probability mass function of the ensemble total, half-quantum units."""
@@ -130,7 +120,6 @@ class PredictionReport:
     mean: float
     variance: float
     method: str
-    units: str = "half_quanta"
 
     @property
     def sigma(self) -> float:
@@ -142,17 +131,8 @@ class PredictionReport:
             "variance": self.variance,
             "sigma": self.sigma,
             "method": self.method,
-            "units": self.units,
+            "units": "half_quanta",
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "PredictionReport":
-        return cls(
-            mean=float(data["mean"]),
-            variance=float(data["variance"]),
-            method=str(data["method"]),
-            units=str(data["units"]),
-        )
 
 
 def _component_probabilities(e: EnsembleSpec, axis: Axis) -> list[tuple[int, float]]:

@@ -1,4 +1,4 @@
-"""Closed-form complex 2x2 linear algebra: spinors, Hermitian operators, eigensystems.
+"""Closed-form complex 2x2 linear algebra: spinors and Hermitian operators.
 
 Everything in here is an immutable value type built on Python complex numbers.
 Amplitudes are plain ``complex``; containers validate finiteness on construction.
@@ -6,29 +6,24 @@ Amplitudes are plain ``complex``; containers validate finiteness on construction
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "ATOL_EXACT",
-    "ATOL_COMPOSED",
     "Spinor",
     "HermitianOp",
-    "EigenSystem",
     "inner_product",
     "outer_product",
     "apply",
     "trace_product",
-    "eigensystem",
+    "min_eigenvalue",
 ]
 
-# Absolute tolerances: 1e-12 for exactly-representable quantities, 1e-10 for
-# composed results (closed-form doubles never accumulate beyond this).
+# Absolute tolerance for exactly-representable quantities.
 ATOL_EXACT = 1e-12
-ATOL_COMPOSED = 1e-10
 
 
 def _require_finite(value: complex, what: str) -> None:
@@ -58,19 +53,6 @@ class Spinor:
         object.__setattr__(self, "a0", a0 * scale)
         object.__setattr__(self, "a1", a1 * scale)
 
-    @property
-    def vector(self) -> np.ndarray:
-        return np.array([self.a0, self.a1], dtype=complex)
-
-    def bloch(self) -> tuple[float, float, float]:
-        """Bloch vector (m_x, m_y, m_z) of the state."""
-        cross = self.a0.conjugate() * self.a1
-        return (
-            2.0 * cross.real,
-            2.0 * cross.imag,
-            abs(self.a0) ** 2 - abs(self.a1) ** 2,
-        )
-
 
 @dataclass(frozen=True)
 class HermitianOp:
@@ -97,17 +79,6 @@ class HermitianOp:
     def identity(cls) -> "HermitianOp":
         return cls(1.0, 1.0, 0j)
 
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray, atol: float = ATOL_EXACT) -> "HermitianOp":
-        m = np.asarray(matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-        if abs(m[0, 0].imag) > atol or abs(m[1, 1].imag) > atol:
-            raise ValueError("diagonal entries must be real")
-        if abs(m[0, 1] - m[1, 0].conjugate()) > atol:
-            raise ValueError("matrix is not Hermitian")
-        return cls(m[0, 0].real, m[1, 1].real, m[0, 1])
-
     @property
     def matrix(self) -> np.ndarray:
         return np.array(
@@ -127,9 +98,6 @@ class HermitianOp:
             self.m01 * (self.m00 + self.m11),
         )
 
-    def __add__(self, other: "HermitianOp") -> "HermitianOp":
-        return HermitianOp(self.m00 + other.m00, self.m11 + other.m11, self.m01 + other.m01)
-
     def __sub__(self, other: "HermitianOp") -> "HermitianOp":
         return HermitianOp(self.m00 - other.m00, self.m11 - other.m11, self.m01 - other.m01)
 
@@ -138,17 +106,6 @@ class HermitianOp:
         return HermitianOp(self.m00 * s, self.m11 * s, self.m01 * s)
 
     __rmul__ = __mul__
-
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """Eigendecomposition of a 2x2 Hermitian operator, eigenvalues descending."""
-
-    eigenvalue_plus: float
-    eigenvalue_minus: float
-    eigvec_plus: Spinor
-    eigvec_minus: Spinor
-    degenerate: bool = field(default=False)
 
 
 def inner_product(x: Spinor, y: Spinor) -> complex:
@@ -181,40 +138,6 @@ def trace_product(a: HermitianOp, b: HermitianOp) -> float:
     return a.m00 * b.m00 + a.m11 * b.m11 + 2.0 * cross.real
 
 
-def _fix_phase(a0: complex, a1: complex) -> Spinor:
-    # Rotate the global phase so the larger-modulus component is real >= 0;
-    # deterministic output for tests.
-    anchor = a0 if abs(a0) >= abs(a1) else a1
-    phase = cmath.exp(-1j * cmath.phase(anchor))
-    return Spinor(a0 * phase, a1 * phase)
-
-
-def eigensystem(op: HermitianOp) -> EigenSystem:
-    """Closed-form eigendecomposition of a 2x2 Hermitian operator.
-
-    A spectrum degenerate within 1e-12 returns the reference basis vectors
-    with the ``degenerate`` flag set.
-    """
-    mid = 0.5 * (op.m00 + op.m11)
-    half_gap = 0.5 * (op.m00 - op.m11)
-    radius = math.hypot(half_gap, abs(op.m01))
-    lam_plus = mid + radius
-    lam_minus = mid - radius
-
-    if 2.0 * radius <= ATOL_EXACT:
-        return EigenSystem(lam_plus, lam_minus, Spinor(1, 0), Spinor(0, 1), degenerate=True)
-
-    if op.m01 == 0:
-        if op.m00 >= op.m11:
-            return EigenSystem(lam_plus, lam_minus, Spinor(1, 0), Spinor(0, 1))
-        return EigenSystem(lam_plus, lam_minus, Spinor(0, 1), Spinor(1, 0))
-
-    # (m01, lam - m00) and (lam - m11, conj(m01)) both solve the eigenvector
-    # equation; keep whichever has the larger diagonal gap so a subnormal m01
-    # cannot underflow the candidate to the zero vector.
-    def eigenvector(lam: float) -> Spinor:
-        if abs(lam - op.m00) >= abs(lam - op.m11):
-            return _fix_phase(op.m01, lam - op.m00)
-        return _fix_phase(lam - op.m11, op.m01.conjugate())
-
-    return EigenSystem(lam_plus, lam_minus, eigenvector(lam_plus), eigenvector(lam_minus))
+def min_eigenvalue(op: HermitianOp) -> float:
+    """Smaller eigenvalue of a 2x2 Hermitian operator, in closed form."""
+    return 0.5 * (op.m00 + op.m11) - math.hypot(0.5 * (op.m00 - op.m11), abs(op.m01))

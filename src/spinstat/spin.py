@@ -2,7 +2,7 @@
 
 Unit convention: every outcome, mean, and variance in this package is in
 half-quantum units (a single measurement yields exactly +1 or -1). Scaling to
-physical units happens only at report formatting, through :class:`HbarScale`.
+physical units happens only at report formatting, in ``harness.render_report``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .qcore import HermitianOp, Spinor, inner_product
 __all__ = [
     "Axis",
     "SpinOutcome",
-    "HbarScale",
     "X",
     "Y",
     "Z",
@@ -90,11 +89,16 @@ class Axis:
                 raise ValueError(f"unexpected axis fields: {sorted(extra)}")
             if "theta" not in data:
                 raise ValueError("an axis object requires a 'theta' field")
-            angles = {"theta": data["theta"], "phi": data.get("phi", 0.0)}
-            for key, value in angles.items():
+            angles = []
+            for key in ("theta", "phi"):
+                value = data.get(key, 0.0)
                 if not isinstance(value, (int, float)) or isinstance(value, bool):
                     raise ValueError(f"axis field '{key}' must be a number, got {value!r}")
-            return cls(float(angles["theta"]), float(angles["phi"]))
+                try:
+                    angles.append(float(value))
+                except OverflowError:
+                    raise ValueError(f"axis field '{key}' is too large for a float") from None
+            return cls(*angles)
         raise ValueError(f"axis must be a name or an object with angles, got {data!r}")
 
     def to_json(self) -> Any:
@@ -109,26 +113,6 @@ Y = Axis(math.pi / 2, math.pi / 2)
 Z = Axis(0.0, 0.0)
 
 _NAMED_AXES = {"x": X, "y": Y, "z": Z}
-
-
-@dataclass(frozen=True)
-class HbarScale:
-    """Reporting-layer conversion between half-quantum units and physical units."""
-
-    hbar: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.hbar) and self.hbar > 0):
-            raise ValueError("hbar must be a positive real")
-
-    def mean_to_physical(self, mean_half_quanta: float) -> float:
-        return mean_half_quanta * self.hbar / 2.0
-
-    def sigma_to_physical(self, sigma_half_quanta: float) -> float:
-        return sigma_half_quanta * self.hbar / 2.0
-
-    def variance_to_physical(self, variance_half_quanta: float) -> float:
-        return variance_half_quanta * self.hbar * self.hbar / 4.0
 
 
 def spin_operator(axis: Axis) -> HermitianOp:

@@ -8,7 +8,9 @@ import numpy as np
 from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 
-from spinstat import Axis, EnsembleComponent, EnsembleSpec, SpinOutcome, Spinor, born_probability
+from spinstat.ensemble import EnsembleComponent, EnsembleSpec
+from spinstat.qcore import HermitianOp, Spinor, expectation
+from spinstat.spin import Axis, SpinOutcome, born_probability
 
 _component_floats = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
@@ -91,6 +93,20 @@ def slow_enumerate_totals(e: EnsembleSpec, axis: Axis) -> dict[int, float]:
         total = sum(pattern)
         out[total] = out.get(total, 0.0) + prob
     return out
+
+
+def statistical_average_expectation(e: EnsembleSpec, obs: HermitianOp, extensive: bool = False) -> float:
+    """Oracle for ``expectation_tr``: the weighted average of per-state expectations.
+
+    Weights are particle fractions for intensive quantities or raw counts for
+    extensive ones, matching the normalized and unnormalized density operator.
+    """
+    n = e.total_count
+    total = 0.0
+    for component in e.components:
+        weight = float(component.count) if extensive else component.count / n
+        total += weight * expectation(obs, component.state)
+    return total
 
 
 @dataclass(frozen=True)

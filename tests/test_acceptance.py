@@ -11,29 +11,17 @@ import time
 
 import numpy as np
 
-from conftest import enumerate_totals, random_axis, random_ensemble
-from spinstat import (
-    Axis,
-    SpinOutcome,
-    X,
+from conftest import enumerate_totals, random_axis, random_ensemble, statistical_average_expectation
+from spinstat.density import density_equal, density_operator, expectation_tr, variance_tr
+from spinstat.ensemble import make_ensemble_A, make_ensemble_B, make_pair_ensemble
+from spinstat.harness import run_experiment
+from spinstat.montecarlo import exact_total_distribution, preparation_aware_prediction, run_trials
+from spinstat.paradox import (
     annihilation_residual,
-    density_equal,
-    density_operator,
-    eigenstate,
-    exact_total_distribution,
-    expectation_tr,
     fixed_operator_infeasibility,
-    make_ensemble_A,
-    make_ensemble_B,
-    make_pair_ensemble,
     null_operator_contradiction,
-    preparation_aware_prediction,
-    run_experiment,
-    run_trials,
-    spin_operator,
-    statistical_average_expectation,
-    variance_tr,
 )
+from spinstat.spin import Axis, SpinOutcome, X, eigenstate, spin_operator
 from test_harness import make_config, run_cli
 
 

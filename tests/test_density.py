@@ -1,32 +1,13 @@
 """Unit tests for the density-operator formalism."""
 
-import math
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import random_axis, random_ensemble
-from spinstat import (
-    EnsembleComponent,
-    EnsembleSpec,
-    SpinOutcome,
-    X,
-    Y,
-    Z,
-    density_equal,
-    density_matrix,
-    density_operator,
-    eigenstate,
-    entrywise_difference,
-    expectation_tr,
-    make_ensemble_A,
-    make_ensemble_B,
-    purity,
-    spin_operator,
-    statistical_average_expectation,
-    variance_tr,
-)
+from conftest import random_axis, random_ensemble, statistical_average_expectation
+from spinstat.density import density_equal, density_operator, entrywise_difference, expectation_tr, variance_tr
+from spinstat.ensemble import EnsembleComponent, EnsembleSpec, make_ensemble_A, make_ensemble_B
+from spinstat.spin import SpinOutcome, X, Z, eigenstate, spin_operator
 
 
 class TestDensityOperator:
@@ -70,37 +51,6 @@ class TestDensityOperator:
             entrywise_difference(rho_n, rho_u)
 
 
-class TestDensityMatrix:
-    def test_z_basis_entries(self):
-        rho = density_operator(make_ensemble_A(10))
-        basis = (eigenstate(Z, SpinOutcome.PLUS), eigenstate(Z, SpinOutcome.MINUS))
-        dm = density_matrix(rho, basis)
-        assert_allclose(
-            [[dm.entries[0][0], dm.entries[0][1]], [dm.entries[1][0], dm.entries[1][1]]],
-            [[0.5, 0.0], [0.0, 0.5]],
-            atol=1e-15,
-        )
-        assert_allclose(dm.trace, 1.0, atol=1e-15)
-
-    def test_same_operator_any_orthonormal_basis_same_trace(self):
-        rho = density_operator(make_ensemble_B(8))
-        for axis in (X, Y, Z):
-            basis = (eigenstate(axis, SpinOutcome.PLUS), eigenstate(axis, SpinOutcome.MINUS))
-            assert_allclose(density_matrix(rho, basis).trace, 1.0, atol=1e-12)
-
-    def test_rejects_non_orthogonal_basis(self):
-        rho = density_operator(make_ensemble_A(2))
-        skew = (eigenstate(Z, SpinOutcome.PLUS), eigenstate(X, SpinOutcome.PLUS))
-        with pytest.raises(ValueError):
-            density_matrix(rho, skew)
-
-    def test_json_dict_shape(self):
-        rho = density_operator(make_ensemble_A(2))
-        basis = (eigenstate(Z, SpinOutcome.PLUS), eigenstate(Z, SpinOutcome.MINUS))
-        payload = density_matrix(rho, basis).to_json_dict()
-        assert payload["entries"][0][0] == [0.5, 0.0]
-
-
 class TestTraceFormulas:
     def test_pure_state_expectation_and_variance(self):
         z_plus = eigenstate(Z, SpinOutcome.PLUS)
@@ -138,18 +88,3 @@ class TestTraceFormulas:
                 atol=1e-10,
             )
 
-
-class TestPurity:
-    def test_maximally_mixed_is_half(self):
-        assert_allclose(purity(density_operator(make_ensemble_A(4))), 0.5, atol=1e-15)
-
-    def test_pure_state_is_one(self):
-        e = EnsembleSpec((EnsembleComponent(eigenstate(Y, SpinOutcome.MINUS), 3),))
-        assert_allclose(purity(density_operator(e)), 1.0, atol=1e-12)
-        assert_allclose(purity(density_operator(e, normalized=False)), 1.0, atol=1e-12)
-
-    def test_bounds_on_random_ensembles(self):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            value = purity(density_operator(random_ensemble(rng)))
-            assert 0.5 - 1e-12 <= value <= 1.0 + 1e-12

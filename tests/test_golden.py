@@ -9,7 +9,7 @@ import hashlib
 
 import pytest
 
-from spinstat import ExperimentConfig, run_experiment
+from spinstat.harness import ExperimentConfig, run_experiment
 
 TILTED_12 = {
     "name": "tilted-12",

@@ -2,18 +2,19 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from numpy.testing import assert_allclose
 
-from spinstat import (
-    ComparisonReport,
-    cli,
+import spinstat
+from spinstat import cli
+from spinstat.harness import (
     ConfigError,
     ExperimentConfig,
-    HbarScale,
     OutputError,
     demo_paradox,
     render_report,
@@ -111,11 +112,6 @@ class TestRunExperiment:
 
 
 class TestReportSerialization:
-    def test_round_trip_through_json(self):
-        report = run_experiment(make_config(trials=64))
-        parsed = ComparisonReport.from_json_dict(json.loads(json.dumps(report.to_json_dict())))
-        assert parsed == report
-
     def test_schema_keys(self):
         report = run_experiment(make_config(trials=16))
         data = report.to_json_dict()
@@ -127,11 +123,26 @@ class TestReportSerialization:
         }
         assert data["units"] == {"hbar": 1.0}
 
-    def test_render_text_scales_to_physical_units(self):
-        report = run_experiment(make_config(preset="B", n=1000, trials=10_000, seed=42))
-        text = render_report(report, HbarScale(1.0))
-        assert "0 ± 15.81" in text  # hbar*sqrt(1000)/2 at hbar=1
-        assert "0 ± 0.5" in text  # the normalized-density prediction, hbar/2
+    @pytest.mark.parametrize(
+        "hbar, preparation_aware, density_normalized",
+        [
+            pytest.param(
+                1.0, "0 ± 15.81   (variance 250 hbar²)", "0 ± 0.5   (variance 0.25 hbar²)", id="hbar1"
+            ),
+            pytest.param(
+                2.0, "0 ± 31.62   (variance 1000 hbar²)", "0 ± 1   (variance 1 hbar²)", id="hbar2"
+            ),
+        ],
+    )
+    def test_render_text_scales_to_physical_units(self, hbar, preparation_aware, density_normalized):
+        # In half-quanta, preset B along x has sigma sqrt(1000) and variance
+        # 1000, and the normalized density predicts sigma 1 and variance 1;
+        # the text shows mean and sigma times hbar/2, variance times hbar²/4.
+        report = run_experiment(make_config(preset="B", n=1000, trials=10_000, seed=42, hbar=hbar))
+        text = render_report(report)
+        assert preparation_aware in text
+        assert density_normalized in text
+        assert f"{'empirical':<22} {report.empirical.sample_mean * hbar / 2:.4g} ± " in text
         assert "matches empirical" in text and "disagrees" in text
 
     def test_render_text_definite_ensemble_shows_zero_spread(self):
@@ -156,11 +167,15 @@ class TestDemoParadox:
 
 
 def run_cli(*args, cwd=None):
+    # The child imports the same spinstat as this process, installed or not.
+    src = str(Path(spinstat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
         [sys.executable, "-m", "spinstat", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=env,
         timeout=120,
     )
 
@@ -247,6 +262,12 @@ def _tilted_config(**component_overrides):
     return {"ensemble": {"components": [component]}, "axis": "x", "trials": 10, "seed": 0}
 
 
+def _ensemble_config(**ensemble_fields):
+    data = _tilted_config()
+    data["ensemble"].update(ensemble_fields)
+    return data
+
+
 class TestMalformedConfigs:
     """Each malformed config exits 2, naming the field, with no traceback."""
 
@@ -289,3 +310,26 @@ class TestMalformedConfigs:
     def test_boolean_hbar(self, tmp_path, capsys):
         data = dict(_tilted_config(), hbar=True)
         assert "field 'hbar'" in self.run_config(tmp_path, capsys, data)
+
+    @pytest.mark.parametrize("data, fragments", [
+        pytest.param(dict(_tilted_config(), hbar=0), ["field 'hbar'"], id="zero-hbar"),
+        pytest.param(dict(_tilted_config(), hbar=10**400), ["field 'hbar'"], id="huge-hbar"),
+        pytest.param(
+            _tilted_config(axis={"theta": 10**400}), ["components[0].axis", "'theta'"], id="huge-theta"
+        ),
+        pytest.param(
+            _tilted_config(axis={"theta": 1, "phi": -(10**400)}), ["components[0].axis", "'phi'"],
+            id="huge-phi",
+        ),
+        pytest.param(_tilted_config(sign=True), ["components[0].sign"], id="boolean-sign"),
+        pytest.param(_tilted_config(sign=2), ["components[0].sign"], id="sign-out-of-range"),
+        pytest.param(
+            dict(_tilted_config(), outputs={"report": 5}), ["field 'outputs.report'"], id="output-not-a-path"
+        ),
+        pytest.param(_ensemble_config(foo=1), ["field 'ensemble'", "'foo'"], id="unknown-ensemble-field"),
+        pytest.param(_tilted_config(weight=3), ["components[0]", "'weight'"], id="unknown-component-field"),
+        pytest.param(_ensemble_config(name=5), ["field 'ensemble'", "'name'"], id="name-not-a-string"),
+    ])
+    def test_rejects(self, tmp_path, capsys, data, fragments):
+        err = self.run_config(tmp_path, capsys, data)
+        assert all(fragment in err for fragment in fragments), err

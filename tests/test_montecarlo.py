@@ -22,22 +22,16 @@ from conftest import (
     random_ensemble,
     slow_enumerate_totals,
 )
-from spinstat import (
-    Axis,
+from spinstat import montecarlo
+from spinstat.ensemble import (
     EnsembleComponent,
     EnsembleSpec,
-    SpinOutcome,
-    X,
-    Z,
-    eigenstate,
-    exact_total_distribution,
     make_ensemble_A,
     make_ensemble_B,
     make_pair_ensemble,
-    montecarlo,
-    preparation_aware_prediction,
-    run_trials,
 )
+from spinstat.montecarlo import exact_total_distribution, preparation_aware_prediction, run_trials
+from spinstat.spin import Axis, SpinOutcome, X, Z, eigenstate
 
 
 class TestSampler:

@@ -9,21 +9,14 @@ from numpy.testing import assert_allclose
 from conftest import spinors
 from hypothesis import given
 
-from spinstat import (
-    SpinOutcome,
-    Spinor,
-    X,
-    Y,
-    Z,
+from spinstat.paradox import (
     annihilation_residual,
-    eigenstate,
-    expectation,
     fixed_operator_infeasibility,
     null_operator_contradiction,
-    spin_operator,
-    state_mean_and_variance,
     variance_pseudo_operator,
 )
+from spinstat.qcore import Spinor, expectation
+from spinstat.spin import SpinOutcome, X, Y, Z, eigenstate, spin_operator, state_mean_and_variance
 
 RMS_LIMIT = math.sqrt(4.0 / 45.0)  # best-possible rms residual over the sphere
 MAX_LIMIT = 2.0 / 3.0

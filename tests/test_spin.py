@@ -7,18 +7,15 @@ from hypothesis import given
 from numpy.testing import assert_allclose
 
 from conftest import axes, spinors
-from spinstat import (
+from spinstat.qcore import HermitianOp, apply, expectation
+from spinstat.spin import (
     Axis,
-    HbarScale,
-    HermitianOp,
     SpinOutcome,
     X,
     Y,
     Z,
-    apply,
     born_probability,
     eigenstate,
-    expectation,
     spin_operator,
     state_mean_and_variance,
 )
@@ -127,19 +124,3 @@ class TestBornRule:
         assert_allclose(variance, 4.0 * p * (1.0 - p), atol=1e-9)
         assert_allclose(mean, expectation(spin_operator(axis), state), atol=1e-10)
 
-
-class TestHbarScale:
-    def test_half_quantum_conversions(self):
-        scale = HbarScale(hbar=2.0)
-        assert scale.mean_to_physical(3.0) == 3.0
-        assert scale.sigma_to_physical(1.0) == 1.0
-        assert scale.variance_to_physical(4.0) == 4.0
-
-    def test_default_hbar_one(self):
-        scale = HbarScale()
-        assert scale.mean_to_physical(2.0) == 1.0
-        assert scale.variance_to_physical(4.0) == 1.0
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            HbarScale(0.0)
