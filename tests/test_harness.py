@@ -123,18 +123,8 @@ class TestReportSerialization:
         }
         assert data["units"] == {"hbar": 1.0}
 
-    @pytest.mark.parametrize(
-        "hbar, preparation_aware, density_normalized",
-        [
-            pytest.param(
-                1.0, "0 ± 15.81   (variance 250 hbar²)", "0 ± 0.5   (variance 0.25 hbar²)", id="hbar1"
-            ),
-            pytest.param(
-                2.0, "0 ± 31.62   (variance 1000 hbar²)", "0 ± 1   (variance 1 hbar²)", id="hbar2"
-            ),
-        ],
-    )
-    def test_render_text_scales_to_physical_units(self, hbar, preparation_aware, density_normalized):
+    @staticmethod
+    def _check_render_scaling(hbar, preparation_aware, density_normalized):
         # In half-quanta, preset B along x has sigma sqrt(1000) and variance
         # 1000, and the normalized density predicts sigma 1 and variance 1;
         # the text shows mean and sigma times hbar/2, variance times hbar²/4.
@@ -144,6 +134,16 @@ class TestReportSerialization:
         assert density_normalized in text
         assert f"{'empirical':<22} {report.empirical.sample_mean * hbar / 2:.4g} ± " in text
         assert "matches empirical" in text and "disagrees" in text
+
+    def test_render_text_scales_to_physical_units(self):
+        self._check_render_scaling(
+            1.0, "0 ± 15.81   (variance 250 hbar²)", "0 ± 0.5   (variance 0.25 hbar²)"
+        )
+
+    def test_render_text_scales_to_physical_units_at_hbar_two(self):
+        self._check_render_scaling(
+            2.0, "0 ± 31.62   (variance 1000 hbar²)", "0 ± 1   (variance 1 hbar²)"
+        )
 
     def test_render_text_definite_ensemble_shows_zero_spread(self):
         report = run_experiment(make_config(preset="A", trials=100))

@@ -7,6 +7,7 @@ from hypothesis import given
 from numpy.testing import assert_allclose
 
 from conftest import axes, spinors
+from spinstat.harness import ConfigError, ExperimentConfig, _physical
 from spinstat.qcore import HermitianOp, apply, expectation
 from spinstat.spin import (
     Axis,
@@ -124,3 +125,19 @@ class TestBornRule:
         assert_allclose(variance, 4.0 * p * (1.0 - p), atol=1e-9)
         assert_allclose(mean, expectation(spin_operator(axis), state), atol=1e-10)
 
+
+class TestHbarScale:
+    # The report text converts half-quantum values to physical units: mean
+    # and sigma times hbar/2, variance times hbar²/4.
+    CONFIG = {"ensemble": {"preset": "A", "n": 2}, "axis": "x", "trials": 2, "seed": 0}
+
+    def test_half_quantum_conversions(self):
+        assert _physical(3.0, 1.0, 4.0, hbar=2.0) == ("3", "1", "4")
+
+    def test_default_hbar_one(self):
+        assert ExperimentConfig.from_json_dict(self.CONFIG).hbar == 1.0
+        assert _physical(2.0, 2.0, 4.0, hbar=1.0) == ("1", "1", "1")
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ConfigError, match="field 'hbar'"):
+            ExperimentConfig.from_json_dict(dict(self.CONFIG, hbar=0.0))
