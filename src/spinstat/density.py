@@ -1,4 +1,10 @@
-"""Density operators, with trace-based expectation and variance.
+"""Density operators in Bloch form, with trace-based expectation and variance.
+
+A density operator is rho = (t I + s.sigma)/2: t is its trace and s its Bloch
+vector, the weighted sum of the component states' Bloch vectors. It is
+positive semidefinite exactly when |s| <= t. Along a unit axis n,
+(n.sigma)^2 = I, so the trace formalism predicts the mean Tr[rho n.sigma] =
+s.n and the variance Tr[rho (n.sigma)^2] - (s.n)^2 = t - (s.n)^2.
 
 Normalization is an explicit tag, never inferred from the trace: the
 normalized (trace 1) and unnormalized (trace N) operators make different
@@ -12,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .ensemble import EnsembleSpec
-from .qcore import ATOL_EXACT, HermitianOp, min_eigenvalue, outer_product, trace_product
+from .spin import Axis, Vector, dot
 
 __all__ = [
     "DensityOp",
@@ -23,12 +29,16 @@ __all__ = [
     "density_equal",
 ]
 
+# Relative tolerance of the positive-semidefinite check |s| <= t.
+_PSD_RTOL = 1e-12
+
 
 @dataclass(frozen=True)
 class DensityOp:
-    """A positive semidefinite operator tagged as trace-1 or trace-N."""
+    """A positive semidefinite operator (t I + s.sigma)/2 tagged as trace-1 or trace-N."""
 
-    op: HermitianOp
+    trace: float
+    bloch: Vector
     normalized: bool
     particle_count: int | None = None
 
@@ -36,71 +46,60 @@ class DensityOp:
         if self.normalized:
             if self.particle_count is not None:
                 raise ValueError("a normalized density operator carries no particle count")
-            target, trace_tol = 1.0, ATOL_EXACT
+            target = 1.0
         else:
             if not isinstance(self.particle_count, int) or self.particle_count < 1:
                 raise ValueError("an unnormalized density operator needs a positive particle count")
-            target, trace_tol = float(self.particle_count), 1e-10
-        if abs(self.op.trace - target) > trace_tol:
+            target = float(self.particle_count)
+        if self.trace != target:
             raise ValueError(
-                f"trace {self.op.trace!r} does not match the normalization tag (expected {target})"
+                f"trace {self.trace!r} does not match the normalization tag (expected {target})"
             )
-        # PSD tolerance scales with the trace so large unnormalized operators
-        # are not rejected over accumulated rounding.
-        psd_tol = ATOL_EXACT * max(1.0, target)
-        lowest = min_eigenvalue(self.op)
-        if lowest < -psd_tol:
-            raise ValueError(f"operator is not positive semidefinite (eigenvalue {lowest})")
+        length = math.hypot(*self.bloch)
+        if not length <= self.trace * (1.0 + _PSD_RTOL):
+            raise ValueError(f"operator is not positive semidefinite (|s| = {length} > trace)")
 
 
 def density_operator(e: EnsembleSpec, normalized: bool = True) -> DensityOp:
     """Density operator of an ensemble: count-weighted sum of state projectors.
 
     Normalized uses fractions count/N (trace 1); unnormalized uses raw counts
-    (trace N). The trace is pinned exactly to its tagged value, absorbing the
-    last-ulp rounding of the weighted sum.
+    (trace N). The trace is the tagged value exactly; the Bloch vector is the
+    correctly rounded weighted sum of the states' Bloch vectors.
     """
     n = e.total_count
-    acc00 = acc11 = 0.0
-    acc01 = 0j
-    for component in e.components:
-        weight = component.count / n if normalized else float(component.count)
-        projector = outer_product(component.state)
-        acc00 += weight * projector.m00
-        acc11 += weight * projector.m11
-        acc01 += weight * projector.m01
-    target = 1.0 if normalized else float(n)
-    if abs((acc00 + acc11) - target) > 1e-9 * max(1.0, target):
-        raise ValueError("accumulated trace drifted beyond rounding; ensemble is inconsistent")
-    op = HermitianOp(acc00, target - acc00, acc01)
-    return DensityOp(op, normalized, None if normalized else n)
+    weights = [c.count / n if normalized else float(c.count) for c in e.components]
+    bloch = tuple(
+        math.fsum(w * c.state[i] for w, c in zip(weights, e.components)) for i in range(3)
+    )
+    return DensityOp(1.0 if normalized else float(n), bloch, normalized, None if normalized else n)
 
 
-def expectation_tr(p: DensityOp, obs: HermitianOp) -> float:
-    """Trace-formalism expectation Tr[P O], in half-quantum units."""
-    return trace_product(p.op, obs)
+def expectation_tr(p: DensityOp, axis: Axis) -> float:
+    """Trace-formalism expectation Tr[P n.sigma] = s.n, in half-quantum units."""
+    return dot(p.bloch, axis.bloch())
 
 
-def variance_tr(p: DensityOp, obs: HermitianOp) -> float:
-    """Trace-formalism variance Tr[P O^2] - (Tr[P O])^2.
+def variance_tr(p: DensityOp, axis: Axis) -> float:
+    """Trace-formalism variance Tr[P (n.sigma)^2] - (Tr[P n.sigma])^2 = t - (s.n)^2.
 
     Applied to an unnormalized operator this is the count-weighted variant;
     both are reproduced exactly as the formalism defines them.
     """
-    first = trace_product(p.op, obs)
-    second = trace_product(p.op, obs.square())
-    return second - first * first
+    first = expectation_tr(p, axis)
+    return p.trace - first * first
 
 
 def entrywise_difference(p: DensityOp, q: DensityOp) -> float:
-    """Largest absolute entry difference between two same-tag density operators."""
+    """Largest absolute matrix-entry difference between two same-tag density operators.
+
+    With equal traces the diagonal entries differ by |ds_z|/2 and the
+    off-diagonal ones by |ds_x - i ds_y|/2.
+    """
     if p.normalized != q.normalized or p.particle_count != q.particle_count:
         raise ValueError("cannot compare density operators with different normalization tags")
-    return max(
-        abs(p.op.m00 - q.op.m00),
-        abs(p.op.m11 - q.op.m11),
-        abs(p.op.m01 - q.op.m01),
-    )
+    dx, dy, dz = (a - b for a, b in zip(p.bloch, q.bloch))
+    return max(abs(dz), math.hypot(dx, dy)) / 2.0
 
 
 def density_equal(p: DensityOp, q: DensityOp, tol: float) -> bool:

@@ -1,17 +1,17 @@
 """Preparation records for ensembles: the information a density matrix discards.
 
-An ensemble is a list of (pure state, particle count) components. Counts are
-exact integers, never fractions, because predictions for extensive quantities
-depend on the total particle number.
+An ensemble is a list of (pure state, particle count) components, each state
+a unit Bloch vector. Counts are exact integers, never fractions, because
+predictions for extensive quantities depend on the total particle number.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
-from .qcore import Spinor
-from .spin import Axis, SpinOutcome, X, Z, eigenstate
+from .spin import Axis, SpinOutcome, Vector, X, Z, eigenstate
 
 __all__ = [
     "EnsembleComponent",
@@ -22,13 +22,24 @@ __all__ = [
     "ensemble_from_json",
 ]
 
+# Counts enter the trace and every prediction as floats, which hold each
+# integer exactly only up to 2**53.
+MAX_COUNT = 2**53
+
+# A state's Bloch vector must have unit norm to within this.
+_NORM_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class EnsembleComponent:
-    state: Spinor
+    state: Vector
     count: int
 
     def __post_init__(self) -> None:
+        state = tuple(map(float, self.state))
+        if len(state) != 3 or not abs(math.hypot(*state) - 1.0) <= _NORM_TOL:
+            raise ValueError(f"component state must be a finite unit Bloch vector, got {self.state!r}")
+        object.__setattr__(self, "state", state)
         if not isinstance(self.count, int) or isinstance(self.count, bool):
             raise ValueError(f"component count must be an exact integer, got {self.count!r}")
         if self.count < 0:
@@ -43,8 +54,11 @@ class EnsembleSpec:
 
     def __post_init__(self) -> None:
         components = tuple(self.components)
-        if sum(c.count for c in components) < 1:
+        total = sum(c.count for c in components)
+        if total < 1:
             raise ValueError("ensemble must contain at least one particle")
+        if total > MAX_COUNT:
+            raise ValueError("the total particle count must be at most 2**53")
         object.__setattr__(self, "components", components)
 
     @property
@@ -103,6 +117,8 @@ def ensemble_from_json(data: Any) -> EnsembleSpec:
         n = data.get("n")
         if not isinstance(n, int) or isinstance(n, bool):
             raise ValueError(f"preset ensemble needs an integer 'n', got {n!r}")
+        if n > MAX_COUNT:
+            raise ValueError("preset 'n' must be at most 2**53")
         if preset == "A":
             return make_ensemble_A(n)
         if preset == "B":
@@ -140,5 +156,7 @@ def ensemble_from_json(data: Any) -> EnsembleSpec:
         count = entry["count"]
         if not isinstance(count, int) or isinstance(count, bool):
             raise ValueError(f"{where}.count must be an integer, got {count!r}")
+        if count > MAX_COUNT:
+            raise ValueError(f"{where}.count must be at most 2**53")
         components.append(EnsembleComponent(eigenstate(axis, SpinOutcome(sign)), count))
     return EnsembleSpec(tuple(components))

@@ -24,12 +24,12 @@ from .montecarlo import (
     run_trials,
 )
 from .paradox import (
+    Operator,
     annihilation_residual,
     fixed_operator_infeasibility,
     null_operator_contradiction,
 )
-from .qcore import HermitianOp, Spinor
-from .spin import Axis, SpinOutcome, X, eigenstate, spin_operator
+from .spin import Axis, SpinOutcome, X, eigenstate
 
 __all__ = [
     "ConfigError",
@@ -47,6 +47,11 @@ __all__ = [
 # relative standard errors of its prediction; exact-zero predictions must
 # match exactly.
 VERDICT_SIGMAS = 5.0
+
+# Most trials one experiment may request, checked before any work starts:
+# the per-trial counts take 8 bytes each, and building totals.csv holds one
+# Python string per trial.
+MAX_TRIALS = 10**7
 
 
 class ConfigError(ValueError):
@@ -77,8 +82,8 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.trials < 2:
-            raise ConfigError("field 'trials' must be at least 2")
+        if not 2 <= self.trials <= MAX_TRIALS:
+            raise ConfigError(f"field 'trials' must be at least 2 and at most {MAX_TRIALS}")
         if self.workers < 1:
             raise ConfigError("field 'workers' must be positive")
         if not (math.isfinite(self.hbar) and self.hbar > 0):
@@ -243,19 +248,18 @@ def _totals_csv(n_plus: list[int], n: int) -> str:
 
 def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
     """Compute all three predictions, run the trials, judge, and write outputs."""
-    obs = spin_operator(cfg.axis)
     rho_norm = density_operator(cfg.ensemble, normalized=True)
     rho_raw = density_operator(cfg.ensemble, normalized=False)
 
     prep = preparation_aware_prediction(cfg.ensemble, cfg.axis)
     dens_norm = PredictionReport(
-        mean=expectation_tr(rho_norm, obs),
-        variance=variance_tr(rho_norm, obs),
+        mean=expectation_tr(rho_norm, cfg.axis),
+        variance=variance_tr(rho_norm, cfg.axis),
         method="density_normalized",
     )
     dens_raw = PredictionReport(
-        mean=expectation_tr(rho_raw, obs),
-        variance=variance_tr(rho_raw, obs),
+        mean=expectation_tr(rho_raw, cfg.axis),
+        variance=variance_tr(rho_raw, cfg.axis),
         method="density_unnormalized",
     )
 
@@ -284,12 +288,18 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
     return report
 
 
-def _spinor_json(s: Spinor) -> list[list[float]]:
-    return [[s.a0.real, s.a0.imag], [s.a1.real, s.a1.imag]]
+def _entries(op: Operator) -> tuple[float, float, float, float]:
+    """m00, m11 and the real and imaginary parts of m01 of the matrix of a I + b.sigma.
+
+    Adding 0.0 turns -0.0 into 0.0, so no entry prints a signed zero.
+    """
+    a, (bx, by, bz) = op
+    return a + bz + 0.0, a - bz + 0.0, bx + 0.0, -by + 0.0
 
 
-def _op_json(op: HermitianOp) -> dict:
-    return {"m00": op.m00, "m11": op.m11, "m01": [op.m01.real, op.m01.imag]}
+def _op_json(op: Operator) -> dict:
+    m00, m11, re01, im01 = _entries(op)
+    return {"m00": m00, "m11": m11, "m01": [re01, im01]}
 
 
 def demo_paradox(samples: int = 100_000, seed: int = 0) -> dict:
@@ -298,11 +308,10 @@ def demo_paradox(samples: int = 100_000, seed: int = 0) -> dict:
     rms, max_res = fixed_operator_infeasibility(samples, seed)
     x_plus = eigenstate(X, SpinOutcome.PLUS)
     x_minus = eigenstate(X, SpinOutcome.MINUS)
-    member_gap = max(
-        abs(zero_report.operator.m00 - nonzero_report.operator.m00),
-        abs(zero_report.operator.m11 - nonzero_report.operator.m11),
-        abs(zero_report.operator.m01 - nonzero_report.operator.m01),
+    d00, d11, d_re, d_im = (
+        p - q for p, q in zip(_entries(zero_report.operator), _entries(nonzero_report.operator))
     )
+    member_gap = max(abs(d00), abs(d11), math.hypot(d_re, d_im))
     return {
         "annihilation": {
             "x_plus_residual": annihilation_residual(x_plus),
@@ -310,13 +319,13 @@ def demo_paradox(samples: int = 100_000, seed: int = 0) -> dict:
             "operator_from_x_plus": _op_json(zero_report.operator),
             "annihilates_sx_eigenstates": zero_report.annihilates_sx_eigenstates,
             "expectation_on_source": zero_report.expectation_on_source,
-            "source_state": _spinor_json(zero_report.source_state),
+            "source_state": list(zero_report.source_state),
         },
         "nonzero_expectation": {
             "operator_from_z_plus": _op_json(nonzero_report.operator),
             "annihilates_sx_eigenstates": nonzero_report.annihilates_sx_eigenstates,
             "expectation_on_source": nonzero_report.expectation_on_source,
-            "source_state": _spinor_json(nonzero_report.source_state),
+            "source_state": list(nonzero_report.source_state),
         },
         "family_members_max_entry_diff": member_gap,
         "fixed_operator_fit": {

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import HermitianOp, Spinor, apply, expectation
-from .spin import SpinOutcome, X, Z, eigenstate, spin_operator
+from .spin import SpinOutcome, Vector, X, Z, dot, eigenstate
 
 __all__ = [
     "PseudoOperatorReport",
@@ -27,6 +26,15 @@ __all__ = [
 ]
 
 _ANNIHILATION_TOL = 1e-12
+
+# A 2x2 Hermitian operator a I + b.sigma, as the real pair (a, b).
+Operator = tuple[float, Vector]
+
+
+def expectation(op: Operator, state: Vector) -> float:
+    """Expectation a + b.m of ``op`` on the state with Bloch vector m."""
+    a, b = op
+    return a + dot(b, state)
 
 
 @dataclass(frozen=True)
@@ -40,8 +48,8 @@ class PseudoOperatorReport:
     contradiction in one object.
     """
 
-    source_state: Spinor
-    operator: HermitianOp
+    source_state: Vector
+    operator: Operator
     annihilates_sx_eigenstates: bool
     expectation_on_source: float
 
@@ -50,21 +58,24 @@ class PseudoOperatorReport:
             raise ValueError("a squared Hermitian operator cannot have negative expectation")
 
 
-def variance_pseudo_operator(beta: Spinor) -> HermitianOp:
-    """(S_x - E I)^2 with E = <beta|S_x|beta>, in half-quantum units.
+def variance_pseudo_operator(beta: Vector) -> Operator:
+    """(S_x - E I)^2 = (1 + E^2) I - 2E sigma_x with E = <beta|S_x|beta>, half-quantum units.
 
     Its expectation on ``beta`` equals the per-particle variance of the x spin
     on that state; on any other state it has no such meaning.
     """
-    sx = spin_operator(X)
-    e_val = expectation(sx, beta)
-    return (sx - e_val * HermitianOp.identity()).square()
+    e_val = dot(X.bloch(), beta)
+    return 1.0 + e_val * e_val, (-2.0 * e_val, 0.0, 0.0)
 
 
-def annihilation_residual(beta: Spinor) -> float:
-    """Norm of ``variance_pseudo_operator(beta)`` applied to its own source."""
-    v0, v1 = apply(variance_pseudo_operator(beta), beta)
-    return math.hypot(abs(v0), abs(v1))
+def annihilation_residual(beta: Vector) -> float:
+    """Norm of ``variance_pseudo_operator(beta)`` applied to its own source.
+
+    For O = a I + b.sigma, O^2 = (a^2 + |b|^2) I + 2a b.sigma, so
+    ||O beta||^2 = <beta|O^2|beta> = a^2 + |b|^2 + 2a b.m.
+    """
+    a, b = variance_pseudo_operator(beta)
+    return math.sqrt(max(a * a + dot(b, b) + 2.0 * a * dot(b, beta), 0.0))
 
 
 def null_operator_contradiction() -> tuple[PseudoOperatorReport, PseudoOperatorReport]:
@@ -86,19 +97,11 @@ def null_operator_contradiction() -> tuple[PseudoOperatorReport, PseudoOperatorR
     if not annihilates:
         raise RuntimeError("x eigenstates were not annihilated; numerical kernel is broken")
 
-    zero_report = PseudoOperatorReport(
-        source_state=x_plus,
-        operator=variance_pseudo_operator(x_plus),
-        annihilates_sx_eigenstates=True,
-        expectation_on_source=expectation(variance_pseudo_operator(x_plus), x_plus),
-    )
-    z_op = variance_pseudo_operator(z_plus)
-    nonzero_report = PseudoOperatorReport(
-        source_state=z_plus,
-        operator=z_op,
-        annihilates_sx_eigenstates=True,
-        expectation_on_source=expectation(z_op, z_plus),
-    )
+    def report(source: Vector) -> PseudoOperatorReport:
+        op = variance_pseudo_operator(source)
+        return PseudoOperatorReport(source, op, True, expectation(op, source))
+
+    zero_report, nonzero_report = report(x_plus), report(z_plus)
     if abs(nonzero_report.expectation_on_source - 1.0) > _ANNIHILATION_TOL:
         raise RuntimeError("z eigenstate expectation drifted from 1; numerical kernel is broken")
     return zero_report, nonzero_report

@@ -1,4 +1,8 @@
-"""Spin observables along arbitrary axes, eigenstates, and Born-rule probabilities.
+"""Spin observables along arbitrary axes, pure states, and Born-rule probabilities.
+
+A pure state is its unit Bloch vector m, a plain 3-tuple of floats. The spin
+component along a unit axis n is the operator n.sigma, and (n.sigma)^2 = I,
+so a single measurement yields +1 or -1, with p+ = (1 + m.n)/2.
 
 Unit convention: every outcome, mean, and variance in this package is in
 half-quantum units (a single measurement yields exactly +1 or -1). Scaling to
@@ -7,13 +11,10 @@ physical units happens only at report formatting, in ``harness.render_report``.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Any
-
-from .qcore import HermitianOp, Spinor, inner_product
 
 __all__ = [
     "Axis",
@@ -21,21 +22,26 @@ __all__ = [
     "X",
     "Y",
     "Z",
-    "spin_operator",
+    "dot",
     "eigenstate",
     "born_probability",
     "state_mean_and_variance",
 ]
 
-# Components of an axis Bloch vector this close to 0 or +-1 are snapped to the
-# exact value, so the Pauli operators along named axes come out bit-exact.
-_BLOCH_SNAP = 1e-12
+Vector = tuple[float, float, float]
 
-# Probabilities this close to the exactly-representable values 0, 1/2, 1 are
-# snapped, so preparations the math makes certain (or exactly even) stay
-# certain in simulation.
-_PROB_SNAP = 1e-12
-_PROB_SNAP_TARGETS = (0.0, 0.5, 1.0)
+# Values this close to an exactly-representable target are snapped to it:
+# axis Bloch components to 0 or +-1, so named axes and their eigenstates come
+# out bit-exact, and probabilities to 0, 1/2 or 1, so preparations the math
+# makes certain (or exactly even) stay certain in simulation.
+_SNAP = 1e-12
+
+
+def _snap(value: float, targets: tuple[float, ...]) -> float:
+    for target in targets:
+        if abs(value - target) <= _SNAP:
+            return target
+    return value
 
 
 class SpinOutcome(IntEnum):
@@ -43,13 +49,6 @@ class SpinOutcome(IntEnum):
 
     PLUS = 1
     MINUS = -1
-
-
-def _snap_component(value: float) -> float:
-    for target in (-1.0, 0.0, 1.0):
-        if abs(value - target) <= _BLOCH_SNAP:
-            return target
-    return value
 
 
 @dataclass(frozen=True)
@@ -66,13 +65,13 @@ class Axis:
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "phi", phi)
 
-    def bloch(self) -> tuple[float, float, float]:
+    def bloch(self) -> Vector:
         """Unit Bloch vector, with components snapped to exact 0/+-1."""
         sin_t = math.sin(self.theta)
         return (
-            _snap_component(sin_t * math.cos(self.phi)),
-            _snap_component(sin_t * math.sin(self.phi)),
-            _snap_component(math.cos(self.theta)),
+            _snap(sin_t * math.cos(self.phi), (-1.0, 0.0, 1.0)),
+            _snap(sin_t * math.sin(self.phi), (-1.0, 0.0, 1.0)),
+            _snap(math.cos(self.theta), (-1.0, 0.0, 1.0)),
         )
 
     @classmethod
@@ -115,49 +114,33 @@ Z = Axis(0.0, 0.0)
 _NAMED_AXES = {"x": X, "y": Y, "z": Z}
 
 
-def spin_operator(axis: Axis) -> HermitianOp:
-    """Spin component operator n.sigma along the axis, in half-quantum units."""
-    nx, ny, nz = axis.bloch()
-    return HermitianOp(nz, -nz, complex(nx, -ny))
+def dot(u: Vector, v: Vector) -> float:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def eigenstate(axis: Axis, sign: SpinOutcome) -> Spinor:
-    """Eigenvector of ``spin_operator(axis)`` for the requested outcome.
+def eigenstate(axis: Axis, sign: SpinOutcome) -> Vector:
+    """Bloch vector of the state measured as ``sign`` along ``axis`` with certainty.
 
-    Convention: the +1 state is (cos theta/2, e^{i phi} sin theta/2); the -1
-    state is the +1 state of the antipodal axis, i.e. the chart is continuous
-    and the first component is real and non-negative away from theta = pi.
+    That is sign * n. Adding 0.0 turns the -0.0 components of a -1 state
+    into 0.0, so a report never prints a mean of -0.0 where the named axes
+    give an exact zero.
     """
-    sign = SpinOutcome(sign)
-    if sign is SpinOutcome.PLUS:
-        theta, phi = axis.theta, axis.phi
-        return Spinor(math.cos(theta / 2.0), cmath.exp(1j * phi) * math.sin(theta / 2.0))
-    return Spinor(
-        math.sin(axis.theta / 2.0),
-        -cmath.exp(1j * axis.phi) * math.cos(axis.theta / 2.0),
-    )
+    s = float(SpinOutcome(sign))
+    return tuple(s * c + 0.0 for c in axis.bloch())
 
 
-def _snap_probability(p: float) -> float:
-    for target in _PROB_SNAP_TARGETS:
-        if abs(p - target) <= _PROB_SNAP:
-            return target
-    return p
+def born_probability(state: Vector, axis: Axis, sign: SpinOutcome) -> float:
+    """Probability (1 + sign * m.n)/2 of measuring ``sign`` on ``state`` along ``axis``.
 
-
-def born_probability(state: Spinor, axis: Axis, sign: SpinOutcome) -> float:
-    """Probability of measuring ``sign`` on ``state`` along ``axis``.
-
-    The squared bracket is clamped to [0, 1] and snapped to exact 0, 1/2, or 1
+    The probability is clamped to [0, 1] and snapped to exact 0, 1/2, or 1
     when within 1e-12, so outcomes that are certain (or exactly even) by
     construction behave that way bit-exactly.
     """
-    amplitude = inner_product(eigenstate(axis, sign), state)
-    p = min(max(abs(amplitude) ** 2, 0.0), 1.0)
-    return _snap_probability(p)
+    p = (1.0 + SpinOutcome(sign) * dot(state, axis.bloch())) / 2.0
+    return _snap(min(max(p, 0.0), 1.0), (0.0, 0.5, 1.0))
 
 
-def state_mean_and_variance(state: Spinor, axis: Axis) -> tuple[float, float]:
+def state_mean_and_variance(state: Vector, axis: Axis) -> tuple[float, float]:
     """Mean and variance of a single measurement along ``axis``, half-quantum units.
 
     With outcomes +-1 the second moment is exactly 1, so the variance is

@@ -1,5 +1,12 @@
-"""Shared strategies and oracle helpers for the test suite."""
+"""Shared strategies and oracle helpers for the test suite.
 
+spinstat works with real Bloch vectors only. ``ket`` and ``matrix`` turn
+those back into the complex spinors and 2x2 matrices of textbook quantum
+mechanics, so the tests can check every Bloch formula against plain numpy
+linear algebra.
+"""
+
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -9,19 +16,48 @@ from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 
 from spinstat.ensemble import EnsembleComponent, EnsembleSpec
-from spinstat.qcore import HermitianOp, Spinor, expectation
 from spinstat.spin import Axis, SpinOutcome, born_probability
+
+
+def ket(bloch) -> np.ndarray:
+    """The spinor (cos(theta/2), e^{i phi} sin(theta/2)) whose Bloch vector is ``bloch``."""
+    x, y, z = bloch
+    theta = math.atan2(math.hypot(x, y), z)
+    return np.array([math.cos(theta / 2.0), cmath.exp(1j * math.atan2(y, x)) * math.sin(theta / 2.0)])
+
+
+def matrix(a, b) -> np.ndarray:
+    """The 2x2 complex matrix of a I + b.sigma."""
+    bx, by, bz = b
+    return np.array([[a + bz, bx - 1j * by], [bx + 1j * by, a - bz]], dtype=complex)
+
+
+def density_matrix(rho) -> np.ndarray:
+    """The matrix (t I + s.sigma)/2 of a ``DensityOp``."""
+    return matrix(rho.trace / 2.0, [c / 2.0 for c in rho.bloch])
+
+
+def quantum_expectation(op: np.ndarray, bloch) -> float:
+    """<psi|op|psi> for the state with Bloch vector ``bloch``."""
+    psi = ket(bloch)
+    return float(np.real(psi.conj() @ op @ psi))
+
+
+def unit_vector(parts) -> tuple[float, float, float]:
+    norm = math.hypot(*parts)
+    return tuple(float(p) / norm for p in parts)
+
 
 _component_floats = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
 
 @st.composite
-def spinors(draw):
-    """Normalized two-component states with nontrivial amplitudes."""
-    parts = [draw(_component_floats) for _ in range(4)]
-    if sum(p * p for p in parts) < 1e-6:
-        parts[0] = 1.0
-    return Spinor(complex(parts[0], parts[1]), complex(parts[2], parts[3]))
+def states(draw):
+    """Bloch vectors of pure states, anywhere on the sphere."""
+    parts = [draw(_component_floats) for _ in range(3)]
+    if math.hypot(*parts) < 1e-3:
+        parts = [0.0, 0.0, 1.0]
+    return unit_vector(parts)
 
 
 @st.composite
@@ -31,11 +67,12 @@ def axes(draw):
     return Axis(theta, phi)
 
 
-def random_spinor(rng: np.random.Generator) -> Spinor:
+def random_state(rng: np.random.Generator) -> tuple[float, float, float]:
+    """Bloch vector of a pure state drawn uniformly on the sphere."""
     while True:
-        parts = rng.standard_normal(4)
+        parts = rng.standard_normal(3)
         if parts @ parts > 1e-6:
-            return Spinor(complex(parts[0], parts[1]), complex(parts[2], parts[3]))
+            return unit_vector(parts)
 
 
 def random_axis(rng: np.random.Generator) -> Axis:
@@ -46,7 +83,7 @@ def random_axis(rng: np.random.Generator) -> Axis:
 def random_ensemble(rng: np.random.Generator, max_components: int = 4, max_count: int = 25) -> EnsembleSpec:
     parts = rng.integers(1, max_components + 1)
     components = tuple(
-        EnsembleComponent(random_spinor(rng), int(rng.integers(1, max_count + 1)))
+        EnsembleComponent(random_state(rng), int(rng.integers(1, max_count + 1)))
         for _ in range(parts)
     )
     return EnsembleSpec(components)
@@ -95,17 +132,20 @@ def slow_enumerate_totals(e: EnsembleSpec, axis: Axis) -> dict[int, float]:
     return out
 
 
-def statistical_average_expectation(e: EnsembleSpec, obs: HermitianOp, extensive: bool = False) -> float:
+def statistical_average_expectation(e: EnsembleSpec, axis: Axis, extensive: bool = False) -> float:
     """Oracle for ``expectation_tr``: the weighted average of per-state expectations.
 
-    Weights are particle fractions for intensive quantities or raw counts for
-    extensive ones, matching the normalized and unnormalized density operator.
+    Each state's expectation of n.sigma is taken with numpy's complex
+    algebra. Weights are particle fractions for intensive quantities or raw
+    counts for extensive ones, matching the normalized and unnormalized
+    density operator.
     """
+    obs = matrix(0.0, axis.bloch())
     n = e.total_count
     total = 0.0
     for component in e.components:
         weight = float(component.count) if extensive else component.count / n
-        total += weight * expectation(obs, component.state)
+        total += weight * quantum_expectation(obs, component.state)
     return total
 
 
@@ -151,7 +191,7 @@ class TrialRecord:
             raise ValueError("total must equal n_plus - n_minus")
 
 
-def measure_particle(state: Spinor, axis: Axis, draw: float) -> SpinOutcome:
+def measure_particle(state, axis: Axis, draw: float) -> SpinOutcome:
     """Reference projective measurement of one particle given a uniform draw in [0, 1)."""
     if not (0.0 <= draw < 1.0):
         raise ValueError(f"draw must lie in [0, 1), got {draw!r}")

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from conftest import enumerate_totals, random_axis, random_ensemble, statistical_average_expectation
+from conftest import density_matrix, enumerate_totals, random_axis, random_ensemble, statistical_average_expectation
 from spinstat.density import density_equal, density_operator, expectation_tr, variance_tr
 from spinstat.ensemble import make_ensemble_A, make_ensemble_B, make_pair_ensemble
 from spinstat.harness import run_experiment
@@ -21,7 +21,7 @@ from spinstat.paradox import (
     fixed_operator_infeasibility,
     null_operator_contradiction,
 )
-from spinstat.spin import Axis, SpinOutcome, X, eigenstate, spin_operator
+from spinstat.spin import Axis, SpinOutcome, X, eigenstate
 from test_harness import make_config, run_cli
 
 
@@ -65,19 +65,16 @@ def test_criterion_3_density_operators_identical():
         rho_b = density_operator(make_ensemble_B(n))
         assert density_equal(rho_a, rho_b, 1e-12), f"n={n}"
         for rho in (rho_a, rho_b):
-            assert abs(rho.op.m00 - 0.5) <= 1e-12
-            assert abs(rho.op.m11 - 0.5) <= 1e-12
-            assert abs(rho.op.m01) <= 1e-12
+            assert np.abs(density_matrix(rho) - 0.5 * np.eye(2)).max() <= 1e-12
     report("PASS criterion 3: density operators of A and B equal I/2 entrywise within 1e-12 for n in {2, 10, 1000}")
 
 
 def test_criterion_4_trace_variance_blind_to_preparation():
     """variance_tr exactly 1 (normalized) and exactly 1000 (unnormalized) for both presets;
     harness flags normalized wrong for both, unnormalized wrong for A and right for B."""
-    sx = spin_operator(X)
     for make in (make_ensemble_A, make_ensemble_B):
-        assert variance_tr(density_operator(make(1000)), sx) == 1.0
-        assert variance_tr(density_operator(make(1000), normalized=False), sx) == 1000.0
+        assert variance_tr(density_operator(make(1000)), X) == 1.0
+        assert variance_tr(density_operator(make(1000), normalized=False), X) == 1000.0
 
     report_a = run_experiment(make_config(preset="A", n=1000, trials=10_000, seed=42))
     report_b = run_experiment(make_config(preset="B", n=1000, trials=10_000, seed=42))
@@ -98,13 +95,13 @@ def test_criterion_5_expectation_agreement_theorem():
     failures = 0
     for _ in range(1000):
         e = random_ensemble(rng, max_components=4, max_count=25)
-        obs = spin_operator(random_axis(rng))
+        axis = random_axis(rng)
         intensive_gap = abs(
-            statistical_average_expectation(e, obs) - expectation_tr(density_operator(e), obs)
+            statistical_average_expectation(e, axis) - expectation_tr(density_operator(e), axis)
         )
         extensive_gap = abs(
-            statistical_average_expectation(e, obs, extensive=True)
-            - expectation_tr(density_operator(e, normalized=False), obs)
+            statistical_average_expectation(e, axis, extensive=True)
+            - expectation_tr(density_operator(e, normalized=False), axis)
         )
         if intensive_gap > 1e-10 or extensive_gap > 1e-10:
             failures += 1

@@ -1,5 +1,6 @@
 """Unit tests for preparation records and the preset ensembles."""
 
+import numpy as np
 import pytest
 
 from spinstat.density import density_equal, density_operator
@@ -11,6 +12,7 @@ from spinstat.ensemble import (
     make_ensemble_B,
     make_pair_ensemble,
 )
+from conftest import ket
 from spinstat.spin import Axis, SpinOutcome, X, Z, born_probability, eigenstate
 
 
@@ -68,16 +70,15 @@ def test_pair_ensemble_reduces_to_presets():
 def test_pair_components_are_orthogonal():
     e = make_pair_ensemble(Axis(2.2, 5.1), 2)
     a, b = (c.state for c in e.components)
-    overlap = a.a0.conjugate() * b.a0 + a.a1.conjugate() * b.a1
-    assert abs(overlap) <= 1e-12
+    assert abs(np.vdot(ket(a), ket(b))) <= 1e-12
 
 
 def test_presets_share_density_but_not_preparation_record():
     a = make_ensemble_A(10)
     b = make_ensemble_B(10)
     assert density_equal(density_operator(a), density_operator(b), 1e-12)
-    a_states = {(c.state.a0, c.state.a1) for c in a.components}
-    b_states = {(c.state.a0, c.state.a1) for c in b.components}
+    a_states = {c.state for c in a.components}
+    b_states = {c.state for c in b.components}
     assert a_states.isdisjoint(b_states)
 
 

@@ -1,4 +1,4 @@
-"""Golden output hashes: the exact bytes of report.json and totals.csv are pinned.
+"""Golden output hashes: the exact bytes of report.json, totals.csv and the paradox JSON are pinned.
 
 Every config below was run once and the SHA-256 of both files recorded. Any
 change to the sampler, the statistics, the verdicts or the serialization
@@ -9,6 +9,7 @@ import hashlib
 
 import pytest
 
+from spinstat import cli
 from spinstat.harness import ExperimentConfig, run_experiment
 
 TILTED_12 = {
@@ -96,11 +97,11 @@ GOLDEN = {
         "ffe8148497afb0d30f3d2f5d61d7eaff8e8d158a743bc4264190e4f59fa84a86",
     ),
     "tilted-12": (
-        "3976c85afd10f050d75bf27dc73baa9475828ca3e90811817ec9ae2547563f27",
+        "655cda6cb1e794568779d408a7cab3719a29761abdc047aeab252811112dcc51",
         "82c5dc1b6142b742389101d1b2087c294de46c97348b2e72f23d5ca966e2b677",
     ),
     "tilted-75k": (
-        "6eb060ddb1d17cd3145865aa04493389ba8225f2c2e62c9a279b57b7059ea809",
+        "6ac97f3ba282fb0e6c1fe6657ca002407cae4d967333f387388c735b7b786e62",
         "a1861873eab5cdf2813e99dbfa7cbcfa3253b4b299abfc2f64ef0829444b1506",
     ),
 }
@@ -125,3 +126,12 @@ def run_hashes(tmp_path, name, workers):
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_output_bytes_are_pinned(tmp_path, name, workers):
     assert run_hashes(tmp_path, name, workers) == GOLDEN[name]
+
+
+# SHA-256 of what `spinstat paradox --samples 1000 --seed 0` prints.
+PARADOX_GOLDEN = "c5f67797e18bead703eec45d596ec220ebc883e85988dfda403930ff4f1d112f"
+
+
+def test_paradox_json_is_pinned(capsys):
+    assert cli.main(["paradox", "--samples", "1000", "--seed", "0"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == PARADOX_GOLDEN

@@ -329,6 +329,17 @@ class TestMalformedConfigs:
         pytest.param(_ensemble_config(foo=1), ["field 'ensemble'", "'foo'"], id="unknown-ensemble-field"),
         pytest.param(_tilted_config(weight=3), ["components[0]", "'weight'"], id="unknown-component-field"),
         pytest.param(_ensemble_config(name=5), ["field 'ensemble'", "'name'"], id="name-not-a-string"),
+        pytest.param(
+            dict(_tilted_config(), ensemble={"preset": "B", "n": 10**400}), ["field 'ensemble'", "'n'", "2**53"],
+            id="huge-preset-n",
+        ),
+        pytest.param(_tilted_config(count=10**400), ["components[0].count", "2**53"], id="huge-count"),
+        pytest.param(
+            _ensemble_config(components=[{"axis": "y", "sign": 1, "count": 2**52 + 1}] * 2),
+            ["field 'ensemble'", "total particle count", "2**53"], id="huge-total-count",
+        ),
+        pytest.param(dict(_tilted_config(), trials=10**400), ["field 'trials'"], id="huge-trials"),
+        pytest.param(dict(_tilted_config(), trials=2**40), ["field 'trials'"], id="trials-beyond-memory"),
     ])
     def test_rejects(self, tmp_path, capsys, data, fragments):
         err = self.run_config(tmp_path, capsys, data)

@@ -6,17 +6,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import spinors
+from conftest import matrix, quantum_expectation, states
 from hypothesis import given
 
 from spinstat.paradox import (
     annihilation_residual,
+    expectation,
     fixed_operator_infeasibility,
     null_operator_contradiction,
     variance_pseudo_operator,
 )
-from spinstat.qcore import Spinor, expectation
-from spinstat.spin import SpinOutcome, X, Y, Z, eigenstate, spin_operator, state_mean_and_variance
+from spinstat.spin import SpinOutcome, X, Y, Z, eigenstate, state_mean_and_variance
 
 RMS_LIMIT = math.sqrt(4.0 / 45.0)  # best-possible rms residual over the sphere
 MAX_LIMIT = 2.0 / 3.0
@@ -25,32 +25,35 @@ MAX_LIMIT = 2.0 / 3.0
 class TestVariancePseudoOperator:
     def test_x_plus_member_matrix(self):
         op = variance_pseudo_operator(eigenstate(X, SpinOutcome.PLUS))
-        assert_allclose(op.matrix, [[2.0, -2.0], [-2.0, 2.0]], atol=1e-12)
+        assert op == (2.0, (-2.0, 0.0, 0.0))
+        assert_allclose(matrix(*op), [[2.0, -2.0], [-2.0, 2.0]], atol=1e-12)
 
     def test_z_plus_member_is_identity(self):
         op = variance_pseudo_operator(eigenstate(Z, SpinOutcome.PLUS))
-        assert_allclose(op.matrix, [[1.0, 0.0], [0.0, 1.0]], atol=1e-15)
+        assert_allclose(matrix(*op), [[1.0, 0.0], [0.0, 1.0]], atol=1e-15)
 
     def test_y_plus_member_is_identity(self):
         op = variance_pseudo_operator(eigenstate(Y, SpinOutcome.PLUS))
-        assert_allclose(op.matrix, [[1.0, 0.0], [0.0, 1.0]], atol=1e-15)
+        assert_allclose(matrix(*op), [[1.0, 0.0], [0.0, 1.0]], atol=1e-15)
 
-    @given(spinors())
+    @given(states())
     def test_expectation_on_source_is_the_x_variance(self, state):
         op = variance_pseudo_operator(state)
         _, variance = state_mean_and_variance(state, X)
         assert_allclose(expectation(op, state), variance, atol=1e-9)
+        assert_allclose(quantum_expectation(matrix(*op), state), variance, atol=1e-9)
 
-    @given(spinors())
+    @given(states())
     def test_member_is_positive_semidefinite_on_samples(self, state):
         op = variance_pseudo_operator(eigenstate(X, SpinOutcome.PLUS))
         assert expectation(op, state) >= -1e-12
+        assert np.linalg.eigvalsh(matrix(*variance_pseudo_operator(state)))[0] >= -1e-12
 
 
 class TestNullOperatorContradiction:
     def test_x_eigenstates_are_annihilated_by_their_members(self):
         for sign in (SpinOutcome.PLUS, SpinOutcome.MINUS):
-            assert annihilation_residual(eigenstate(X, sign)) < 1e-12
+            assert annihilation_residual(eigenstate(X, sign)) == 0.0
 
     def test_witness_pair(self):
         zero_report, nonzero_report = null_operator_contradiction()
@@ -61,11 +64,7 @@ class TestNullOperatorContradiction:
 
     def test_family_members_differ(self):
         zero_report, nonzero_report = null_operator_contradiction()
-        gap = max(
-            abs(zero_report.operator.m00 - nonzero_report.operator.m00),
-            abs(zero_report.operator.m11 - nonzero_report.operator.m11),
-            abs(zero_report.operator.m01 - nonzero_report.operator.m01),
-        )
+        gap = np.abs(matrix(*zero_report.operator) - matrix(*nonzero_report.operator)).max()
         assert_allclose(gap, 2.0, atol=1e-12)
 
 
@@ -92,13 +91,16 @@ class TestFixedOperatorInfeasibility:
 def test_direct_variance_check_numpy():
     """Independent numpy cross-check of the member operator definition."""
     rng = np.random.default_rng(42)
-    sx = spin_operator(X).matrix
+    sx = matrix(0.0, X.bloch())
     for _ in range(25):
         raw = rng.standard_normal(4)
         vec = (raw[:2] + 1j * raw[2:]).astype(complex)
         vec = vec / np.linalg.norm(vec)
         e_val = float(np.real(vec.conj() @ sx @ vec))
         member = (sx - e_val * np.eye(2)) @ (sx - e_val * np.eye(2))
-        state = Spinor(complex(vec[0]), complex(vec[1]))
+        # the Bloch vector <vec|sigma|vec> of the spinor
+        a0, a1 = vec
+        cross = np.conj(a0) * a1
+        state = (2.0 * cross.real, 2.0 * cross.imag, abs(a0) ** 2 - abs(a1) ** 2)
         op = variance_pseudo_operator(state)
-        assert_allclose(op.matrix, member, atol=1e-12)
+        assert_allclose(matrix(*op), member, atol=1e-12)

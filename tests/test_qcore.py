@@ -1,106 +1,147 @@
-"""Unit tests for the 2x2 Hermitian linear-algebra core."""
+"""The real core against complex 2x2 algebra in numpy.
+
+States are unit Bloch vectors m, operators are real pairs (a, b) for
+a I + b.sigma, and density operators are (t I + s.sigma)/2. Every formula the
+package computes from these real quantities is checked here against the
+spinors and matrices that ``conftest.ket`` and ``conftest.matrix`` build.
+"""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import spinors
-from spinstat.qcore import (
-    HermitianOp,
-    Spinor,
-    apply,
-    expectation,
-    inner_product,
-    min_eigenvalue,
-    outer_product,
-    trace_product,
-)
+from conftest import density_matrix, ket, matrix, quantum_expectation, random_axis, random_ensemble, states
+from spinstat.density import DensityOp, density_operator, expectation_tr, variance_tr
+from spinstat.ensemble import EnsembleComponent, EnsembleSpec
+from spinstat.paradox import annihilation_residual, expectation, variance_pseudo_operator
+
+PAULI = [matrix(0.0, axis) for axis in np.eye(3)]
+
+_reals = st.floats(-5, 5, allow_nan=False)
+
+
+def bloch_of(psi: np.ndarray) -> list[float]:
+    """Bloch vector <psi|sigma|psi> of a normalized numpy spinor."""
+    return [float(np.real(psi.conj() @ pauli @ psi)) for pauli in PAULI]
 
 
 class TestSpinor:
-    def test_auto_normalizes(self):
-        s = Spinor(3.0, 4.0j)
-        assert_allclose(abs(s.a0) ** 2 + abs(s.a1) ** 2, 1.0, atol=1e-15)
-        assert_allclose(s.a0, 0.6, atol=1e-15)
+    """A state is a finite unit Bloch vector; anything else is rejected."""
 
     def test_rejects_zero_vector(self):
         with pytest.raises(ValueError):
-            Spinor(0.0, 0.0)
+            EnsembleComponent((0.0, 0.0, 0.0), 1)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            Spinor(complex(math.nan, 0.0), 1.0)
+            EnsembleComponent((math.nan, 0.0, 1.0), 1)
         with pytest.raises(ValueError):
-            Spinor(1.0, complex(math.inf, 0.0))
+            EnsembleComponent((1.0, math.inf, 0.0), 1)
+
+    def test_rejects_non_unit_vector(self):
+        for bad in ((0.6, 0.8, 1e-5), (0.0, 0.0, 0.5), (1.0, 0.0)):
+            with pytest.raises(ValueError):
+                EnsembleComponent(bad, 1)
+        assert EnsembleComponent((0.6, 0.8, 0.0), 1).state == (0.6, 0.8, 0.0)
+
+    @given(states())
+    def test_ket_has_the_bloch_vector(self, m):
+        psi = ket(m)
+        assert_allclose(np.vdot(psi, psi).real, 1.0, atol=1e-14)
+        assert_allclose(bloch_of(psi), m, atol=1e-12)
 
 
 class TestHermitianOp:
-    def test_matrix_is_hermitian(self):
-        op = HermitianOp(1.0, -2.0, 0.5 + 0.25j)
-        m = op.matrix
-        assert_allclose(m, m.conj().T, atol=0)
+    """An operator is a real pair (a, b) standing for a I + b.sigma."""
 
-    def test_algebra_matches_numpy(self):
-        a = HermitianOp(1.0, 2.0, 1.0 - 0.5j)
-        b = HermitianOp(-0.5, 0.25, 0.125j)
-        assert_allclose((a - b).matrix, a.matrix - b.matrix, atol=0)
-        assert_allclose((2.5 * a).matrix, 2.5 * a.matrix, atol=0)
-        assert_allclose(a.square().matrix, a.matrix @ a.matrix, atol=1e-15)
+    @given(_reals, _reals, _reals, _reals)
+    def test_matrix_is_hermitian(self, m00, m11, re01, im01):
+        # Every Hermitian 2x2 matrix is a I + b.sigma for one real pair (a, b).
+        h = np.array([[m00, complex(re01, im01)], [complex(re01, -im01), m11]])
+        a = np.trace(h).real / 2.0
+        b = [np.trace(h @ pauli).real / 2.0 for pauli in PAULI]
+        assert_allclose(matrix(a, b), h, atol=1e-14)
+        assert_allclose(matrix(a, b), matrix(a, b).conj().T, atol=0)
+
+    @given(states())
+    def test_algebra_matches_numpy(self, m):
+        # The pseudo-operator is (S_x - E)^2 and its residual ||O beta|| uses
+        # O^2 = (a^2 + |b|^2) I + 2a b.sigma; numpy squares and applies O.
+        sx = PAULI[0]
+        e_val = quantum_expectation(sx, m)
+        shifted = sx - e_val * np.eye(2)
+        op = matrix(*variance_pseudo_operator(m))
+        assert_allclose(op, shifted @ shifted, atol=1e-12)
+        assert_allclose(annihilation_residual(m) ** 2, np.linalg.norm(op @ ket(m)) ** 2, atol=1e-12)
 
     def test_trace(self):
-        assert HermitianOp(1.5, -0.5, 1.0j).trace == 1.0
-        assert HermitianOp.identity().trace == 2.0
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            e = random_ensemble(rng)
+            for normalized in (True, False):
+                rho = density_operator(e, normalized=normalized)
+                assert rho.trace == (1.0 if normalized else float(e.total_count))
+                assert_allclose(np.trace(density_matrix(rho)).real, rho.trace, rtol=1e-15)
+        assert np.trace(matrix(1.0, (0.0, 0.0, 0.0))).real == 2.0
 
 
 class TestProducts:
-    def test_inner_product_conjugates_first_argument(self):
-        x = Spinor(1.0, 0.0)
-        y = Spinor(0.0, 1.0j)
-        lhs = inner_product(x, y)
-        rhs = inner_product(y, x)
-        assert_allclose(lhs, rhs.conjugate(), atol=1e-15)
+    @given(states())
+    def test_outer_product_is_rank_one_projector(self, m):
+        rho = density_operator(EnsembleSpec((EnsembleComponent(m, 3),)))
+        proj = density_matrix(rho)
+        psi = ket(m)
+        assert_allclose(proj, np.outer(psi, psi.conj()), atol=1e-12)
+        assert_allclose(proj @ proj, proj, atol=1e-12)
+        assert rho.trace == 1.0
+        assert_allclose(quantum_expectation(proj, m), 1.0, atol=1e-12)
 
-    @given(spinors())
-    def test_outer_product_is_rank_one_projector(self, s):
-        proj = outer_product(s)
-        assert_allclose(proj.square().matrix, proj.matrix, atol=1e-14)
-        assert_allclose(proj.trace, 1.0, atol=1e-14)
-        assert_allclose(expectation(proj, s), 1.0, atol=1e-12)
-
-    @given(spinors(), spinors())
-    def test_expectation_via_apply(self, x, y):
-        op = outer_product(y)
-        v0, v1 = apply(op, x)
-        quad = (x.a0.conjugate() * v0 + x.a1.conjugate() * v1).real
-        assert_allclose(expectation(op, x), quad, atol=1e-12)
+    @given(states(), _reals, states())
+    def test_expectation_via_apply(self, b_dir, a, m):
+        b = tuple(2.0 * c for c in b_dir)
+        psi = ket(m)
+        applied = matrix(a, b) @ psi
+        assert_allclose(expectation((a, b), m), np.vdot(psi, applied).real, atol=1e-11)
 
     def test_trace_product_matches_numpy(self):
-        a = HermitianOp(1.0, 2.0, 0.5 - 0.75j)
-        b = HermitianOp(-1.0, 0.5, 0.25 + 0.1j)
-        assert_allclose(trace_product(a, b), np.trace(a.matrix @ b.matrix).real, atol=1e-14)
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            e, axis = random_ensemble(rng), random_axis(rng)
+            obs = matrix(0.0, axis.bloch())
+            for normalized in (True, False):
+                rho = density_operator(e, normalized=normalized)
+                r = density_matrix(rho)
+                mean = np.trace(r @ obs).real
+                scale = rho.trace
+                assert_allclose(expectation_tr(rho, axis), mean, atol=1e-12 * scale)
+                second = np.trace(r @ obs @ obs).real
+                assert_allclose(variance_tr(rho, axis), second - mean**2, atol=1e-12 * scale**2)
 
 
 class TestEigensystem:
+    """The positive-semidefinite check |s| <= t against numpy's eigenvalues."""
+
     def test_diagonal_operator(self):
-        assert min_eigenvalue(HermitianOp(2.0, -1.0)) == -1.0
-        assert min_eigenvalue(HermitianOp(-1.0, 2.0)) == -1.0
+        rho = DensityOp(1.0, (0.0, 0.0, 1.0), normalized=True)
+        assert_allclose(np.linalg.eigvalsh(density_matrix(rho)), [0.0, 1.0], atol=1e-15)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            DensityOp(1.0, (0.0, 0.0, -1.5), normalized=True)
+        assert_allclose(np.linalg.eigvalsh(matrix(0.5, (0.0, 0.0, -0.75))), [-0.25, 1.25], atol=1e-15)
 
     def test_degenerate_spectrum(self):
-        assert min_eigenvalue(HermitianOp(1.0, 1.0)) == 1.0
+        rho = DensityOp(4.0, (0.0, 0.0, 0.0), normalized=False, particle_count=4)
+        assert_allclose(np.linalg.eigvalsh(density_matrix(rho)), [2.0, 2.0], atol=1e-15)
 
-    @given(
-        st.tuples(
-            st.floats(-5, 5, allow_nan=False),
-            st.floats(-5, 5, allow_nan=False),
-            st.floats(-5, 5, allow_nan=False),
-            st.floats(-5, 5, allow_nan=False),
-        )
-    )
-    def test_matches_numpy_eigh(self, parts):
-        m00, m11, re01, im01 = parts
-        op = HermitianOp(m00, m11, complex(re01, im01))
-        assert_allclose(min_eigenvalue(op), np.linalg.eigvalsh(op.matrix)[0], atol=1e-12)
+    @given(st.integers(1, 5), _reals, _reals, _reals)
+    def test_matches_numpy_eigh(self, count, sx, sy, sz):
+        lowest = np.linalg.eigvalsh(matrix(count / 2.0, (sx / 2.0, sy / 2.0, sz / 2.0)))[0]
+        assume(abs(lowest) > 1e-9)
+        if lowest > 0:
+            DensityOp(float(count), (sx, sy, sz), normalized=False, particle_count=count)
+        else:
+            with pytest.raises(ValueError, match="positive semidefinite"):
+                DensityOp(float(count), (sx, sy, sz), normalized=False, particle_count=count)

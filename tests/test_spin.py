@@ -2,13 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from numpy.testing import assert_allclose
 
-from conftest import axes, spinors
+from conftest import axes, ket, matrix, quantum_expectation, states
 from spinstat.harness import ConfigError, ExperimentConfig, _physical
-from spinstat.qcore import HermitianOp, apply, expectation
 from spinstat.spin import (
     Axis,
     SpinOutcome,
@@ -16,8 +16,8 @@ from spinstat.spin import (
     Y,
     Z,
     born_probability,
+    dot,
     eigenstate,
-    spin_operator,
     state_mean_and_variance,
 )
 
@@ -57,46 +57,54 @@ class TestAxis:
 
 
 class TestSpinOperator:
+    """The spin component along n is n.sigma, the matrix of the pair (0, n)."""
+
     def test_cardinal_matrices(self):
-        assert spin_operator(X).matrix.tolist() == [[0.0, 1.0], [1.0, 0.0]]
-        assert spin_operator(Z).matrix.tolist() == [[1.0, 0.0], [0.0, -1.0]]
-        y = spin_operator(Y).matrix
+        assert matrix(0.0, X.bloch()).tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        assert matrix(0.0, Z.bloch()).tolist() == [[1.0, 0.0], [0.0, -1.0]]
+        y = matrix(0.0, Y.bloch())
         assert y[0, 1] == -1.0j and y[1, 0] == 1.0j
 
     @given(axes())
     def test_traceless_and_involutive(self, axis):
-        op = spin_operator(axis)
-        assert_allclose(op.trace, 0.0, atol=1e-12)
-        # squares to the identity: eigenvalues are +-1
-        assert_allclose(op.square().matrix, [[1, 0], [0, 1]], atol=1e-12)
+        op = matrix(0.0, axis.bloch())
+        assert_allclose(np.trace(op), 0.0, atol=1e-12)
+        # (n.sigma)^2 = I, which the variance formulas 1 - (m.n)^2 and t - (s.n)^2 rest on
+        assert_allclose(op @ op, np.eye(2), atol=1e-12)
 
     def test_x_operator_squares_exactly_to_identity(self):
-        assert spin_operator(X).square() == HermitianOp.identity()
+        op = matrix(0.0, X.bloch())
+        assert (op @ op).tolist() == np.eye(2).tolist()
 
 
 class TestEigenstates:
     @given(axes())
     def test_eigenvalue_equations(self, axis):
-        op = spin_operator(axis)
+        op = matrix(0.0, axis.bloch())
         for sign in (SpinOutcome.PLUS, SpinOutcome.MINUS):
             state = eigenstate(axis, sign)
-            v0, v1 = apply(op, state)
-            assert_allclose([v0, v1], [sign * state.a0, sign * state.a1], atol=1e-12)
+            assert_allclose(op @ ket(state), sign * ket(state), atol=1e-12)
 
     @given(axes())
     def test_eigenstates_are_orthogonal(self, axis):
         plus = eigenstate(axis, SpinOutcome.PLUS)
         minus = eigenstate(axis, SpinOutcome.MINUS)
-        overlap = plus.a0.conjugate() * minus.a0 + plus.a1.conjugate() * minus.a1
-        assert_allclose(abs(overlap), 0.0, atol=1e-12)
+        assert_allclose(abs(np.vdot(ket(plus), ket(minus))), 0.0, atol=1e-12)
+        assert_allclose(dot(plus, minus), -1.0, atol=1e-12)
 
     def test_x_eigenstates_are_z_superpositions(self):
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
         plus = eigenstate(X, SpinOutcome.PLUS)
         minus = eigenstate(X, SpinOutcome.MINUS)
-        assert_allclose([plus.a0, plus.a1], [inv_sqrt2, inv_sqrt2], atol=1e-15)
-        assert_allclose([abs(minus.a0), abs(minus.a1)], [inv_sqrt2, inv_sqrt2], atol=1e-15)
-        assert_allclose(expectation(spin_operator(X), minus), -1.0, atol=1e-15)
+        assert plus == (1.0, 0.0, 0.0) and minus == (-1.0, 0.0, 0.0)
+        assert_allclose(ket(plus), [inv_sqrt2, inv_sqrt2], atol=1e-15)
+        assert_allclose(abs(ket(minus)), [inv_sqrt2, inv_sqrt2], atol=1e-15)
+        assert_allclose(quantum_expectation(matrix(0.0, X.bloch()), minus), -1.0, atol=1e-15)
+
+    def test_no_signed_zeros(self):
+        for axis in (X, Y, Z):
+            for sign in (SpinOutcome.PLUS, SpinOutcome.MINUS):
+                assert all(math.copysign(1.0, c) == 1.0 for c in eigenstate(axis, sign) if c == 0.0)
 
 
 class TestBornRule:
@@ -110,20 +118,23 @@ class TestBornRule:
         assert born_probability(state, X, SpinOutcome.PLUS) == 1.0
         assert born_probability(state, X, SpinOutcome.MINUS) == 0.0
 
-    @given(spinors(), axes())
+    @given(states(), axes())
     def test_probabilities_sum_to_one(self, state, axis):
         p = born_probability(state, axis, SpinOutcome.PLUS)
         m = born_probability(state, axis, SpinOutcome.MINUS)
         assert 0.0 <= p <= 1.0
         assert_allclose(p + m, 1.0, atol=1e-10)
 
-    @given(spinors(), axes())
+    @given(states(), axes())
     def test_mean_and_variance_match_born_probabilities(self, state, axis):
         p = born_probability(state, axis, SpinOutcome.PLUS)
+        # the textbook Born rule |<n+|psi>|^2, in numpy's complex algebra
+        amplitude = np.vdot(ket(eigenstate(axis, SpinOutcome.PLUS)), ket(state))
+        assert_allclose(p, abs(amplitude) ** 2, atol=1e-12)
         mean, variance = state_mean_and_variance(state, axis)
         assert_allclose(mean, 2.0 * p - 1.0, atol=1e-10)
         assert_allclose(variance, 4.0 * p * (1.0 - p), atol=1e-9)
-        assert_allclose(mean, expectation(spin_operator(axis), state), atol=1e-10)
+        assert_allclose(mean, quantum_expectation(matrix(0.0, axis.bloch()), state), atol=1e-10)
 
 
 class TestHbarScale:
