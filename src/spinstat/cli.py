@@ -18,6 +18,7 @@ import json
 import sys
 
 from .harness import (
+    MAX_PARADOX_SAMPLES,
     ComparisonReport,
     ConfigError,
     ExperimentConfig,
@@ -109,8 +110,8 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "demo":
             _run_and_render(_config_from_demo_args(args), sys.stdout)
         elif args.command == "paradox":
-            if args.samples < 100:
-                raise ConfigError("field 'samples' must be at least 100")
+            if not 100 <= args.samples <= MAX_PARADOX_SAMPLES:
+                raise ConfigError(f"field 'samples' must be at least 100 and at most {MAX_PARADOX_SAMPLES}")
             payload = json.dumps(demo_paradox(args.samples, args.seed), indent=2, sort_keys=True) + "\n"
             if args.out is None:
                 sys.stdout.write(payload)

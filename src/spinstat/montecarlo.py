@@ -42,7 +42,11 @@ __all__ = [
     "preparation_aware_prediction",
 ]
 
-# Dense convolution guard: refuse totals with more support points than this.
+# Exact-PMF guard: refuse totals with more support points than this. Only the
+# window of nonzero probabilities is convolved; it is about 75 sqrt(n p q)
+# points wide, so the cost grows about linearly with n. At the edge, 999999
+# particles take 0.8-1.2 s in one component and 1.5 s in three (2-core x86
+# box, numpy 2.4).
 MAX_SUPPORT_POINTS = 1_000_000
 
 # Ensembles of at most this many particles take the batched Philox kernel;
@@ -262,40 +266,56 @@ def run_trials(
     return (stats, n_plus) if keep_counts else stats
 
 
-def _binomial_count_pmf(count: int, p: float) -> np.ndarray:
+def _trim(pmf: np.ndarray, offset: int) -> tuple[np.ndarray, int]:
+    """Strip the exact zeros at both ends of ``pmf``, whose first entry has index ``offset``.
+
+    Probabilities that underflowed stay exactly zero through every later
+    convolution, so dropping them changes no other value.
+    """
+    nonzero = np.flatnonzero(pmf)
+    return pmf[nonzero[0] : nonzero[-1] + 1], offset + int(nonzero[0])
+
+
+def _binomial_count_pmf(count: int, p: float) -> tuple[np.ndarray, int]:
     """PMF of the number of + outcomes among ``count`` particles with + probability p.
 
-    Built by binary-power convolution of [1-p, p]; for dyadic p and small
-    counts every value is an exact double.
+    Returns ``(pmf, offset)``: ``pmf[i]`` is the probability of ``offset + i``
+    outcomes, and every count outside that window has probability exactly 0.
+    Built by binary-power convolution of [1-p, p], trimmed after every step,
+    then divided by its exactly rounded sum, so rounding that accumulates over
+    many steps cannot leave the total away from 1. For dyadic p and small
+    counts every value is an exact double and the sum is exactly 1.
     """
-    result = np.array([1.0])
-    power = np.array([1.0 - p, p])
+    result, result_offset = np.array([1.0]), 0
+    power, power_offset = _trim(np.array([1.0 - p, p]), 0)
     k = count
     while k:
         if k & 1:
-            result = np.convolve(result, power)
+            result, result_offset = _trim(np.convolve(result, power), result_offset + power_offset)
         k >>= 1
         if k:
-            power = np.convolve(power, power)
-    return result
+            power, power_offset = _trim(np.convolve(power, power), 2 * power_offset)
+    return result / math.fsum(result), result_offset
 
 
 def exact_total_distribution(e: EnsembleSpec, axis: Axis) -> TotalSpinDistribution:
     """Exact total-spin PMF by convolving every particle's two-point law.
 
-    Support points with exactly zero probability are dropped, so a
+    Only the window between the first and last nonzero probability is
+    convolved. Support points with exactly zero probability are dropped, so a
     deterministic preparation reports a single-point distribution.
     """
     n = e.total_count
     if n + 1 > MAX_SUPPORT_POINTS:
         raise ValueError(
-            f"total of {n} particles exceeds the dense-convolution guard "
+            f"total of {n} particles exceeds the exact-PMF guard "
             f"({MAX_SUPPORT_POINTS} support points)"
         )
-    pmf = np.array([1.0])
+    pmf, offset = np.array([1.0]), 0
     for count, p in _component_probabilities(e, axis):
-        pmf = np.convolve(pmf, _binomial_count_pmf(count, p))
-    support = 2 * np.arange(n + 1, dtype=np.int64) - n
+        binomial, shift = _binomial_count_pmf(count, p)
+        pmf, offset = _trim(np.convolve(pmf, binomial), offset + shift)
+    support = 2 * (offset + np.arange(len(pmf), dtype=np.int64)) - n
     keep = pmf > 0.0
     return TotalSpinDistribution(support[keep], pmf[keep])
 

@@ -116,6 +116,42 @@ def enumerate_mean_variance(e: EnsembleSpec, axis: Axis) -> tuple[float, float]:
     return mean, float(pmf @ (support - mean) ** 2)
 
 
+def dense_binomial_count_pmf(count: int, p: float) -> np.ndarray:
+    """Reference binomial PMF over all ``count + 1`` outcomes, zeros included.
+
+    Binary-power convolution of [1-p, p] with no trimming and no
+    normalization: the same products as ``montecarlo._binomial_count_pmf``,
+    summed over the full arrays.
+    """
+    result = np.array([1.0])
+    power = np.array([1.0 - p, p])
+    k = count
+    while k:
+        if k & 1:
+            result = np.convolve(result, power)
+        k >>= 1
+        if k:
+            power = np.convolve(power, power)
+    return result
+
+
+def dense_total_distribution(e: EnsembleSpec, axis: Axis) -> tuple[np.ndarray, np.ndarray]:
+    """Reference exact PMF: dense convolution over every total from -N to N.
+
+    Returns ``(support, probabilities)`` with the exactly-zero entries
+    dropped, as ``exact_total_distribution`` reports them.
+    """
+    n = e.total_count
+    pmf = np.array([1.0])
+    for comp in e.components:
+        if comp.count > 0:
+            p_plus = born_probability(comp.state, axis, SpinOutcome.PLUS)
+            pmf = np.convolve(pmf, dense_binomial_count_pmf(comp.count, p_plus))
+    support = 2 * np.arange(n + 1, dtype=np.int64) - n
+    keep = pmf > 0.0
+    return support[keep], pmf[keep]
+
+
 def slow_enumerate_totals(e: EnsembleSpec, axis: Axis) -> dict[int, float]:
     """Same oracle in plain loops; cross-checks the vectorized one for tiny N."""
     per_particle = []

@@ -344,3 +344,17 @@ class TestMalformedConfigs:
     def test_rejects(self, tmp_path, capsys, data, fragments):
         err = self.run_config(tmp_path, capsys, data)
         assert all(fragment in err for fragment in fragments), err
+
+
+@pytest.mark.parametrize("samples", [10**12, 10**400])
+def test_paradox_rejects_samples_beyond_bound(monkeypatch, capsys, samples):
+    """Too many samples exit 2 naming the field, before the fit allocates anything."""
+    def no_fit(*args):
+        raise AssertionError("ran the fit for a rejected sample count")
+
+    monkeypatch.setattr(cli, "demo_paradox", no_fit)
+    code = cli.main(["paradox", "--samples", str(samples)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "invalid-config" in err and "Traceback" not in err
+    assert "field 'samples' must be at least 100 and at most 10000000" in err

@@ -14,6 +14,7 @@ from conftest import (
     SeededSampler,
     TrialRecord,
     axes,
+    dense_total_distribution,
     enumerate_mean_variance,
     enumerate_totals,
     measure_ensemble_total,
@@ -31,7 +32,7 @@ from spinstat.ensemble import (
     make_pair_ensemble,
 )
 from spinstat.montecarlo import exact_total_distribution, preparation_aware_prediction, run_trials
-from spinstat.spin import Axis, SpinOutcome, X, Z, eigenstate
+from spinstat.spin import Axis, SpinOutcome, X, Z, born_probability, eigenstate
 
 
 class TestSampler:
@@ -233,6 +234,70 @@ def test_single_particle_ensemble_distribution():
     dist = exact_total_distribution(e, X)
     assert dist.support.tolist() == [-1, 1]
     assert_allclose(dist.probabilities, [0.5, 0.5], atol=0)
+
+
+def _along_z(p_plus, count):
+    """``count`` particles whose + probability along z is ``p_plus``."""
+    return EnsembleComponent(eigenstate(Axis(math.acos(2.0 * p_plus - 1.0)), SpinOutcome.PLUS), count)
+
+
+@settings(max_examples=40, deadline=None)
+@given(components=st.lists(
+    st.builds(
+        _along_z,
+        st.one_of(st.sampled_from([0.0, 1.0, 1e-3, 0.999]), st.floats(0.0, 1.0)),
+        st.integers(1, 6000),
+    ),
+    min_size=1,
+    max_size=3,
+))
+# 5 x +z and 3 x -z: two certain components, so the point mass sits at offset 5.
+@example(components=[_along_z(1.0, 5), _along_z(0.0, 3)])
+# Every component's tails underflow, the skewed ones' on one side only.
+@example(components=[_along_z(0.3, 6000), _along_z(1e-3, 5000), _along_z(0.999, 4000)])
+def test_exact_distribution_matches_dense_reference(components):
+    """The trimmed PMF is the dense reference convolution, rescaled to mass 1.
+
+    Up to 6000 particles per component, so the binomial tails underflow to
+    exact zeros that the trimmed convolution never stores. The reference sums
+    to 1 only up to rounding that grows with the count, while
+    ``exact_total_distribution`` divides each component by its exact sum, so
+    the reference is divided by its own sum before the comparison.
+    """
+    e = EnsembleSpec(tuple(components))
+    dist = exact_total_distribution(e, Z)
+    support, pmf = dense_total_distribution(e, Z)
+    assert dist.support.tolist() == support.tolist()
+    reference = pmf / math.fsum(pmf)
+    diff = np.abs(dist.probabilities - reference)
+    # Relative where doubles keep full precision; absolute in the far tail.
+    large = reference >= 1e-290
+    assert np.all(diff[large] <= 1e-13 * reference[large])
+    assert np.all(diff[~large] <= 1e-17)
+
+
+def test_largest_admitted_component_sums_to_one():
+    """999999 particles at p+ = 0.2, the most the guard admits: about 1 s.
+
+    Without the division by its exact sum, this binomial sums to
+    1 + 1.06e-10, beyond what ``TotalSpinDistribution`` accepts: 1 - 0.2
+    rounds up, and the convolutions add their own rounding.
+    """
+    # The -z component of this state is exactly -0.6, so p+ is the double 0.2.
+    state = eigenstate(Axis(math.acos(0.6)), SpinOutcome.MINUS)
+    assert born_probability(state, Z, SpinOutcome.PLUS) == 0.2
+    e = EnsembleSpec((EnsembleComponent(state, montecarlo.MAX_SUPPORT_POINTS - 1),))
+    dist = exact_total_distribution(e, Z)
+    assert abs(math.fsum(dist.probabilities) - 1.0) <= 1e-15
+    pred = preparation_aware_prediction(e, Z)
+    assert_allclose([dist.mean(), dist.variance()], [pred.mean, pred.variance], rtol=1e-9)
+
+
+def test_exact_distribution_guard_rejects_before_any_work():
+    e = EnsembleSpec((_along_z(0.5, montecarlo.MAX_SUPPORT_POINTS),))
+    with mock.patch.object(montecarlo, "_binomial_count_pmf", side_effect=AssertionError("built a PMF")):
+        with pytest.raises(ValueError, match="exact-PMF guard"):
+            exact_total_distribution(e, Z)
 
 
 def _tilted(counts):
