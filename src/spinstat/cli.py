@@ -27,6 +27,7 @@ from .harness import (
     render_report,
     run_experiment,
 )
+from .spin import check_int
 
 __all__ = ["main", "build_parser"]
 
@@ -70,7 +71,7 @@ def _config_from_run_args(args: argparse.Namespace) -> ExperimentConfig:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config file {args.config!r} is not valid JSON: {exc}") from exc
     cfg = ExperimentConfig.from_json_dict(data)
     if args.workers is not None:
@@ -110,8 +111,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "demo":
             _run_and_render(_config_from_demo_args(args), sys.stdout)
         elif args.command == "paradox":
-            if not 100 <= args.samples <= MAX_PARADOX_SAMPLES:
-                raise ConfigError(f"field 'samples' must be at least 100 and at most {MAX_PARADOX_SAMPLES}")
+            check_int(args.samples, "samples", 100, MAX_PARADOX_SAMPLES)
             payload = json.dumps(demo_paradox(args.samples, args.seed), indent=2, sort_keys=True) + "\n"
             if args.out is None:
                 sys.stdout.write(payload)

@@ -8,10 +8,11 @@ predictions for extensive quantities depend on the total particle number.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from typing import Any
 
-from .spin import Axis, SpinOutcome, Vector, X, Z, eigenstate
+from .spin import Axis, ConfigError, SpinOutcome, Vector, X, Z, check_int, check_object, eigenstate, within
 
 __all__ = [
     "EnsembleComponent",
@@ -29,6 +30,16 @@ MAX_COUNT = 2**53
 # A state's Bloch vector must have unit norm to within this.
 _NORM_TOL = 1e-12
 
+# The preset shorthand {"preset": name, "n": n} is an even split along this axis.
+_PRESET_AXES = {"A": X, "B": Z}
+
+
+def _count(value: Any, path: str, lo: int) -> int:
+    """``value`` as an exact integer count from ``lo`` to 2**53."""
+    if check_int(value, path, lo) > MAX_COUNT:
+        raise ConfigError("must be at most 2**53", path)
+    return value
+
 
 @dataclass(frozen=True)
 class EnsembleComponent:
@@ -38,12 +49,9 @@ class EnsembleComponent:
     def __post_init__(self) -> None:
         state = tuple(map(float, self.state))
         if len(state) != 3 or not abs(math.hypot(*state) - 1.0) <= _NORM_TOL:
-            raise ValueError(f"component state must be a finite unit Bloch vector, got {self.state!r}")
+            raise ConfigError(f"must be a finite unit Bloch vector, got {self.state!r}", "state")
         object.__setattr__(self, "state", state)
-        if not isinstance(self.count, int) or isinstance(self.count, bool):
-            raise ValueError(f"component count must be an exact integer, got {self.count!r}")
-        if self.count < 0:
-            raise ValueError(f"component count must be non-negative, got {self.count}")
+        _count(self.count, "count", 0)
 
 
 @dataclass(frozen=True)
@@ -56,9 +64,9 @@ class EnsembleSpec:
         components = tuple(self.components)
         total = sum(c.count for c in components)
         if total < 1:
-            raise ValueError("ensemble must contain at least one particle")
+            raise ConfigError("must hold at least one particle", "components")
         if total > MAX_COUNT:
-            raise ValueError("the total particle count must be at most 2**53")
+            raise ConfigError("must have a total particle count of at most 2**53", "components")
         object.__setattr__(self, "components", components)
 
     @property
@@ -66,19 +74,11 @@ class EnsembleSpec:
         return sum(c.count for c in self.components)
 
 
-def _require_even(n: int, what: str) -> None:
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"{what} requires an integer particle count, got {n!r}")
-    if n < 2 or n % 2 != 0:
-        raise ValueError(
-            f"{what} requires a positive even particle count (an exact half split), got {n}"
-        )
-
-
 def make_pair_ensemble(axis: Axis, n: int) -> EnsembleSpec:
     """n/2 particles in each of the two opposite eigenstates along ``axis``."""
-    _require_even(n, "pair ensemble")
-    half = n // 2
+    half, odd = divmod(_count(n, "n", 2), 2)
+    if odd:
+        raise ConfigError(f"must be even (an exact half split), got {n}", "n")
     return EnsembleSpec(
         (
             EnsembleComponent(eigenstate(axis, SpinOutcome.PLUS), half),
@@ -89,74 +89,43 @@ def make_pair_ensemble(axis: Axis, n: int) -> EnsembleSpec:
 
 def make_ensemble_A(n: int) -> EnsembleSpec:
     """Totally unpolarized preparation: an even split of the two x eigenstates."""
-    _require_even(n, "ensemble A")
     return make_pair_ensemble(X, n)
 
 
 def make_ensemble_B(n: int) -> EnsembleSpec:
     """Totally unpolarized preparation: an even split of the two z eigenstates."""
-    _require_even(n, "ensemble B")
     return make_pair_ensemble(Z, n)
 
 
-def ensemble_from_json(data: Any) -> EnsembleSpec:
+def ensemble_from_json(data: Any, path: str = "ensemble") -> EnsembleSpec:
     """Load an ensemble from its JSON form.
 
     Two shapes are accepted: the preset shorthand {"preset": "A"|"B", "n": int}
     and the explicit {"name": str, "components": [{"axis": ..., "sign": +1|-1,
-    "count": int}]} where axis follows the Axis JSON convention.
+    "count": int}]} where axis follows the Axis JSON convention. Errors name
+    the field by its path below ``path``, the ensemble's place in the config.
     """
-    if not isinstance(data, dict):
-        raise ValueError(f"ensemble must be a JSON object, got {data!r}")
-
-    if "preset" in data:
-        extra = set(data) - {"preset", "n"}
-        if extra:
-            raise ValueError(f"unexpected preset fields: {sorted(extra)}")
+    if isinstance(data, dict) and "preset" in data:
+        check_object(data, path, ("preset", "n"))
         preset = data["preset"]
-        n = data.get("n")
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise ValueError(f"preset ensemble needs an integer 'n', got {n!r}")
-        if n > MAX_COUNT:
-            raise ValueError("preset 'n' must be at most 2**53")
-        if preset == "A":
-            return make_ensemble_A(n)
-        if preset == "B":
-            return make_ensemble_B(n)
-        raise ValueError(f"unknown preset {preset!r}; expected 'A' or 'B'")
+        if not isinstance(preset, str) or preset not in _PRESET_AXES:
+            raise ConfigError(f"must be 'A' or 'B', got {reprlib.repr(preset)}", f"{path}.preset")
+        with within(path):
+            return make_pair_ensemble(_PRESET_AXES[preset], data["n"])
 
-    if "components" not in data:
-        raise ValueError("ensemble object needs 'components' or 'preset'")
-    extra = set(data) - {"name", "components"}
-    if extra:
-        raise ValueError(f"unexpected ensemble fields: {sorted(extra)}")
+    check_object(data, path, ("components",), ("name",))
     if not isinstance(data.get("name", ""), str):
-        raise ValueError(f"'name' must be a string, got {data['name']!r}")
-    raw_components = data["components"]
-    if not isinstance(raw_components, list):
-        raise ValueError(f"'components' must be a list, got {raw_components!r}")
+        raise ConfigError(f"must be a string, got {reprlib.repr(data['name'])}", f"{path}.name")
+    if not isinstance(data["components"], list):
+        raise ConfigError(f"must be a list, got {reprlib.repr(data['components'])}", f"{path}.components")
     components = []
-    for i, entry in enumerate(raw_components):
-        where = f"components[{i}]"
-        if not isinstance(entry, dict):
-            raise ValueError(f"{where} must be an object, got {entry!r}")
-        for key in ("axis", "sign", "count"):
-            if key not in entry:
-                raise ValueError(f"{where}.{key} is required")
-        extra = set(entry) - {"axis", "sign", "count"}
-        if extra:
-            raise ValueError(f"unexpected {where} fields: {sorted(extra)}")
-        try:
-            axis = Axis.from_json(entry["axis"])
-        except ValueError as exc:
-            raise ValueError(f"{where}.axis: {exc}") from None
-        sign = entry["sign"]
-        if not isinstance(sign, int) or isinstance(sign, bool) or sign not in (1, -1):
-            raise ValueError(f"{where}.sign must be 1 or -1, got {sign!r}")
-        count = entry["count"]
-        if not isinstance(count, int) or isinstance(count, bool):
-            raise ValueError(f"{where}.count must be an integer, got {count!r}")
-        if count > MAX_COUNT:
-            raise ValueError(f"{where}.count must be at most 2**53")
-        components.append(EnsembleComponent(eigenstate(axis, SpinOutcome(sign)), count))
-    return EnsembleSpec(tuple(components))
+    for i, entry in enumerate(data["components"]):
+        where = f"{path}.components[{i}]"
+        check_object(entry, where, ("axis", "sign", "count"))
+        axis = Axis.from_json(entry["axis"], f"{where}.axis")
+        if check_int(entry["sign"], f"{where}.sign") not in (1, -1):
+            raise ConfigError("must be 1 or -1", f"{where}.sign")
+        with within(where):
+            components.append(EnsembleComponent(eigenstate(axis, SpinOutcome(entry["sign"])), entry["count"]))
+    with within(path):
+        return EnsembleSpec(tuple(components))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -29,7 +30,7 @@ from .paradox import (
     fixed_operator_infeasibility,
     null_operator_contradiction,
 )
-from .spin import Axis, SpinOutcome, X, eigenstate
+from .spin import Axis, ConfigError, SpinOutcome, X, check_int, check_number, check_object, eigenstate
 
 __all__ = [
     "ConfigError",
@@ -59,10 +60,6 @@ MAX_TRIALS = 10**7
 MAX_PARADOX_SAMPLES = 10**7
 
 
-class ConfigError(ValueError):
-    """Invalid experiment configuration; the message names the offending field."""
-
-
 class OutputError(OSError):
     """An output path could not be written."""
 
@@ -87,62 +84,33 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if not 2 <= self.trials <= MAX_TRIALS:
-            raise ConfigError(f"field 'trials' must be at least 2 and at most {MAX_TRIALS}")
-        if self.workers < 1:
-            raise ConfigError("field 'workers' must be positive")
-        if not (math.isfinite(self.hbar) and self.hbar > 0):
-            raise ConfigError("field 'hbar' must be a positive real")
+        check_int(self.trials, "trials", 2, MAX_TRIALS)
+        check_int(self.seed, "seed")
+        check_int(self.workers, "workers", 1)
+        hbar = check_number(self.hbar, "hbar")
+        if hbar <= 0:
+            raise ConfigError("must be positive", "hbar")
+        object.__setattr__(self, "hbar", hbar)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExperimentConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("config must be a JSON object")
-        known = {"ensemble", "axis", "trials", "seed", "hbar", "outputs", "workers"}
-        extra = set(data) - known
-        if extra:
-            raise ConfigError(f"unknown config fields: {sorted(extra)}")
-        for required in ("ensemble", "axis", "trials", "seed"):
-            if required not in data:
-                raise ConfigError(f"field '{required}' is required")
-        try:
-            ensemble = ensemble_from_json(data["ensemble"])
-        except ValueError as exc:
-            raise ConfigError(f"field 'ensemble': {exc}") from exc
-        try:
-            axis = Axis.from_json(data["axis"])
-        except ValueError as exc:
-            raise ConfigError(f"field 'axis': {exc}") from exc
-        trials, seed = data["trials"], data["seed"]
-        if not isinstance(trials, int) or isinstance(trials, bool):
-            raise ConfigError("field 'trials' must be an integer")
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ConfigError("field 'seed' must be an integer")
-        hbar, workers = data.get("hbar", 1.0), data.get("workers", 1)
-        if not isinstance(hbar, (int, float)) or isinstance(hbar, bool):
-            raise ConfigError("field 'hbar' must be a number")
-        if not isinstance(workers, int) or isinstance(workers, bool):
-            raise ConfigError("field 'workers' must be an integer")
-        try:
-            hbar = float(hbar)
-        except OverflowError:
-            raise ConfigError("field 'hbar' is too large for a float") from None
-        outputs = data.get("outputs", {})
-        if not isinstance(outputs, dict) or set(outputs) - {"report", "totals"}:
-            raise ConfigError("field 'outputs' must be an object with 'report'/'totals' paths")
-        for key, path in outputs.items():
-            if not isinstance(path, str):
-                raise ConfigError(f"field 'outputs.{key}' must be a path string, got {path!r}")
+        """Parse a config; every error is a :class:`ConfigError` naming the field by its full path."""
+        check_object(data, "", ("ensemble", "axis", "trials", "seed"), ("hbar", "outputs", "workers"))
+        outputs = check_object(data.get("outputs", {}), "outputs", (), ("report", "totals"))
+        for key, value in outputs.items():
+            if not isinstance(value, str) or "\0" in value:
+                problem = f"must be a path string without NUL bytes, got {reprlib.repr(value)}"
+                raise ConfigError(problem, f"outputs.{key}")
         return cls(
-            ensemble=ensemble,
+            ensemble=ensemble_from_json(data["ensemble"]),
             ensemble_json=data["ensemble"],
-            axis=axis,
-            trials=trials,
-            seed=seed,
-            hbar=hbar,
+            axis=Axis.from_json(data["axis"]),
+            trials=data["trials"],
+            seed=data["seed"],
+            hbar=data.get("hbar", 1.0),
             report_path=outputs.get("report"),
             totals_path=outputs.get("totals"),
-            workers=workers,
+            workers=data.get("workers", 1),
         )
 
     def echo_json(self) -> dict:

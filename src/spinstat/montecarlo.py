@@ -31,7 +31,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .ensemble import EnsembleSpec
-from .spin import Axis, SpinOutcome, born_probability, state_mean_and_variance
+from .spin import Axis, SpinOutcome, born_probability, check_int, state_mean_and_variance
 
 __all__ = [
     "TrialStatistics",
@@ -112,9 +112,8 @@ class TotalSpinDistribution:
         return float(self.probabilities @ self.support.astype(float))
 
     def variance(self) -> float:
-        m = self.mean()
-        second = float(self.probabilities @ (self.support.astype(float) ** 2))
-        return second - m * m
+        """Sum of p (x - mean)**2: the centred form, which does not cancel when |mean| >> sigma."""
+        return float(self.probabilities @ (self.support.astype(float) - self.mean()) ** 2)
 
 
 @dataclass(frozen=True)
@@ -231,10 +230,8 @@ def run_trials(
         raise ValueError("at least 2 trials are needed for an unbiased variance")
     if workers < 1:
         raise ValueError("worker count must be positive")
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
 
-    seed %= 1 << 64
+    seed = check_int(seed, "seed") % (1 << 64)
     probs = _component_probabilities(e, axis)
     n = e.total_count
     n_plus = np.empty(trials, dtype=np.int64)

@@ -12,11 +12,18 @@ physical units happens only at report formatting, in ``harness.render_report``.
 from __future__ import annotations
 
 import math
+import reprlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Any
 
 __all__ = [
+    "ConfigError",
+    "check_object",
+    "check_int",
+    "check_number",
+    "within",
     "Axis",
     "SpinOutcome",
     "X",
@@ -44,6 +51,70 @@ def _snap(value: float, targets: tuple[float, ...]) -> float:
     return value
 
 
+class ConfigError(ValueError):
+    """Invalid input. Given a ``path``, the message reads ``field '<path>' <problem>``.
+
+    The path is relative to whatever was being checked: a constructor names
+    its own argument ("count"), and a parser that calls it inside
+    :func:`within` prefixes the path of the enclosing object. The empty path
+    is the config itself.
+    """
+
+    def __init__(self, problem: str, path: str | None = None):
+        self.problem, self.path = problem, path
+        subject = "config" if path == "" else f"field '{path}'"
+        super().__init__(problem if path is None else f"{subject} {problem}")
+
+
+def _join(prefix: str, path: str | None) -> str:
+    return f"{prefix}.{path}" if prefix and path else prefix or path
+
+
+@contextmanager
+def within(prefix: str):
+    """Report a :class:`ConfigError` raised inside as one of the field below ``prefix``."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(exc.problem, _join(prefix, exc.path)) from None
+
+
+def check_object(data: Any, path: str, required: tuple = (), optional: tuple = ()) -> dict:
+    """``data`` as a JSON object holding every ``required`` key and no key outside both tuples."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"must be an object, got {reprlib.repr(data)}", path)
+    unknown = sorted(set(data).difference(required, optional))
+    if unknown:
+        raise ConfigError(f"has unknown fields {unknown}", path)
+    for key in required:
+        if key not in data:
+            raise ConfigError("is required", _join(path, key))
+    return data
+
+
+def check_int(value: Any, path: str, lo: int | None = None, hi: int | None = None) -> int:
+    """``value`` as an exact integer (never a bool) within the given bounds."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"must be an integer, got {reprlib.repr(value)}", path)
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        bounds = [f"at least {lo}"] * (lo is not None) + [f"at most {hi}"] * (hi is not None)
+        raise ConfigError(f"must be {' and '.join(bounds)}", path)
+    return value
+
+
+def check_number(value: Any, path: str) -> float:
+    """``value`` (an int or a float, never a bool) as a finite float."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"must be a number, got {reprlib.repr(value)}", path)
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigError("is too large for a float", path) from None
+    if not math.isfinite(number):
+        raise ConfigError(f"must be finite, got {number}", path)
+    return number
+
+
 class SpinOutcome(IntEnum):
     """Single-measurement outcome in half-quantum units."""
 
@@ -59,11 +130,8 @@ class Axis:
     phi: float = 0.0
 
     def __post_init__(self) -> None:
-        theta, phi = float(self.theta), float(self.phi)
-        if not (math.isfinite(theta) and math.isfinite(phi)):
-            raise ValueError("axis angles must be finite")
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "theta", check_number(self.theta, "theta"))
+        object.__setattr__(self, "phi", check_number(self.phi, "phi"))
 
     def bloch(self) -> Vector:
         """Unit Bloch vector, with components snapped to exact 0/+-1."""
@@ -75,30 +143,18 @@ class Axis:
         )
 
     @classmethod
-    def from_json(cls, data: Any) -> "Axis":
-        """Parse either a named axis ("x"/"y"/"z") or {"theta": r, "phi": r}."""
-        if isinstance(data, str):
-            try:
-                return _NAMED_AXES[data.lower()]
-            except KeyError:
-                raise ValueError(f"unknown axis name {data!r}; expected x, y, or z") from None
+    def from_json(cls, data: Any, path: str = "axis") -> "Axis":
+        """Parse either a named axis ("x"/"y"/"z") or {"theta": r, "phi": r}.
+
+        Errors name the field by ``path``, the axis's place in the config.
+        """
         if isinstance(data, dict):
-            extra = set(data) - {"theta", "phi"}
-            if extra:
-                raise ValueError(f"unexpected axis fields: {sorted(extra)}")
-            if "theta" not in data:
-                raise ValueError("an axis object requires a 'theta' field")
-            angles = []
-            for key in ("theta", "phi"):
-                value = data.get(key, 0.0)
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    raise ValueError(f"axis field '{key}' must be a number, got {value!r}")
-                try:
-                    angles.append(float(value))
-                except OverflowError:
-                    raise ValueError(f"axis field '{key}' is too large for a float") from None
-            return cls(*angles)
-        raise ValueError(f"axis must be a name or an object with angles, got {data!r}")
+            check_object(data, path, ("theta",), ("phi",))
+            with within(path):
+                return cls(data["theta"], data.get("phi", 0.0))
+        if isinstance(data, str) and data.lower() in _NAMED_AXES:
+            return _NAMED_AXES[data.lower()]
+        raise ConfigError(f"must be x, y, z or an object with angles, got {reprlib.repr(data)}", path)
 
     def to_json(self) -> Any:
         for name, axis in _NAMED_AXES.items():

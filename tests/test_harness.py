@@ -1,5 +1,6 @@
 """Tests for the experiment harness, report serialization, and the CLI."""
 
+import copy
 import json
 import math
 import os
@@ -8,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import spinstat
@@ -273,31 +276,35 @@ class TestMalformedConfigs:
 
     def run_config(self, tmp_path, capsys, data):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(data))
+        path.write_text(data if isinstance(data, str) else json.dumps(data))
         code = cli.main(["run", "--config", str(path)])
         err = capsys.readouterr().err
         assert code == 2, err
         assert "invalid-config" in err and "Traceback" not in err
         return err
 
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        err = self.run_config(tmp_path, capsys, "[" * 100_000)
+        assert f"config file {str(tmp_path / 'cfg.json')!r} is not valid JSON" in err
+
     def test_component_without_axis(self, tmp_path, capsys):
         data = _tilted_config()
         del data["ensemble"]["components"][0]["axis"]
-        assert "components[0].axis is required" in self.run_config(tmp_path, capsys, data)
+        assert "field 'ensemble.components[0].axis' is required" in self.run_config(tmp_path, capsys, data)
 
     def test_components_not_a_list(self, tmp_path, capsys):
         data = _tilted_config()
         data["ensemble"]["components"] = 5
-        assert "'components' must be a list" in self.run_config(tmp_path, capsys, data)
+        assert "field 'ensemble.components' must be a list" in self.run_config(tmp_path, capsys, data)
 
     def test_component_not_an_object(self, tmp_path, capsys):
         data = _tilted_config()
         data["ensemble"]["components"] = ["y"]
-        assert "components[0] must be an object" in self.run_config(tmp_path, capsys, data)
+        assert "field 'ensemble.components[0]' must be an object" in self.run_config(tmp_path, capsys, data)
 
     def test_null_axis_angle(self, tmp_path, capsys):
         err = self.run_config(tmp_path, capsys, _tilted_config(axis={"theta": None}))
-        assert "components[0].axis" in err and "'theta'" in err
+        assert "field 'ensemble.components[0].axis.theta'" in err
 
     def test_fractional_workers(self, tmp_path, capsys):
         data = dict(_tilted_config(), workers=2.7)
@@ -315,28 +322,36 @@ class TestMalformedConfigs:
         pytest.param(dict(_tilted_config(), hbar=0), ["field 'hbar'"], id="zero-hbar"),
         pytest.param(dict(_tilted_config(), hbar=10**400), ["field 'hbar'"], id="huge-hbar"),
         pytest.param(
-            _tilted_config(axis={"theta": 10**400}), ["components[0].axis", "'theta'"], id="huge-theta"
+            _tilted_config(axis={"theta": 10**400}), ["field 'ensemble.components[0].axis.theta'"], id="huge-theta"
         ),
         pytest.param(
-            _tilted_config(axis={"theta": 1, "phi": -(10**400)}), ["components[0].axis", "'phi'"],
+            _tilted_config(axis={"theta": 1, "phi": -(10**400)}), ["field 'ensemble.components[0].axis.phi'"],
             id="huge-phi",
         ),
-        pytest.param(_tilted_config(sign=True), ["components[0].sign"], id="boolean-sign"),
-        pytest.param(_tilted_config(sign=2), ["components[0].sign"], id="sign-out-of-range"),
+        pytest.param(_tilted_config(sign=True), ["field 'ensemble.components[0].sign'"], id="boolean-sign"),
+        pytest.param(_tilted_config(sign=2), ["field 'ensemble.components[0].sign'"], id="sign-out-of-range"),
         pytest.param(
             dict(_tilted_config(), outputs={"report": 5}), ["field 'outputs.report'"], id="output-not-a-path"
         ),
-        pytest.param(_ensemble_config(foo=1), ["field 'ensemble'", "'foo'"], id="unknown-ensemble-field"),
-        pytest.param(_tilted_config(weight=3), ["components[0]", "'weight'"], id="unknown-component-field"),
-        pytest.param(_ensemble_config(name=5), ["field 'ensemble'", "'name'"], id="name-not-a-string"),
         pytest.param(
-            dict(_tilted_config(), ensemble={"preset": "B", "n": 10**400}), ["field 'ensemble'", "'n'", "2**53"],
+            dict(_tilted_config(), outputs={"report": "a\u0000b"}), ["field 'outputs.report'"],
+            id="nul-in-output-path",
+        ),
+        pytest.param(_ensemble_config(foo=1), ["field 'ensemble'", "'foo'"], id="unknown-ensemble-field"),
+        pytest.param(
+            _tilted_config(weight=3), ["field 'ensemble.components[0]'", "'weight'"], id="unknown-component-field"
+        ),
+        pytest.param(_ensemble_config(name=5), ["field 'ensemble.name'"], id="name-not-a-string"),
+        pytest.param(
+            dict(_tilted_config(), ensemble={"preset": "B", "n": 10**400}), ["field 'ensemble.n'", "2**53"],
             id="huge-preset-n",
         ),
-        pytest.param(_tilted_config(count=10**400), ["components[0].count", "2**53"], id="huge-count"),
+        pytest.param(
+            _tilted_config(count=10**400), ["field 'ensemble.components[0].count'", "2**53"], id="huge-count"
+        ),
         pytest.param(
             _ensemble_config(components=[{"axis": "y", "sign": 1, "count": 2**52 + 1}] * 2),
-            ["field 'ensemble'", "total particle count", "2**53"], id="huge-total-count",
+            ["field 'ensemble.components'", "total particle count", "2**53"], id="huge-total-count",
         ),
         pytest.param(dict(_tilted_config(), trials=10**400), ["field 'trials'"], id="huge-trials"),
         pytest.param(dict(_tilted_config(), trials=2**40), ["field 'trials'"], id="trials-beyond-memory"),
@@ -344,6 +359,74 @@ class TestMalformedConfigs:
     def test_rejects(self, tmp_path, capsys, data, fragments):
         err = self.run_config(tmp_path, capsys, data)
         assert all(fragment in err for fragment in fragments), err
+
+
+# Any JSON value json.load can return, including the non-standard NaN and
+# Infinity literals and integers far beyond a float's range.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**400), 10**400) | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+VALID_CONFIGS = [
+    {
+        "ensemble": {"name": "tilted", "components": [
+            {"axis": {"theta": 1.0, "phi": 0.5}, "sign": 1, "count": 3},
+            {"axis": "z", "sign": -1, "count": 2},
+        ]},
+        "axis": {"theta": 0.3},
+        "trials": 4,
+        "seed": 1,
+        "hbar": 2.0,
+        "outputs": {"report": "r.json", "totals": "t.csv"},
+        "workers": 2,
+    },
+    {"ensemble": {"preset": "B", "n": 4}, "axis": "x", "trials": 2, "seed": 0},
+]
+
+
+def _places(node, path=()):
+    """The key path of ``node`` and of everything inside it."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _places(child, path + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    """A valid config with one field replaced or deleted, or one unknown field added."""
+    data = copy.deepcopy(draw(st.sampled_from(VALID_CONFIGS)))
+    *parents, key = draw(st.sampled_from(list(_places(data))[1:]))
+    owner = data
+    for step in parents:
+        owner = owner[step]
+    action = draw(st.sampled_from(["replace", "delete", "add"]))
+    if action == "replace":
+        owner[key] = draw(json_values)
+    elif action == "delete":
+        del owner[key]
+    elif isinstance(owner, dict):
+        owner[draw(st.text(max_size=8))] = draw(json_values)
+    return data
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(json_values, mutated_configs()))
+def test_parser_returns_a_config_or_names_the_field(data):
+    """Any JSON value parses to a config or raises ConfigError naming the field; nothing is run."""
+    try:
+        cfg = ExperimentConfig.from_json_dict(data)
+    except ConfigError as exc:
+        assert str(exc).startswith(("field '", "config ")), exc
+    else:
+        assert isinstance(cfg, ExperimentConfig)
+
+
+def test_valid_configs_parse():
+    for data in VALID_CONFIGS:
+        assert ExperimentConfig.from_json_dict(data).echo_json()["ensemble"] == data["ensemble"]
 
 
 @pytest.mark.parametrize("samples", [10**12, 10**400])

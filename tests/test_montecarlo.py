@@ -200,6 +200,19 @@ class TestExactDistribution:
             assert dist.mean() == 0.0
             assert dist.variance() == float(n)
 
+    @pytest.mark.parametrize("thetas", [(0.9, 1.1, 1.2), (1.0, 1.0, 1.0), (0.95, 1.15, 1.05)])
+    def test_variance_holds_when_the_mean_dwarfs_sigma(self, thetas):
+        # 60000 particles with p+ near 0.75 along z: the mean is about 140
+        # sigma, where E[X^2] - mean^2 loses about 1e-11 of the variance.
+        e = EnsembleSpec(tuple(
+            EnsembleComponent(eigenstate(Axis(theta, 0.3 * i), SpinOutcome.PLUS), 20_000)
+            for i, theta in enumerate(thetas)
+        ))
+        dist = exact_total_distribution(e, Z)
+        pred = preparation_aware_prediction(e, Z)
+        assert dist.mean() > 100 * pred.sigma
+        assert abs(dist.variance() - pred.variance) <= 1e-14 * pred.variance
+
 
 class TestPreparationAwarePrediction:
     def test_agrees_with_exact_distribution(self):
