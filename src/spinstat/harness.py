@@ -214,9 +214,10 @@ def _write_file(path: str, text: str) -> None:
 
 
 def _totals_csv(n_plus: list[int], n: int) -> str:
-    lines = ["trial,total_half_quanta,n_plus,n_minus"]
-    lines.extend(f"{t},{2 * plus - n},{plus},{n - plus}" for t, plus in enumerate(n_plus))
-    return "\n".join(lines) + "\n"
+    # One suffix per distinct count: at most min(trials, n + 1) strings.
+    suffix = {plus: f",{2 * plus - n},{plus},{n - plus}\n" for plus in set(n_plus)}
+    rows = map(str.__add__, map(str, range(len(n_plus))), map(suffix.__getitem__, n_plus))
+    return "trial,total_half_quanta,n_plus,n_minus\n" + "".join(rows)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:

@@ -17,7 +17,9 @@ the sampling paths below ran, nor on how trials are split across threads.
 * at most :data:`BATCH_MAX_PARTICLES` particles: a numpy Philox4x64-10 that
   evaluates the blocks of many trials at once;
 * more particles: one numpy ``Philox`` per chunk of trials, its counter reset
-  to ``[0, 0, t, 0]`` for each trial, drawing at most 2**16 uniforms at a time.
+  to ``[0, 0, t, 0]`` for each trial. Up to 2**16 particles, one call draws a
+  whole trial into one row of a block of trials, and one comparison counts
+  the block; above that, a trial is drawn at most 2**16 uniforms at a time.
 """
 
 from __future__ import annotations
@@ -51,19 +53,23 @@ MAX_SUPPORT_POINTS = 1_000_000
 
 # Ensembles of at most this many particles take the batched Philox kernel;
 # larger ones reset one generator per trial. The reset path pays a few
-# microseconds per trial and per component, the batched one a flat cost per
-# draw. Measured on a 2-core x86 box with numpy 2.4, about 4e5 draws per
-# case, batched vs reset (ms):
-#   one component    n=96: 32 vs 34   n=128: 35 vs 26   n=192: 34 vs 22
-#   three components n=128: 28 vs 65  n=192: 35 vs 47   n=256: 33 vs 34
-BATCH_MAX_PARTICLES = 128
+# microseconds per trial, the batched one a flat cost per draw, so the
+# crossover hardly moves with the component count. Measured on a 2-core x86
+# box with numpy 2.4, one thread, 4e5 draws per case, the range of the
+# per-session medians over 2-4 sessions, batched vs reset (ms):
+#   one component    n=32: 29-32 vs 45-52   n=48: 26-35 vs 27-39
+#                    n=64: 29-35 vs 28-31   n=96: 27-28 vs 19-20
+#   three components n=32: 30-32 vs 53-54   n=48: 27-34 vs 27-38
+#                    n=64: 27-34 vs 25-34   n=96: 27-28 vs 19-20
+BATCH_MAX_PARTICLES = 56
 
 # Philox blocks per batched step: 64 KiB per temporary array, the fastest
 # of 2**10..2**18 on the box above.
 _BATCH_BLOCKS = 1 << 13
 
-# Uniforms drawn per call on the reset path, so a worker holds O(block)
-# memory rather than 8 bytes per particle.
+# Uniforms a worker on the reset path holds at once, as a block of whole
+# trials or a piece of one trial, so it needs O(block) memory rather than
+# 8 bytes per particle.
 _DRAW_BLOCK = 1 << 16
 
 # Philox4x64-10 (ten rounds) multipliers and Weyl key increments (Salmon et
@@ -177,9 +183,14 @@ def _philox_uniforms(seed: int, start: int, stop: int, n: int) -> np.ndarray:
     return (words >> np.uint64(11)) * 2.0**-53
 
 
+def _thresholds(probs) -> np.ndarray:
+    """Each particle's p+, in draw order."""
+    return np.concatenate([np.full(count, p) for count, p in probs])
+
+
 def _batched_counts(seed, probs, n, start, stop, out) -> None:
     """Fill ``out[start:stop]`` with + counts, many trials per kernel call."""
-    thresholds = np.concatenate([np.full(count, p) for count, p in probs])
+    thresholds = _thresholds(probs)
     step = max(1, _BATCH_BLOCKS // -(-n // 4))
     for lo in range(start, stop, step):
         hi = min(lo + step, stop)
@@ -189,19 +200,38 @@ def _batched_counts(seed, probs, n, start, stop, out) -> None:
 def _reset_counts(seed, probs, n, start, stop, out) -> None:
     """Fill ``out[start:stop]`` with + counts from one generator reset per trial.
 
-    Each component's draws come in pieces of at most ``_DRAW_BLOCK``; the
-    pieces continue one stream, so they are the trial's draws in order.
+    Up to ``_DRAW_BLOCK`` particles, each trial's draws fill one row of a
+    block of ``_DRAW_BLOCK // n`` trials, and one comparison counts the whole
+    block. Above that, each component's draws come in pieces of at most
+    ``_DRAW_BLOCK``; the pieces continue one stream, so they are the trial's
+    draws in order.
     """
     bit_generator = Philox(key=seed)
     generator = Generator(bit_generator)
     state = bit_generator.state
     counter = state["state"]["counter"]
-    buffer = np.empty(min(n, _DRAW_BLOCK))
+
     # ``state`` keeps the fresh generator's buffer_pos of 4 (no buffered
     # words), so each assignment also drops the previous trial's leftovers.
-    for t in range(start, stop):
+    def reset(t):
         counter[:] = (0, 0, t, 0)
         bit_generator.state = state
+
+    if n <= _DRAW_BLOCK:
+        thresholds = _thresholds(probs)
+        rows = _DRAW_BLOCK // n
+        buffer = np.empty((min(rows, stop - start), n))
+        for lo in range(start, stop, rows):
+            block = buffer[: min(rows, stop - lo)]
+            for t, row in enumerate(block, lo):
+                reset(t)
+                generator.random(out=row)
+            out[lo : lo + len(block)] = np.count_nonzero(block < thresholds, axis=1)
+        return
+
+    buffer = np.empty(_DRAW_BLOCK)
+    for t in range(start, stop):
+        reset(t)
         plus = 0
         for count, p in probs:
             for first in range(0, count, _DRAW_BLOCK):
@@ -223,8 +253,8 @@ def run_trials(
     Deterministic for fixed (ensemble, axis, trials, seed) at any worker
     count. Returns :class:`TrialStatistics`, or ``(stats, n_plus)`` when
     ``keep_counts`` is set, where ``n_plus[t]`` is trial t's number of +
-    outcomes. Trials split into ``min(workers, trials)`` contiguous chunks,
-    run on at most ``os.cpu_count()`` threads.
+    outcomes. Trials split into one contiguous chunk per thread, on
+    ``min(workers, trials, os.cpu_count())`` threads.
     """
     if trials < 2:
         raise ValueError("at least 2 trials are needed for an unbiased variance")
@@ -240,15 +270,16 @@ def run_trials(
         n_plus[:] = sum(count for count, p in probs if p == 1.0)
     else:
         fill = _batched_counts if n <= BATCH_MAX_PARTICLES else _reset_counts
-        size = -(-trials // workers)
-        chunks = [(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
-        threads = min(workers, len(chunks), os.cpu_count() or 1)
+        threads = min(workers, trials, os.cpu_count() or 1)
         if threads == 1:
-            for lo, hi in chunks:
-                fill(seed, probs, n, lo, hi, n_plus)
+            fill(seed, probs, n, 0, trials, n_plus)
         else:
+            bounds = [trials * i // threads for i in range(threads + 1)]
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = [pool.submit(fill, seed, probs, n, lo, hi, n_plus) for lo, hi in chunks]
+                futures = [
+                    pool.submit(fill, seed, probs, n, lo, hi, n_plus)
+                    for lo, hi in zip(bounds, bounds[1:])
+                ]
                 for future in futures:
                     future.result()
 

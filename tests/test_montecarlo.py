@@ -1,6 +1,7 @@
 """Unit tests for the simulated apparatus and exact distributions."""
 
 import math
+import os
 from concurrent.futures import Future
 from unittest import mock
 
@@ -352,7 +353,8 @@ SEEDS = st.one_of(st.integers(-(2**70), 2**70), st.integers(2**64 - 4, 2**64 + 4
     seed=SEEDS,
     workers=st.sampled_from([1, 2, 3]),
     batch_blocks=st.integers(1, 64),
-    draw_block=st.integers(1, 50),
+    # Below n, a trial's draws come in pieces; above, blocks of several trials.
+    draw_block=st.one_of(st.integers(1, 50), st.integers(51, 1000)),
 )
 # n = 70003 > 2**16 at the real draw block: the large component is drawn in two pieces.
 @example(case=(_tilted((3, 70_000)), Axis(1.1, 0.4)), trials=3, seed=2**64 - 1, workers=2,
@@ -362,11 +364,20 @@ SEEDS = st.one_of(st.integers(-(2**70), 2**70), st.integers(2**64 - 4, 2**64 + 4
          batch_blocks=None, draw_block=None)
 @example(case=(_tilted((6, 4, 3)), Axis(0.8, 0.7)), trials=5000, seed=7, workers=3,
          batch_blocks=None, draw_block=None)
+# n = 1000 at the real draw block: 65 trials per row block, and the chunks
+# of 200 trials start inside a block.
+@example(case=(_tilted((600, 400)), Axis(1.1, 0.4)), trials=200, seed=5, workers=3,
+         batch_blocks=None, draw_block=None)
+# n = _DRAW_BLOCK takes one-row blocks; one particle more takes the pieces.
+@example(case=(_tilted((3, montecarlo._DRAW_BLOCK - 3)), Axis(1.1, 0.4)), trials=3, seed=11,
+         workers=1, batch_blocks=None, draw_block=None)
+@example(case=(_tilted((3, montecarlo._DRAW_BLOCK - 2)), Axis(1.1, 0.4)), trials=3, seed=11,
+         workers=2, batch_blocks=None, draw_block=None)
 def test_run_trials_matches_reference_sampler(case, trials, seed, workers, batch_blocks, draw_block):
     """Trial by trial, every sampling path counts what the reference stream counts.
 
-    The batch and draw-block sizes are shrunk at random, so kernel calls and
-    draw blocks end at arbitrary trials and particles.
+    The batch and draw-block sizes are shrunk at random, so kernel calls, row
+    blocks and draw pieces end at arbitrary trials and particles.
     """
     e, axis = case
     with mock.patch.object(montecarlo, "_BATCH_BLOCKS", batch_blocks or montecarlo._BATCH_BLOCKS), \
@@ -430,3 +441,20 @@ def test_thread_pool_is_bounded(monkeypatch, workers, trials, cpus, pool_size):
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
     assert run_trials(e, X, trials, seed=4, workers=workers) == reference
     assert sizes == ([] if pool_size is None else [pool_size])
+
+
+@pytest.mark.parametrize("counts", [(6, 4, 2), (120, 80)])
+def test_huge_worker_count_cuts_one_chunk_per_thread(monkeypatch, counts):
+    """However many workers are asked for, each thread fills one chunk."""
+    e = _tilted(counts)
+    _, reference = run_trials(e, X, 5000, seed=9, keep_counts=True)
+    chunks = []
+    for name in ("_batched_counts", "_reset_counts"):
+        def counted(seed, probs, n, start, stop, out, fill=getattr(montecarlo, name)):
+            chunks.append((start, stop))
+            fill(seed, probs, n, start, stop, out)
+
+        monkeypatch.setattr(montecarlo, name, counted)
+    _, n_plus = run_trials(e, X, 5000, seed=9, workers=10**6, keep_counts=True)
+    assert n_plus.tolist() == reference.tolist()
+    assert 1 <= len(chunks) <= (os.cpu_count() or 1)
