@@ -1,25 +1,24 @@
-"""Ideal Stern-Gerlach simulation: per-particle Born sampling, trial statistics,
-and an exact convolution oracle for the total-spin distribution.
+"""Ideal Stern-Gerlach simulation: binomial sampling of each trial's + count,
+trial statistics, and an exact convolution oracle for the total-spin
+distribution.
 
-Reproducibility contract: the outcome of particle ``j`` in trial ``t`` under
-seed ``s`` is a pure function of ``(s, t, j)``. Trial ``t`` uses the uniforms
-of numpy's ``Generator(Philox(counter=t << 128, key=s mod 2**64)).random(n)``:
-draw ``j`` is word ``j mod 4`` of the Philox4x64-10 block with counter words
+Particles within a component are independent and identical, so a
+component's + count in one trial is a Binomial(count, p+) draw; only the law
+of the total matters. :func:`run_trials` cuts each component with
+0 < p+ < 1 into pieces of at most :data:`PIECE` particles (its full pieces
+first, then its remainder, components in order) and draws piece ``j`` of trial
+``t`` as one binomial, by inverting the piece's exact CDF at word ``j`` of the
+trial's stream. Components with p+ in {0, 1} add a constant and take no
+words.
+
+Reproducibility contract: the + count of piece ``j`` in trial ``t`` under
+seed ``s`` is a pure function of ``(s, t, j)``, whatever the worker count.
+Word ``j`` is the ``j``-th uniform of numpy's
+``Generator(Philox(counter=t << 128, key=s mod 2**64)).random()``: word
+``j mod 4`` of the Philox4x64-10 block with counter words
 ``[j // 4 + 1, 0, t, 0]`` and key ``[s mod 2**64, 0]``, turned into the double
-``(word >> 11) * 2**-53``, and the particle is measured + when that draw is
-below its Born probability p+. The outcome counts never depend on which of
-the sampling paths below ran, nor on how trials are split across threads.
-
-:func:`run_trials` picks its path from the inputs:
-
-* every component has p+ in {0, 1}: no draws at all, because a uniform in
-  [0, 1) is always below 1 and never below 0;
-* at most :data:`BATCH_MAX_PARTICLES` particles: a numpy Philox4x64-10 that
-  evaluates the blocks of many trials at once;
-* more particles: one numpy ``Philox`` per chunk of trials, its counter reset
-  to ``[0, 0, t, 0]`` for each trial. Up to 2**16 particles, one call draws a
-  whole trial into one row of a block of trials, and one comparison counts
-  the block; above that, a trial is drawn at most 2**16 uniforms at a time.
+``(word >> 11) * 2**-53``. A vectorized numpy kernel computes those words for
+many trials at once, so numpy's own generators are never called.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .ensemble import EnsembleSpec
 from .spin import Axis, SpinOutcome, born_probability, check_int, state_mean_and_variance
@@ -51,26 +49,16 @@ __all__ = [
 # box, numpy 2.4).
 MAX_SUPPORT_POINTS = 1_000_000
 
-# Ensembles of at most this many particles take the batched Philox kernel;
-# larger ones reset one generator per trial. The reset path pays a few
-# microseconds per trial, the batched one a flat cost per draw, so the
-# crossover hardly moves with the component count. Measured on a 2-core x86
-# box with numpy 2.4, one thread, 4e5 draws per case, the range of the
-# per-session medians over 2-4 sessions, batched vs reset (ms):
-#   one component    n=32: 29-32 vs 45-52   n=48: 26-35 vs 27-39
-#                    n=64: 29-35 vs 28-31   n=96: 27-28 vs 19-20
-#   three components n=32: 30-32 vs 53-54   n=48: 27-34 vs 27-38
-#                    n=64: 27-34 vs 25-34   n=96: 27-28 vs 19-20
-BATCH_MAX_PARTICLES = 56
+# Particles per piece. Building a piece's CDF by convolution takes about
+# 0.5 ms at 1024 particles, 7 ms at 4096 and 4-5 s at 10**7 (2-core x86 box,
+# numpy 2.4), while each trial takes one word per piece: pieces keep both the
+# setup and the per-trial work small, however large a component is.
+PIECE = 1024
 
-# Philox blocks per batched step: 64 KiB per temporary array, the fastest
-# of 2**10..2**18 on the box above.
+# A kernel call covers at most 4 * _BATCH_BLOCKS words, about 64 KiB per
+# temporary array. 2**13 blocks was the fastest of 2**10..2**18 when every
+# particle took a word (2-core x86 box, numpy 2.4).
 _BATCH_BLOCKS = 1 << 13
-
-# Uniforms a worker on the reset path holds at once, as a block of whole
-# trials or a piece of one trial, so it needs O(block) memory rather than
-# 8 bytes per particle.
-_DRAW_BLOCK = 1 << 16
 
 # Philox4x64-10 (ten rounds) multipliers and Weyl key increments (Salmon et
 # al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11), as in numpy.
@@ -166,11 +154,12 @@ def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return high, a * np.uint64(m)
 
 
-def _philox_uniforms(seed: int, start: int, stop: int, n: int) -> np.ndarray:
-    """The first ``n`` uniforms of trials ``start..stop-1``, one row per trial."""
-    blocks = -(-n // 4)
+def _philox_uniforms(seed: int, start: int, stop: int, first: int, count: int) -> np.ndarray:
+    """Uniforms ``first..first+count-1`` of trials ``start..stop-1``, one row per trial."""
+    skip = first // 4
+    blocks = -(-(first + count) // 4) - skip
     shape = (stop - start, blocks)
-    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), shape)
+    c0 = np.broadcast_to(np.arange(skip + 1, skip + blocks + 1, dtype=np.uint64), shape)
     c2 = np.broadcast_to(np.arange(start, stop, dtype=np.uint64)[:, None], shape)
     c1 = c3 = np.uint64(0)
     k0, k1 = seed, 0
@@ -179,65 +168,59 @@ def _philox_uniforms(seed: int, start: int, stop: int, n: int) -> np.ndarray:
         hi1, lo1 = _mulhilo(c2, _PHILOX_M1)
         c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
         k0, k1 = (k0 + _PHILOX_W0) & _U64_MASK, (k1 + _PHILOX_W1) & _U64_MASK
-    words = np.stack((c0, c1, c2, c3), axis=-1).reshape(stop - start, 4 * blocks)[:, :n]
+    words = np.stack((c0, c1, c2, c3), axis=-1).reshape(stop - start, 4 * blocks)
+    words = words[:, first - 4 * skip : first - 4 * skip + count]
     return (words >> np.uint64(11)) * 2.0**-53
 
 
-def _thresholds(probs) -> np.ndarray:
-    """Each particle's p+, in draw order."""
-    return np.concatenate([np.full(count, p) for count, p in probs])
+def _pieces(probs) -> tuple[int, list[tuple[int, int, np.ndarray, int]], int]:
+    """Lay out one trial's words: ``(certain, runs, width)``.
 
-
-def _batched_counts(seed, probs, n, start, stop, out) -> None:
-    """Fill ``out[start:stop]`` with + counts, many trials per kernel call."""
-    thresholds = _thresholds(probs)
-    step = max(1, _BATCH_BLOCKS // -(-n // 4))
-    for lo in range(start, stop, step):
-        hi = min(lo + step, stop)
-        out[lo:hi] = np.count_nonzero(_philox_uniforms(seed, lo, hi, n) < thresholds, axis=1)
-
-
-def _reset_counts(seed, probs, n, start, stop, out) -> None:
-    """Fill ``out[start:stop]`` with + counts from one generator reset per trial.
-
-    Up to ``_DRAW_BLOCK`` particles, each trial's draws fill one row of a
-    block of ``_DRAW_BLOCK // n`` trials, and one comparison counts the whole
-    block. Above that, each component's draws come in pieces of at most
-    ``_DRAW_BLOCK``; the pieces continue one stream, so they are the trial's
-    draws in order.
+    ``certain`` counts the particles with p+ = 1. Each component with
+    0 < p+ < 1 is cut into pieces of at most :data:`PIECE` particles, its full
+    pieces first, then its remainder, and each piece takes one word. ``runs``
+    lists ``(first, stop, cdf, offset)`` once for a component's full pieces
+    and once for its remainder: words ``first..stop-1`` each invert ``cdf``,
+    whose entry ``i`` is the probability of at most ``offset + i`` + outcomes
+    in the piece. ``width`` is the number of words.
     """
-    bit_generator = Philox(key=seed)
-    generator = Generator(bit_generator)
-    state = bit_generator.state
-    counter = state["state"]["counter"]
+    certain, runs, width = 0, [], 0
+    for count, p in probs:
+        if p == 1.0:
+            certain += count
+        elif p > 0.0:
+            full, rest = divmod(count, PIECE)
+            for pieces, size in ((full, PIECE), (1, rest)):
+                if pieces and size:
+                    pmf, offset = _binomial_count_pmf(size, p)
+                    runs.append((width, width + pieces, np.cumsum(pmf), offset))
+                    width += pieces
+    return certain, runs, width
 
-    # ``state`` keeps the fresh generator's buffer_pos of 4 (no buffered
-    # words), so each assignment also drops the previous trial's leftovers.
-    def reset(t):
-        counter[:] = (0, 0, t, 0)
-        bit_generator.state = state
 
-    if n <= _DRAW_BLOCK:
-        thresholds = _thresholds(probs)
-        rows = _DRAW_BLOCK // n
-        buffer = np.empty((min(rows, stop - start), n))
-        for lo in range(start, stop, rows):
-            block = buffer[: min(rows, stop - lo)]
-            for t, row in enumerate(block, lo):
-                reset(t)
-                generator.random(out=row)
-            out[lo : lo + len(block)] = np.count_nonzero(block < thresholds, axis=1)
-        return
+def _fill_counts(seed, certain, runs, width, start, stop, out) -> None:
+    """Fill ``out[start:stop]`` with + counts by inverting each piece's CDF.
 
-    buffer = np.empty(_DRAW_BLOCK)
-    for t in range(start, stop):
-        reset(t)
-        plus = 0
-        for count, p in probs:
-            for first in range(0, count, _DRAW_BLOCK):
-                draws = generator.random(out=buffer[: min(count - first, _DRAW_BLOCK)])
-                plus += np.count_nonzero(draws < p)
-        out[t] = plus
+    Piece ``j`` of trial ``t`` has ``offset + i`` + outcomes, where ``i`` is
+    the number of its CDF entries at or below word ``j`` of trial ``t``,
+    capped at the last index. A kernel call covers at most
+    ``4 * _BATCH_BLOCKS`` words: whole trials when they fit, else one trial's
+    words in column blocks, so memory does not grow with the ensemble.
+    """
+    budget = 4 * _BATCH_BLOCKS
+    rows = max(1, budget // max(width, 1))
+    for lo in range(start, stop, rows):
+        hi = min(lo + rows, stop)
+        plus = np.full(hi - lo, certain, dtype=np.int64)
+        for first in range(0, width, budget):
+            last = min(first + budget, width)
+            words = _philox_uniforms(seed, lo, hi, first, last - first)
+            for a, b, cdf, offset in runs:
+                a, b = max(a, first), min(b, last)
+                if a < b:
+                    index = np.searchsorted(cdf, words[:, a - first : b - first], side="right")
+                    plus += np.minimum(index, len(cdf) - 1).sum(axis=1) + offset * (b - a)
+        out[lo:hi] = plus
 
 
 def run_trials(
@@ -262,26 +245,22 @@ def run_trials(
         raise ValueError("worker count must be positive")
 
     seed = check_int(seed, "seed") % (1 << 64)
-    probs = _component_probabilities(e, axis)
+    certain, runs, width = _pieces(_component_probabilities(e, axis))
     n = e.total_count
     n_plus = np.empty(trials, dtype=np.int64)
 
-    if all(p in (0.0, 1.0) for _, p in probs):
-        n_plus[:] = sum(count for count, p in probs if p == 1.0)
+    threads = min(workers, trials, os.cpu_count() or 1)
+    if threads == 1:
+        _fill_counts(seed, certain, runs, width, 0, trials, n_plus)
     else:
-        fill = _batched_counts if n <= BATCH_MAX_PARTICLES else _reset_counts
-        threads = min(workers, trials, os.cpu_count() or 1)
-        if threads == 1:
-            fill(seed, probs, n, 0, trials, n_plus)
-        else:
-            bounds = [trials * i // threads for i in range(threads + 1)]
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = [
-                    pool.submit(fill, seed, probs, n, lo, hi, n_plus)
-                    for lo, hi in zip(bounds, bounds[1:])
-                ]
-                for future in futures:
-                    future.result()
+        bounds = [trials * i // threads for i in range(threads + 1)]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            futures = [
+                pool.submit(_fill_counts, seed, certain, runs, width, lo, hi, n_plus)
+                for lo, hi in zip(bounds, bounds[1:])
+            ]
+            for future in futures:
+                future.result()
 
     totals = 2 * n_plus - n
     stats = TrialStatistics(

@@ -21,8 +21,8 @@ TILTED_12 = {
     ],
 }
 
-# Three tilted components, 75000 particles: more than one 2**16-draw block
-# per trial, with a block edge inside the second component.
+# Three tilted components, 75000 particles: each is cut into full pieces of
+# 1024 particles and a remainder, 75 pieces per trial.
 TILTED_75K = {
     "name": "tilted-75k",
     "components": [
@@ -57,36 +57,36 @@ GOLDEN = {
         "ffe8148497afb0d30f3d2f5d61d7eaff8e8d158a743bc4264190e4f59fa84a86",
     ),
     "A-y-n1000": (
-        "5c9b89edba29ec03a1b1057b63cfc1ca503c8d085d7a4245a942c73421d0f432",
-        "5f8731e01ef0e1fdad1ae7211f5738131c8630325f3f619a64722bcf810e59a5",
+        "82c683d3c371f86284a9da7fa84dcd441ba69283813088f67c16b0dd60d6fc93",
+        "865415e69e8fdb241ebef56c7744df4a78ae1444ef66afc525a337e89b8b174b",
     ),
     "A-y-n40": (
-        "909cd891a3a21fa9baac46a440752129ae02f14832c9877a20d4c9192a2c21b9",
-        "8794cbe70c543cd09957b29f374378629af2a33b83757cc2c5e55f22026e3e12",
+        "b246fa8099494c60a6585b9e76b1cc9c7836f7294003b9eb6b399b6ec0596da6",
+        "50c03b77a4ae19d4fe5189885df50dc833a042817563accc52bff9be24ef4444",
     ),
     "A-z-n1000": (
-        "25ff21878127009e87561e049e39bdabfdcc5b95729f01e5ff70e196c3ff68d0",
-        "5f8731e01ef0e1fdad1ae7211f5738131c8630325f3f619a64722bcf810e59a5",
+        "a3ea8aa0ecc5f10123309348073c9a857f52941ecdef50c2a49896c4a981d536",
+        "865415e69e8fdb241ebef56c7744df4a78ae1444ef66afc525a337e89b8b174b",
     ),
     "A-z-n40": (
-        "5324d5f9b44f53458557d097b130ea167e1cb2947d4d8b9cb14175da11742e29",
-        "8794cbe70c543cd09957b29f374378629af2a33b83757cc2c5e55f22026e3e12",
+        "10643e1e6e69746f8fd570cac1d0396503edd197774d4d1cbcf68efcb2523481",
+        "50c03b77a4ae19d4fe5189885df50dc833a042817563accc52bff9be24ef4444",
     ),
     "B-x-n1000": (
-        "8c5a8891e00d5caff6f42a5dd6a7ff25a0d1afa0a6750fd274a2000a46d5e2ec",
-        "5f8731e01ef0e1fdad1ae7211f5738131c8630325f3f619a64722bcf810e59a5",
+        "3fcf83c984f585cecffd47ea1b730e54876bdfa146fa3d8c2c214b8d7e66dac8",
+        "865415e69e8fdb241ebef56c7744df4a78ae1444ef66afc525a337e89b8b174b",
     ),
     "B-x-n40": (
-        "7fdb25d7fec099be8ff4ae68fda3da3ae5e8f05a06d443bf2430fd31fb8522ea",
-        "8794cbe70c543cd09957b29f374378629af2a33b83757cc2c5e55f22026e3e12",
+        "f2f0ceb4941f00fd0aa279b5aa9d3618e1c72c369db0557eef10e2850d1afe56",
+        "50c03b77a4ae19d4fe5189885df50dc833a042817563accc52bff9be24ef4444",
     ),
     "B-y-n1000": (
-        "3f8443351fef98c3ad74d204d124a0d27bda8fa15f96e7c89c4e9e22968e1a37",
-        "5f8731e01ef0e1fdad1ae7211f5738131c8630325f3f619a64722bcf810e59a5",
+        "4f9690fff6bf0d2463d47509810b84513208d201496a8a2242f83082c1e376c5",
+        "865415e69e8fdb241ebef56c7744df4a78ae1444ef66afc525a337e89b8b174b",
     ),
     "B-y-n40": (
-        "ed70300b6299a1b7f04747cffd0c9ed784840919a684b2a22ffef6242338632b",
-        "8794cbe70c543cd09957b29f374378629af2a33b83757cc2c5e55f22026e3e12",
+        "7015b484a441f24d1acf72d86cdc899a3952d272cb99415835fe47a38a74e0de",
+        "50c03b77a4ae19d4fe5189885df50dc833a042817563accc52bff9be24ef4444",
     ),
     "B-z-n1000": (
         "a385a612dfe953580207fcb212c851315f057651a6cffafe37e8b8069b7d42de",
@@ -97,12 +97,12 @@ GOLDEN = {
         "ffe8148497afb0d30f3d2f5d61d7eaff8e8d158a743bc4264190e4f59fa84a86",
     ),
     "tilted-12": (
-        "655cda6cb1e794568779d408a7cab3719a29761abdc047aeab252811112dcc51",
-        "82c5dc1b6142b742389101d1b2087c294de46c97348b2e72f23d5ca966e2b677",
+        "d9a07f0a27040d44523d4d5d7051a67e602a6ea9e7d70dbb3159885ecbc18de4",
+        "9a19e8406405a34e39f117207b6a43a437e03f3094177da1fc8fa09b5e664090",
     ),
     "tilted-75k": (
-        "6ac97f3ba282fb0e6c1fe6657ca002407cae4d967333f387388c735b7b786e62",
-        "a1861873eab5cdf2813e99dbfa7cbcfa3253b4b299abfc2f64ef0829444b1506",
+        "96c2020d9cb7ef70f72b6f5086d5c507fa497bf3b8ca55a1b77d0971b7938f04",
+        "69bd928f57f7e1592eb4764a733bf1598791002e35e55234807e471e716986b5",
     ),
 }
 

@@ -2,6 +2,8 @@
 
 import math
 import os
+import statistics
+import tracemalloc
 from concurrent.futures import Future
 from unittest import mock
 
@@ -22,6 +24,7 @@ from conftest import (
     measure_particle,
     random_axis,
     random_ensemble,
+    reference_counts,
     slow_enumerate_totals,
 )
 from spinstat import montecarlo
@@ -100,11 +103,10 @@ class TestTrialRecord:
 
 class TestRunTrials:
     def test_matches_per_trial_measurement(self):
-        e = make_pair_ensemble(Axis(0.8, 2.0), 30)
-        sampler = SeededSampler(55)
+        # Two components of 1500: a full piece and a remainder each.
+        e = make_pair_ensemble(Axis(0.8, 2.0), 3000)
         _, n_plus = run_trials(e, X, 12, seed=55, keep_counts=True)
-        for t, plus in enumerate(n_plus.tolist()):
-            assert TrialRecord(t, 2 * plus - 30, plus, 30 - plus) == measure_ensemble_total(e, X, sampler, t)
+        assert n_plus.tolist() == reference_counts(e, X, 55, 12, montecarlo.PIECE)
 
     def test_worker_count_does_not_change_results(self):
         e = make_ensemble_B(100)
@@ -326,11 +328,11 @@ def _tilted(counts):
 def sampled_ensembles(draw):
     """An ensemble and a measurement axis for the sampler cross-check.
 
-    Up to three components of 0-90 particles, so n falls on both sides of
-    BATCH_MAX_PARTICLES. A component is an eigenstate either of the
-    measurement axis (p+ exactly 0 or 1) or of a random axis, so some
-    ensembles take the no-draw shortcut and some mix certain and random
-    outcomes.
+    Up to three components of 0-90 particles, so with a piece of 1-7
+    particles a trial has up to 270 pieces, more than the smallest kernel
+    call holds. A component is an eigenstate either of the measurement axis
+    (p+ exactly 0 or 1, so it takes no uniform) or of a random axis, so some
+    ensembles draw nothing and some mix certain and random outcomes.
     """
     axis = draw(axes())
     components = []
@@ -352,50 +354,107 @@ SEEDS = st.one_of(st.integers(-(2**70), 2**70), st.integers(2**64 - 4, 2**64 + 4
     trials=st.integers(2, 200),
     seed=SEEDS,
     workers=st.sampled_from([1, 2, 3]),
+    piece=st.integers(1, 7),
     batch_blocks=st.integers(1, 64),
-    # Below n, a trial's draws come in pieces; above, blocks of several trials.
-    draw_block=st.one_of(st.integers(1, 50), st.integers(51, 1000)),
 )
-# n = 70003 > 2**16 at the real draw block: the large component is drawn in two pieces.
+# 13 pieces of one particle against a 4-word kernel call: each trial is
+# drawn in four column blocks, the last one word wide.
+@example(case=(_tilted((6, 4, 3)), Axis(0.8, 0.7)), trials=5, seed=3, workers=2,
+         piece=1, batch_blocks=1)
+# At the real sizes: 68 full pieces and a remainder of 368 in the large
+# component, and 2**64 - 1 as the key.
 @example(case=(_tilted((3, 70_000)), Axis(1.1, 0.4)), trials=3, seed=2**64 - 1, workers=2,
-         batch_blocks=None, draw_block=None)
-# n = 13 at the real batch size: 2048 trials per kernel call, so 5000 trials cross two edges.
+         piece=None, batch_blocks=None)
+# n = 13 at the real sizes: three one-word pieces, 5000 trials in one kernel call.
 @example(case=(_tilted((6, 4, 3)), Axis(0.8, 0.7)), trials=5000, seed=2**64 + 1, workers=1,
-         batch_blocks=None, draw_block=None)
+         piece=None, batch_blocks=None)
 @example(case=(_tilted((6, 4, 3)), Axis(0.8, 0.7)), trials=5000, seed=7, workers=3,
-         batch_blocks=None, draw_block=None)
-# n = 1000 at the real draw block: 65 trials per row block, and the chunks
-# of 200 trials start inside a block.
-@example(case=(_tilted((600, 400)), Axis(1.1, 0.4)), trials=200, seed=5, workers=3,
-         batch_blocks=None, draw_block=None)
-# n = _DRAW_BLOCK takes one-row blocks; one particle more takes the pieces.
-@example(case=(_tilted((3, montecarlo._DRAW_BLOCK - 3)), Axis(1.1, 0.4)), trials=3, seed=11,
-         workers=1, batch_blocks=None, draw_block=None)
-@example(case=(_tilted((3, montecarlo._DRAW_BLOCK - 2)), Axis(1.1, 0.4)), trials=3, seed=11,
-         workers=2, batch_blocks=None, draw_block=None)
-def test_run_trials_matches_reference_sampler(case, trials, seed, workers, batch_blocks, draw_block):
-    """Trial by trial, every sampling path counts what the reference stream counts.
+         piece=None, batch_blocks=None)
+# A component of exactly one piece, then one particle more: a one-particle remainder.
+@example(case=(_tilted((3, montecarlo.PIECE)), Axis(1.1, 0.4)), trials=3, seed=11,
+         workers=1, piece=None, batch_blocks=None)
+@example(case=(_tilted((3, montecarlo.PIECE + 1)), Axis(1.1, 0.4)), trials=3, seed=11,
+         workers=2, piece=None, batch_blocks=None)
+def test_run_trials_matches_reference_sampler(case, trials, seed, workers, piece, batch_blocks):
+    """Trial by trial, ``run_trials`` counts what the dense-CDF reference counts.
 
-    The batch and draw-block sizes are shrunk at random, so kernel calls, row
-    blocks and draw pieces end at arbitrary trials and particles.
+    The piece and kernel-call sizes are shrunk at random, so pieces,
+    remainders, kernel calls and column blocks end at arbitrary places.
     """
     e, axis = case
-    with mock.patch.object(montecarlo, "_BATCH_BLOCKS", batch_blocks or montecarlo._BATCH_BLOCKS), \
-            mock.patch.object(montecarlo, "_DRAW_BLOCK", draw_block or montecarlo._DRAW_BLOCK):
-        stats, n_plus = run_trials(e, axis, trials, seed, workers=workers, keep_counts=True)
-    sampler = SeededSampler(seed)
-    expected = [measure_ensemble_total(e, axis, sampler, t).n_plus for t in range(trials)]
-    assert n_plus.tolist() == expected
-    assert stats == run_trials(e, axis, trials, seed)
+    piece = piece or montecarlo.PIECE
+    with mock.patch.object(montecarlo, "PIECE", piece):
+        with mock.patch.object(montecarlo, "_BATCH_BLOCKS", batch_blocks or montecarlo._BATCH_BLOCKS):
+            stats, n_plus = run_trials(e, axis, trials, seed, workers=workers, keep_counts=True)
+        assert stats == run_trials(e, axis, trials, seed)
+    assert n_plus.tolist() == reference_counts(e, axis, seed, trials, piece)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_totals_follow_the_exact_distribution(seed):
+    """Chi-square of 2*10**5 sampled totals against ``exact_total_distribution``.
+
+    Four tilted components of 1500, 1100, 700 and 2100 particles: full
+    pieces, remainders, and one component that is only a remainder. Adjacent
+    totals are merged until each bin expects at least 20 trials, which gives
+    129 bins (128 degrees of freedom). The threshold, 219.2, is the
+    Wilson-Hilferty chi-square quantile at 1 - 1e-6: a correct sampler fails
+    for a given seed with probability 9.5e-7, so both seeds together about
+    2e-6. The seeds are fixed, so the outcome does not change between runs;
+    seeds 1 and 2 give 134.1 and 129.1, and seeds 1-20 average 127.6.
+    """
+    e, axis, trials = _tilted((1500, 1100, 700, 2100)), Axis(0.8, 0.7), 200_000
+    _, n_plus = run_trials(e, axis, trials, seed, keep_counts=True)
+    dist = exact_total_distribution(e, axis)
+    index = np.searchsorted(dist.support, 2 * n_plus - e.total_count)
+    assert np.array_equal(dist.support[index], 2 * n_plus - e.total_count)
+
+    expected = dist.probabilities * trials
+    starts, filled = [0], 0.0
+    for i, m in enumerate(expected[:-1]):
+        filled += m
+        if filled >= 20.0:
+            starts.append(i + 1)
+            filled = 0.0
+    if expected[starts[-1]:].sum() < 20.0:
+        starts.pop()
+    observed = np.add.reduceat(np.bincount(index, minlength=len(expected)), starts)
+    expected = np.add.reduceat(expected, starts)
+    chi2 = float(((observed - expected) ** 2 / expected).sum())
+    df = len(starts) - 1
+    z = statistics.NormalDist().inv_cdf(1.0 - 1e-6)
+    threshold = df * (1.0 - 2.0 / (9 * df) + z * math.sqrt(2.0 / (9 * df))) ** 3
+    assert df >= 100
+    assert chi2 <= threshold, (chi2, df, threshold)
+
+
+def test_peak_memory_does_not_grow_with_the_ensemble():
+    """2**26 and 2**30 particles peak alike, at about 1.7 MiB.
+
+    A trial of 2**30 particles has 2**20 pieces, 32 times the words of one
+    kernel call, so it is drawn in column blocks; holding all its words at
+    once would take 8 MiB.
+    """
+    peaks = []
+    for k in (26, 30):
+        tracemalloc.start()
+        try:
+            run_trials(_tilted((2 ** (k - 1), 2 ** (k - 1))), Z, 2, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
+    assert peaks[1] < 4 * 2**20
 
 
 def test_certain_outcomes_draw_no_uniforms(monkeypatch):
     def no_sampling(*args):
         raise AssertionError("drew uniforms for outcomes that are certain")
 
-    monkeypatch.setattr(montecarlo, "_batched_counts", no_sampling)
-    monkeypatch.setattr(montecarlo, "_reset_counts", no_sampling)
+    monkeypatch.setattr(montecarlo, "_philox_uniforms", no_sampling)
     _, n_plus = run_trials(make_ensemble_A(1000), X, 50, seed=3, keep_counts=True)
+    assert n_plus.tolist() == [500] * 50
+    _, n_plus = run_trials(make_ensemble_B(1000), Z, 50, seed=3, workers=2, keep_counts=True)
     assert n_plus.tolist() == [500] * 50
     along_x = EnsembleSpec((
         EnsembleComponent(eigenstate(X, SpinOutcome.PLUS), 3),
@@ -403,6 +462,22 @@ def test_certain_outcomes_draw_no_uniforms(monkeypatch):
     ))
     stats = run_trials(along_x, X, 10, seed=0)
     assert stats.sample_mean == -2.0 and stats.sample_variance == 0.0
+
+
+def test_largest_certain_ensemble_builds_nothing(monkeypatch):
+    """2**53 particles with certain outcomes: no CDF and no uniform, so it returns at once."""
+    def no_work(*args):
+        raise AssertionError("built a CDF or drew uniforms for certain outcomes")
+
+    monkeypatch.setattr(montecarlo, "_philox_uniforms", no_work)
+    monkeypatch.setattr(montecarlo, "_binomial_count_pmf", no_work)
+    e = EnsembleSpec((
+        EnsembleComponent(eigenstate(Z, SpinOutcome.PLUS), 2**52 + 1),
+        EnsembleComponent(eigenstate(Z, SpinOutcome.MINUS), 2**52 - 1),
+    ))
+    stats, n_plus = run_trials(e, Z, 1000, seed=5, workers=2, keep_counts=True)
+    assert n_plus.tolist() == [2**52 + 1] * 1000
+    assert (stats.sample_mean, stats.sample_variance, stats.min_total, stats.max_total) == (2.0, 0.0, 2, 2)
 
 
 @pytest.mark.parametrize(
@@ -449,12 +524,12 @@ def test_huge_worker_count_cuts_one_chunk_per_thread(monkeypatch, counts):
     e = _tilted(counts)
     _, reference = run_trials(e, X, 5000, seed=9, keep_counts=True)
     chunks = []
-    for name in ("_batched_counts", "_reset_counts"):
-        def counted(seed, probs, n, start, stop, out, fill=getattr(montecarlo, name)):
-            chunks.append((start, stop))
-            fill(seed, probs, n, start, stop, out)
 
-        monkeypatch.setattr(montecarlo, name, counted)
+    def counted(seed, certain, runs, width, start, stop, out, fill=montecarlo._fill_counts):
+        chunks.append((start, stop))
+        fill(seed, certain, runs, width, start, stop, out)
+
+    monkeypatch.setattr(montecarlo, "_fill_counts", counted)
     _, n_plus = run_trials(e, X, 5000, seed=9, workers=10**6, keep_counts=True)
     assert n_plus.tolist() == reference.tolist()
     assert 1 <= len(chunks) <= (os.cpu_count() or 1)
