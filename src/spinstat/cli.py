@@ -6,8 +6,9 @@ Three subcommands:
 * ``demo``    -- run one of the preset ensembles (A or B) from flags alone
 * ``paradox`` -- print the variance-operator contradiction report as JSON
 
-Identical invocations write byte-identical outputs regardless of worker
-count; failures exit nonzero with a named error category on stderr.
+Identical invocations write byte-identical outputs; ``--workers`` is still
+checked but has no effect, since every run draws from one stream on one
+thread. Failures exit nonzero with a named error category on stderr.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run an experiment from a JSON config file")
     run_p.add_argument("--config", required=True, help="path to the experiment config JSON")
-    run_p.add_argument("--workers", type=int, default=None, help="override the config's worker count")
+    run_p.add_argument("--workers", type=int, default=None, help="accepted and checked; has no effect")
 
     demo_p = sub.add_parser("demo", help="run a preset ensemble experiment from flags")
     demo_p.add_argument("--ensemble", required=True, choices=["A", "B"], help="preset preparation")
@@ -56,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo_p.add_argument("--hbar", type=float, default=1.0, help="value of hbar for physical units")
     demo_p.add_argument("--out", default=None, metavar="report.json", help="write the JSON report here")
     demo_p.add_argument("--totals", default=None, metavar="totals.csv", help="write per-trial totals here")
-    demo_p.add_argument("--workers", type=int, default=1, help="simulation worker threads")
+    demo_p.add_argument("--workers", type=int, default=1, help="accepted and checked; has no effect")
 
     paradox_p = sub.add_parser("paradox", help="emit the variance-operator contradiction report")
     paradox_p.add_argument("--samples", type=int, default=100_000, help="random states for the fit")

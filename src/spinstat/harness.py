@@ -4,7 +4,7 @@ An experiment takes one ensemble and one axis, computes the preparation-aware
 prediction and both density-formalism predictions, runs the Monte Carlo
 trials, and reports which predictors the data supports. Reports are written
 as canonical JSON (plus a CSV of per-trial totals) and are byte-identical for
-identical configurations at any worker count.
+identical configurations.
 """
 
 from __future__ import annotations
@@ -69,8 +69,9 @@ class ExperimentConfig:
     """One experiment: an ensemble, an axis, and the sampling parameters.
 
     ``ensemble_json`` keeps the user's raw ensemble form so reports echo the
-    configuration as given. ``workers`` is an execution detail and is never
-    echoed into reports.
+    configuration as given. ``workers`` is still checked but has no effect,
+    since every run draws from one stream on one thread; it is never echoed
+    into reports.
     """
 
     ensemble: EnsembleSpec
@@ -237,9 +238,7 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
         method="density_unnormalized",
     )
 
-    empirical, n_plus = run_trials(
-        cfg.ensemble, cfg.axis, cfg.trials, cfg.seed, workers=cfg.workers, keep_counts=True
-    )
+    empirical, n_plus = run_trials(cfg.ensemble, cfg.axis, cfg.trials, cfg.seed, keep_counts=True)
 
     report = ComparisonReport(
         config=cfg.echo_json(),

@@ -6,32 +6,26 @@ Particles within a component are independent and identical, so a
 component's + count in one trial is a Binomial(count, p+) draw; only the law
 of the total matters. :func:`run_trials` cuts each component with
 0 < p+ < 1 into pieces of at most :data:`PIECE` particles (its full pieces
-first, then its remainder, components in order) and draws piece ``j`` of trial
-``t`` as one binomial, by inverting the piece's exact CDF at word ``j`` of the
-trial's stream. Components with p+ in {0, 1} add a constant and take no
-words.
+first, then its remainder, components in order) and draws each piece of each
+trial as one binomial, by inverting the piece's exact CDF at one uniform word.
+Components with p+ in {0, 1} add a constant and take no words.
 
-Reproducibility contract: the + count of piece ``j`` in trial ``t`` under
-seed ``s`` is a pure function of ``(s, t, j)``, whatever the worker count.
-Word ``j`` is the ``j``-th uniform of numpy's
-``Generator(Philox(counter=t << 128, key=s mod 2**64)).random()``: word
-``j mod 4`` of the Philox4x64-10 block with counter words
-``[j // 4 + 1, 0, t, 0]`` and key ``[s mod 2**64, 0]``, turned into the double
-``(word >> 11) * 2**-53``. A vectorized numpy kernel computes those words for
-many trials at once, so numpy's own generators are never called.
+Reproducibility contract: every word comes from one stream, numpy's
+``Generator(Philox(key=s mod 2**64)).random()`` under seed ``s``, taken in
+trial order. With ``width`` pieces per trial, piece ``j`` of trial ``t``
+inverts word ``t * width + j``, so the + counts are a pure function of the
+ensemble, the axis, the trial count and the seed.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ensemble import EnsembleSpec
-from .spin import Axis, SpinOutcome, born_probability, check_int, state_mean_and_variance
+from .spin import Axis, ConfigError, SpinOutcome, born_probability, check_int, state_mean_and_variance
 
 __all__ = [
     "TrialStatistics",
@@ -55,18 +49,16 @@ MAX_SUPPORT_POINTS = 1_000_000
 # setup and the per-trial work small, however large a component is.
 PIECE = 1024
 
-# A kernel call covers at most 4 * _BATCH_BLOCKS words, about 64 KiB per
-# temporary array. 2**13 blocks was the fastest of 2**10..2**18 when every
-# particle took a word (2-core x86 box, numpy 2.4).
-_BATCH_BLOCKS = 1 << 13
+# One draw takes at most this many words, 256 KiB of doubles: whole trials
+# when they fit, else one trial in column blocks, so memory stays flat however
+# large the ensemble.
+_BLOCK_WORDS = 1 << 15
 
-# Philox4x64-10 (ten rounds) multipliers and Weyl key increments (Salmon et
-# al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11), as in numpy.
-_PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
-_PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
-_U64_MASK = (1 << 64) - 1
-_LO32 = np.uint64(0xFFFFFFFF)
-_S32 = np.uint64(32)
+# Most words one run may draw (trials times pieces per trial), checked before
+# the first draw. At the edge, 4 trials of 1.5 * 10**8 pieces took 48 s and
+# 10**7 trials of 60 pieces 46 s (2-core x86 box, numpy 2.4). Unbounded, one
+# component of 2**53 particles at p+ = 1/2 would take 2**43 words per trial.
+MAX_WORDS = 6 * 10**8
 
 
 @dataclass(frozen=True)
@@ -140,39 +132,6 @@ def _component_probabilities(e: EnsembleSpec, axis: Axis) -> list[tuple[int, flo
     ]
 
 
-def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit products ``a * m``.
-
-    numpy has no 128-bit integers: the low word is the wrapping uint64
-    product, the high word is assembled from 32-bit halves.
-    """
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    a_lo, a_hi = a & _LO32, a >> _S32
-    lo_hi, hi_lo = a_lo * m_hi, a_hi * m_lo
-    carry = ((a_lo * m_lo) >> _S32) + (lo_hi & _LO32) + (hi_lo & _LO32)
-    high = a_hi * m_hi + (lo_hi >> _S32) + (hi_lo >> _S32) + (carry >> _S32)
-    return high, a * np.uint64(m)
-
-
-def _philox_uniforms(seed: int, start: int, stop: int, first: int, count: int) -> np.ndarray:
-    """Uniforms ``first..first+count-1`` of trials ``start..stop-1``, one row per trial."""
-    skip = first // 4
-    blocks = -(-(first + count) // 4) - skip
-    shape = (stop - start, blocks)
-    c0 = np.broadcast_to(np.arange(skip + 1, skip + blocks + 1, dtype=np.uint64), shape)
-    c2 = np.broadcast_to(np.arange(start, stop, dtype=np.uint64)[:, None], shape)
-    c1 = c3 = np.uint64(0)
-    k0, k1 = seed, 0
-    for _ in range(10):
-        hi0, lo0 = _mulhilo(c0, _PHILOX_M0)
-        hi1, lo1 = _mulhilo(c2, _PHILOX_M1)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
-        k0, k1 = (k0 + _PHILOX_W0) & _U64_MASK, (k1 + _PHILOX_W1) & _U64_MASK
-    words = np.stack((c0, c1, c2, c3), axis=-1).reshape(stop - start, 4 * blocks)
-    words = words[:, first - 4 * skip : first - 4 * skip + count]
-    return (words >> np.uint64(11)) * 2.0**-53
-
-
 def _pieces(probs) -> tuple[int, list[tuple[int, int, np.ndarray, int]], int]:
     """Lay out one trial's words: ``(certain, runs, width)``.
 
@@ -198,70 +157,41 @@ def _pieces(probs) -> tuple[int, list[tuple[int, int, np.ndarray, int]], int]:
     return certain, runs, width
 
 
-def _fill_counts(seed, certain, runs, width, start, stop, out) -> None:
-    """Fill ``out[start:stop]`` with + counts by inverting each piece's CDF.
-
-    Piece ``j`` of trial ``t`` has ``offset + i`` + outcomes, where ``i`` is
-    the number of its CDF entries at or below word ``j`` of trial ``t``,
-    capped at the last index. A kernel call covers at most
-    ``4 * _BATCH_BLOCKS`` words: whole trials when they fit, else one trial's
-    words in column blocks, so memory does not grow with the ensemble.
-    """
-    budget = 4 * _BATCH_BLOCKS
-    rows = max(1, budget // max(width, 1))
-    for lo in range(start, stop, rows):
-        hi = min(lo + rows, stop)
-        plus = np.full(hi - lo, certain, dtype=np.int64)
-        for first in range(0, width, budget):
-            last = min(first + budget, width)
-            words = _philox_uniforms(seed, lo, hi, first, last - first)
-            for a, b, cdf, offset in runs:
-                a, b = max(a, first), min(b, last)
-                if a < b:
-                    index = np.searchsorted(cdf, words[:, a - first : b - first], side="right")
-                    plus += np.minimum(index, len(cdf) - 1).sum(axis=1) + offset * (b - a)
-        out[lo:hi] = plus
-
-
-def run_trials(
-    e: EnsembleSpec,
-    axis: Axis,
-    trials: int,
-    seed: int,
-    workers: int = 1,
-    keep_counts: bool = False,
-):
+def run_trials(e: EnsembleSpec, axis: Axis, trials: int, seed: int, keep_counts: bool = False):
     """Repeat the full-ensemble measurement and summarize the totals.
 
-    Deterministic for fixed (ensemble, axis, trials, seed) at any worker
-    count. Returns :class:`TrialStatistics`, or ``(stats, n_plus)`` when
-    ``keep_counts`` is set, where ``n_plus[t]`` is trial t's number of +
-    outcomes. Trials split into one contiguous chunk per thread, on
-    ``min(workers, trials, os.cpu_count())`` threads.
+    Deterministic for fixed (ensemble, axis, trials, seed). Returns
+    :class:`TrialStatistics`, or ``(stats, n_plus)`` when ``keep_counts`` is
+    set, where ``n_plus[t]`` is trial t's number of + outcomes. Piece ``j`` of
+    trial ``t`` has ``offset + i`` + outcomes, where ``i`` is the number of
+    its CDF entries at or below the piece's word, capped at the last index.
     """
     if trials < 2:
         raise ValueError("at least 2 trials are needed for an unbiased variance")
-    if workers < 1:
-        raise ValueError("worker count must be positive")
 
     seed = check_int(seed, "seed") % (1 << 64)
     certain, runs, width = _pieces(_component_probabilities(e, axis))
+    if trials * width > MAX_WORDS:
+        problem = f"is {trials}, and at {width} words per trial the run exceeds the budget of {MAX_WORDS} words"
+        raise ConfigError(problem, "trials")
+    n_plus = np.full(trials, certain, dtype=np.int64)
+    if width:
+        # Named here, not imported at the top: numpy 2 loads numpy.random on
+        # first use, so its 10-13 ms import is not paid at every start-up.
+        stream = np.random.Generator(np.random.Philox(key=seed))
+        rows = max(1, _BLOCK_WORDS // width)
+        for lo in range(0, trials, rows):
+            hi = min(lo + rows, trials)
+            for first in range(0, width, _BLOCK_WORDS):
+                last = min(first + _BLOCK_WORDS, width)
+                words = stream.random((hi - lo, last - first))
+                for a, b, cdf, offset in runs:
+                    a, b = max(a, first), min(b, last)
+                    if a < b:
+                        index = np.searchsorted(cdf, words[:, a - first : b - first], side="right")
+                        n_plus[lo:hi] += np.minimum(index, len(cdf) - 1).sum(axis=1) + offset * (b - a)
+
     n = e.total_count
-    n_plus = np.empty(trials, dtype=np.int64)
-
-    threads = min(workers, trials, os.cpu_count() or 1)
-    if threads == 1:
-        _fill_counts(seed, certain, runs, width, 0, trials, n_plus)
-    else:
-        bounds = [trials * i // threads for i in range(threads + 1)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_fill_counts, seed, certain, runs, width, lo, hi, n_plus)
-                for lo, hi in zip(bounds, bounds[1:])
-            ]
-            for future in futures:
-                future.result()
-
     totals = 2 * n_plus - n
     stats = TrialStatistics(
         trials=trials,

@@ -10,7 +10,6 @@ import bisect
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import strategies as st
@@ -186,42 +185,17 @@ def statistical_average_expectation(e: EnsembleSpec, axis: Axis, extensive: bool
     return total
 
 
-@dataclass(frozen=True)
-class SeededSampler:
-    """Reference random source: a fresh numpy Philox generator per trial.
-
-    Trial ``t`` draws from a Philox generator whose 256-bit counter starts at
-    ``t * 2**128``; within a trial, particle ``j`` consumes the ``j``-th
-    uniform. ``run_trials`` must reproduce these draws' outcomes exactly.
-    """
-
-    seed: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", self.seed % (1 << 64))
-
-    def stream(self, trial_index: int) -> Generator:
-        if trial_index < 0:
-            raise ValueError("trial index must be non-negative")
-        return Generator(Philox(counter=trial_index << 128, key=self.seed))
-
-    def uniforms(self, trial_index: int, count: int) -> np.ndarray:
-        """The first ``count`` uniform draws of the trial's stream."""
-        return self.stream(trial_index).random(count)
-
-
 def reference_counts(e: EnsembleSpec, axis: Axis, seed: int, trials: int, piece: int) -> list[int]:
-    """Reference for ``run_trials``: each trial's + count, one trial at a time.
+    """Reference for ``run_trials``: each trial's + count, one piece at a time.
 
     Each component with 0 < p+ < 1 is cut into pieces of at most ``piece``
-    particles, its full pieces first, then its remainder. Trial ``t`` takes
-    ``SeededSampler(seed).uniforms(t, pieces)`` and counts, for each piece,
-    the entries of its CDF at or below the piece's uniform with
-    ``bisect_right``, capped at the last count with nonzero probability. The
-    CDF is the running sum of ``dense_binomial_count_pmf`` divided by its exact
-    sum. Components with p+ in {0, 1} add their + count and take no uniform.
+    particles, its full pieces first, then its remainder. Every piece of every
+    trial, in trial order, takes the next scalar ``random()`` of one
+    ``Generator(Philox(key=seed % 2**64))`` and counts the entries of its CDF
+    at or below it with ``bisect_right``, capped at the last count with
+    nonzero probability. The CDF is the running sum of
+    ``dense_binomial_count_pmf`` divided by its exact sum. Components with
+    p+ in {0, 1} add their + count and take no uniform.
 
     The dense and the trimmed convolution may round an entry differently in
     its last bits. Over 10**4 CDFs of 511-1024 particles, about 7 of the
@@ -245,48 +219,8 @@ def reference_counts(e: EnsembleSpec, axis: Axis, seed: int, trials: int, piece:
                 cdfs += [dense_cdf(piece, p_plus)] * full
             if rest:
                 cdfs.append(dense_cdf(rest, p_plus))
-    sampler = SeededSampler(seed)
+    stream = Generator(Philox(key=seed % 2**64))
     return [
-        certain + sum(
-            min(bisect.bisect_right(cdf, u), last)
-            for (cdf, last), u in zip(cdfs, sampler.uniforms(t, len(cdfs)).tolist())
-        )
-        for t in range(trials)
+        certain + sum(min(bisect.bisect_right(cdf, stream.random()), last) for cdf, last in cdfs)
+        for _ in range(trials)
     ]
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """Outcome of measuring every particle of the ensemble once."""
-
-    trial_index: int
-    total_half_quanta: int
-    n_plus: int
-    n_minus: int
-
-    def __post_init__(self) -> None:
-        if self.n_plus < 0 or self.n_minus < 0:
-            raise ValueError("outcome counts must be non-negative")
-        if self.total_half_quanta != self.n_plus - self.n_minus:
-            raise ValueError("total must equal n_plus - n_minus")
-
-
-def measure_particle(state, axis: Axis, draw: float) -> SpinOutcome:
-    """Reference projective measurement of one particle given a uniform draw in [0, 1)."""
-    if not (0.0 <= draw < 1.0):
-        raise ValueError(f"draw must lie in [0, 1), got {draw!r}")
-    p_plus = born_probability(state, axis, SpinOutcome.PLUS)
-    return SpinOutcome.PLUS if draw < p_plus else SpinOutcome.MINUS
-
-
-def measure_ensemble_total(e: EnsembleSpec, axis: Axis, sampler: SeededSampler, trial_index: int) -> TrialRecord:
-    """Reference trial: measure every particle once against its own stream."""
-    n = e.total_count
-    draws = sampler.uniforms(trial_index, n)
-    plus = 0
-    offset = 0
-    for comp in e.components:
-        p_plus = born_probability(comp.state, axis, SpinOutcome.PLUS)
-        plus += int(np.count_nonzero(draws[offset : offset + comp.count] < p_plus))
-        offset += comp.count
-    return TrialRecord(trial_index, 2 * plus - n, plus, n - plus)

@@ -180,7 +180,7 @@ def test_criterion_8_generalized_axis_variance_law():
 
 def test_criterion_9_cli_outputs_byte_identical(tmp_path):
     """Identical CLI invocations (same seed) give byte-identical report.json and totals.csv
-    across 1-thread and many-thread runs."""
+    across repeats and across --workers values."""
     args = ["demo", "--ensemble", "B", "--n", "1000", "--trials", "10000", "--axis", "x", "--seed", "42"]
     outputs = {}
     for label, workers in (("one", "1"), ("one_again", "1"), ("many", "8")):

@@ -57,36 +57,36 @@ GOLDEN = {
         "ffe8148497afb0d30f3d2f5d61d7eaff8e8d158a743bc4264190e4f59fa84a86",
     ),
     "A-y-n1000": (
-        "82c683d3c371f86284a9da7fa84dcd441ba69283813088f67c16b0dd60d6fc93",
-        "865415e69e8fdb241ebef56c7744df4a78ae1444ef66afc525a337e89b8b174b",
+        "3dbc6ea60ee36ea0a4403cfce68d9aede683d685e689c98cf4899f9db440124b",
+        "4e218a44e83b8c881b07562fe9c220e2cfa9f3eb301f3ad00b26f68f2d262d02",
     ),
     "A-y-n40": (
-        "b246fa8099494c60a6585b9e76b1cc9c7836f7294003b9eb6b399b6ec0596da6",
-        "50c03b77a4ae19d4fe5189885df50dc833a042817563accc52bff9be24ef4444",
+        "28d1895d96f89ed9508923d62d393fba9c9b809aff6deef7876a2b227b051560",
+        "49b4f021164990ac180df3700e76ae83f0404f5024dccf0dd64075bf24a02e8f",
     ),
     "A-z-n1000": (
-        "a3ea8aa0ecc5f10123309348073c9a857f52941ecdef50c2a49896c4a981d536",
-        "865415e69e8fdb241ebef56c7744df4a78ae1444ef66afc525a337e89b8b174b",
+        "03adffc3ebbaf2209022fd84d816f40ef42be17e84c43d052f72e193c8f9bf65",
+        "4e218a44e83b8c881b07562fe9c220e2cfa9f3eb301f3ad00b26f68f2d262d02",
     ),
     "A-z-n40": (
-        "10643e1e6e69746f8fd570cac1d0396503edd197774d4d1cbcf68efcb2523481",
-        "50c03b77a4ae19d4fe5189885df50dc833a042817563accc52bff9be24ef4444",
+        "aa4476f19f014d34bc239588a488b4cea704f3984ffe338a358fc7683379e441",
+        "49b4f021164990ac180df3700e76ae83f0404f5024dccf0dd64075bf24a02e8f",
     ),
     "B-x-n1000": (
-        "3fcf83c984f585cecffd47ea1b730e54876bdfa146fa3d8c2c214b8d7e66dac8",
-        "865415e69e8fdb241ebef56c7744df4a78ae1444ef66afc525a337e89b8b174b",
+        "d118aefa22fb2c73a6df123f4f5804c06bd281ea8fde7b36b9b290ddab1402bc",
+        "4e218a44e83b8c881b07562fe9c220e2cfa9f3eb301f3ad00b26f68f2d262d02",
     ),
     "B-x-n40": (
-        "f2f0ceb4941f00fd0aa279b5aa9d3618e1c72c369db0557eef10e2850d1afe56",
-        "50c03b77a4ae19d4fe5189885df50dc833a042817563accc52bff9be24ef4444",
+        "a05e2ef6c076c0956aaa89b228d74c621cac117f2f3396e2f8f7bbcf352e1afe",
+        "49b4f021164990ac180df3700e76ae83f0404f5024dccf0dd64075bf24a02e8f",
     ),
     "B-y-n1000": (
-        "4f9690fff6bf0d2463d47509810b84513208d201496a8a2242f83082c1e376c5",
-        "865415e69e8fdb241ebef56c7744df4a78ae1444ef66afc525a337e89b8b174b",
+        "cb185460ae8beae16fa8e38421b53ce0e1f34df4c09b682fd659522de33dc503",
+        "4e218a44e83b8c881b07562fe9c220e2cfa9f3eb301f3ad00b26f68f2d262d02",
     ),
     "B-y-n40": (
-        "7015b484a441f24d1acf72d86cdc899a3952d272cb99415835fe47a38a74e0de",
-        "50c03b77a4ae19d4fe5189885df50dc833a042817563accc52bff9be24ef4444",
+        "91216cdfd6573165d529e9678a54d68e08287736409e5115064b448cdce3ac5e",
+        "49b4f021164990ac180df3700e76ae83f0404f5024dccf0dd64075bf24a02e8f",
     ),
     "B-z-n1000": (
         "a385a612dfe953580207fcb212c851315f057651a6cffafe37e8b8069b7d42de",
@@ -97,12 +97,12 @@ GOLDEN = {
         "ffe8148497afb0d30f3d2f5d61d7eaff8e8d158a743bc4264190e4f59fa84a86",
     ),
     "tilted-12": (
-        "d9a07f0a27040d44523d4d5d7051a67e602a6ea9e7d70dbb3159885ecbc18de4",
-        "9a19e8406405a34e39f117207b6a43a437e03f3094177da1fc8fa09b5e664090",
+        "81e745d5fdb9be532b40fbe22b5a955e96bcdafbc100c6d543aaa2a805bf7c66",
+        "ad0b95a790170a27ec165cc0bf60be8e94681d69548302bfdf84659f892c14d6",
     ),
     "tilted-75k": (
-        "96c2020d9cb7ef70f72b6f5086d5c507fa497bf3b8ca55a1b77d0971b7938f04",
-        "69bd928f57f7e1592eb4764a733bf1598791002e35e55234807e471e716986b5",
+        "764bb401843a797129fa712ee7abfeba1ce8d693f9e8a6397ace270d0bd16089",
+        "411da78c896c7ca3ddbe16e7384c115c838f59bca6696a606097f9a6ab5b02f5",
     ),
 }
 

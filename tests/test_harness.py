@@ -6,8 +6,10 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -169,12 +171,12 @@ class TestDemoParadox:
         assert demo_paradox(1000, 9) == demo_paradox(1000, 9)
 
 
-def run_cli(*args, cwd=None):
+def run_python(*args, cwd=None):
     # The child imports the same spinstat as this process, installed or not.
     src = str(Path(spinstat.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, "-m", "spinstat", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         cwd=cwd,
@@ -183,7 +185,26 @@ def run_cli(*args, cwd=None):
     )
 
 
+def run_cli(*args, cwd=None):
+    return run_python("-m", "spinstat", *args, cwd=cwd)
+
+
 class TestCli:
+    def test_import_leaves_numpy_random_unloaded(self):
+        """``numpy.random`` loads at the first random draw, not at start-up.
+
+        numpy 2 loads it lazily, and importing it takes 10-13 ms; older numpy
+        imports it with numpy itself, so the check is against numpy's own import.
+        """
+        code = (
+            "import sys, numpy; before = 'numpy.random' in sys.modules; import spinstat.cli; "
+            "print(before, 'numpy.random' in sys.modules)"
+        )
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        before, after = proc.stdout.split()
+        assert after == before
+
     def test_demo_writes_expected_files(self, tmp_path):
         report = tmp_path / "report.json"
         totals = tmp_path / "totals.csv"
@@ -313,6 +334,15 @@ class TestMalformedConfigs:
     def test_boolean_workers(self, tmp_path, capsys):
         data = dict(_tilted_config(), workers=True)
         assert "field 'workers'" in self.run_config(tmp_path, capsys, data)
+
+    def test_simulation_budget_is_checked_before_any_draw(self, tmp_path, capsys, monkeypatch):
+        # 2**53 particles at p+ = 1/2 take 2**43 words per trial, about 10**6 s.
+        data = dict(_tilted_config(axis="z", count=2**53), trials=2)
+        monkeypatch.setattr(np.random, "Philox", lambda **kwargs: pytest.fail("opened a stream past the budget"))
+        start = time.perf_counter()
+        err = self.run_config(tmp_path, capsys, data)
+        assert time.perf_counter() - start < 1.0
+        assert "field 'trials'" in err and f"{2**43} words per trial" in err
 
     def test_boolean_hbar(self, tmp_path, capsys):
         data = dict(_tilted_config(), hbar=True)

@@ -1,10 +1,8 @@
 """Unit tests for the simulated apparatus and exact distributions."""
 
 import math
-import os
 import statistics
 import tracemalloc
-from concurrent.futures import Future
 from unittest import mock
 
 import numpy as np
@@ -14,14 +12,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import (
-    SeededSampler,
-    TrialRecord,
     axes,
     dense_total_distribution,
     enumerate_mean_variance,
     enumerate_totals,
-    measure_ensemble_total,
-    measure_particle,
     random_axis,
     random_ensemble,
     reference_counts,
@@ -39,80 +33,12 @@ from spinstat.montecarlo import exact_total_distribution, preparation_aware_pred
 from spinstat.spin import Axis, SpinOutcome, X, Z, born_probability, eigenstate
 
 
-class TestSampler:
-    def test_same_seed_same_stream(self):
-        a = SeededSampler(123)
-        b = SeededSampler(123)
-        assert_allclose(a.uniforms(5, 10), b.uniforms(5, 10), atol=0)
-
-    def test_trials_are_independent_of_order(self):
-        sampler = SeededSampler(9)
-        forward = [sampler.uniforms(t, 4).tolist() for t in range(8)]
-        backward = [SeededSampler(9).uniforms(t, 4).tolist() for t in reversed(range(8))]
-        assert forward == backward[::-1]
-
-    def test_single_draw_matches_block(self):
-        sampler = SeededSampler(77)
-        block = sampler.uniforms(3, 6)
-        assert sampler.uniforms(3, 5)[4] == block[4]
-
-
-class TestMeasureParticle:
-    def test_threshold_semantics(self):
-        z_plus = eigenstate(Z, SpinOutcome.PLUS)
-        # p(+) along x is exactly 1/2: draws below it give PLUS
-        assert measure_particle(z_plus, X, 0.25) is SpinOutcome.PLUS
-        assert measure_particle(z_plus, X, 0.5) is SpinOutcome.MINUS
-        assert measure_particle(z_plus, X, 0.75) is SpinOutcome.MINUS
-
-    def test_half_probability_threshold_draws(self):
-        z_plus = eigenstate(Z, SpinOutcome.PLUS)
-        assert measure_particle(z_plus, X, 0.3) is SpinOutcome.PLUS
-        assert measure_particle(z_plus, X, 0.7) is SpinOutcome.MINUS
-
-    def test_definite_states_ignore_draw(self):
-        z_plus = eigenstate(Z, SpinOutcome.PLUS)
-        x_plus = eigenstate(X, SpinOutcome.PLUS)
-        x_minus = eigenstate(X, SpinOutcome.MINUS)
-        for draw in (0.0, 0.3, 0.999999):
-            assert measure_particle(z_plus, Z, draw) is SpinOutcome.PLUS
-            assert measure_particle(x_plus, X, draw) is SpinOutcome.PLUS
-            assert measure_particle(x_minus, X, draw) is SpinOutcome.MINUS
-
-    def test_rejects_out_of_range_draw(self):
-        z_plus = eigenstate(Z, SpinOutcome.PLUS)
-        with pytest.raises(ValueError):
-            measure_particle(z_plus, Z, 1.0)
-        with pytest.raises(ValueError):
-            measure_particle(z_plus, Z, -0.1)
-
-
-class TestTrialRecord:
-    def test_bookkeeping_invariant(self):
-        TrialRecord(0, 2, 3, 1)
-        with pytest.raises(ValueError):
-            TrialRecord(0, 1, 3, 1)
-
-    def test_measure_ensemble_total_consistency(self):
-        e = make_ensemble_B(20)
-        record = measure_ensemble_total(e, X, SeededSampler(4), 17)
-        assert record.trial_index == 17
-        assert record.n_plus + record.n_minus == 20
-        assert record.total_half_quanta == record.n_plus - record.n_minus
-
-
 class TestRunTrials:
     def test_matches_per_trial_measurement(self):
         # Two components of 1500: a full piece and a remainder each.
         e = make_pair_ensemble(Axis(0.8, 2.0), 3000)
         _, n_plus = run_trials(e, X, 12, seed=55, keep_counts=True)
         assert n_plus.tolist() == reference_counts(e, X, 55, 12, montecarlo.PIECE)
-
-    def test_worker_count_does_not_change_results(self):
-        e = make_ensemble_B(100)
-        lone = run_trials(e, X, 300, seed=8, workers=1)
-        pooled = run_trials(e, X, 300, seed=8, workers=7)
-        assert lone == pooled
 
     def test_sampled_totals_have_ensemble_parity(self):
         e = make_pair_ensemble(Axis(1.1, 0.3), 9 * 2)
@@ -141,8 +67,6 @@ class TestRunTrials:
         e = make_ensemble_B(4)
         with pytest.raises(ValueError):
             run_trials(e, X, 1, seed=0)
-        with pytest.raises(ValueError):
-            run_trials(e, X, 10, seed=0, workers=0)
 
 
 class TestExactDistribution:
@@ -329,8 +253,8 @@ def sampled_ensembles(draw):
     """An ensemble and a measurement axis for the sampler cross-check.
 
     Up to three components of 0-90 particles, so with a piece of 1-7
-    particles a trial has up to 270 pieces, more than the smallest kernel
-    call holds. A component is an eigenstate either of the measurement axis
+    particles a trial has up to 270 pieces, more than the smallest draw
+    holds. A component is an eigenstate either of the measurement axis
     (p+ exactly 0 or 1, so it takes no uniform) or of a random axis, so some
     ensembles draw nothing and some mix certain and random outcomes.
     """
@@ -353,39 +277,35 @@ SEEDS = st.one_of(st.integers(-(2**70), 2**70), st.integers(2**64 - 4, 2**64 + 4
     case=sampled_ensembles(),
     trials=st.integers(2, 200),
     seed=SEEDS,
-    workers=st.sampled_from([1, 2, 3]),
     piece=st.integers(1, 7),
-    batch_blocks=st.integers(1, 64),
+    block=st.integers(1, 256),
 )
-# 13 pieces of one particle against a 4-word kernel call: each trial is
-# drawn in four column blocks, the last one word wide.
-@example(case=(_tilted((6, 4, 3)), Axis(0.8, 0.7)), trials=5, seed=3, workers=2,
-         piece=1, batch_blocks=1)
+# 13 pieces of one particle against 4-word draws: each trial is drawn in four
+# column blocks, the last one word wide, and the first block ends inside the
+# 6-piece run of the first component.
+@example(case=(_tilted((6, 4, 3)), Axis(0.8, 0.7)), trials=5, seed=3, piece=1, block=4)
+# 13 pieces against 32-word draws: two whole trials per draw, one in the last.
+@example(case=(_tilted((6, 4, 3)), Axis(0.8, 0.7)), trials=5, seed=5, piece=1, block=32)
 # At the real sizes: 68 full pieces and a remainder of 368 in the large
 # component, and 2**64 - 1 as the key.
-@example(case=(_tilted((3, 70_000)), Axis(1.1, 0.4)), trials=3, seed=2**64 - 1, workers=2,
-         piece=None, batch_blocks=None)
-# n = 13 at the real sizes: three one-word pieces, 5000 trials in one kernel call.
-@example(case=(_tilted((6, 4, 3)), Axis(0.8, 0.7)), trials=5000, seed=2**64 + 1, workers=1,
-         piece=None, batch_blocks=None)
-@example(case=(_tilted((6, 4, 3)), Axis(0.8, 0.7)), trials=5000, seed=7, workers=3,
-         piece=None, batch_blocks=None)
+@example(case=(_tilted((3, 70_000)), Axis(1.1, 0.4)), trials=3, seed=2**64 - 1, piece=None, block=None)
+# n = 13 at the real sizes: three one-word pieces, 5000 trials in one draw.
+@example(case=(_tilted((6, 4, 3)), Axis(0.8, 0.7)), trials=5000, seed=2**64 + 1, piece=None, block=None)
 # A component of exactly one piece, then one particle more: a one-particle remainder.
-@example(case=(_tilted((3, montecarlo.PIECE)), Axis(1.1, 0.4)), trials=3, seed=11,
-         workers=1, piece=None, batch_blocks=None)
-@example(case=(_tilted((3, montecarlo.PIECE + 1)), Axis(1.1, 0.4)), trials=3, seed=11,
-         workers=2, piece=None, batch_blocks=None)
-def test_run_trials_matches_reference_sampler(case, trials, seed, workers, piece, batch_blocks):
+@example(case=(_tilted((3, montecarlo.PIECE)), Axis(1.1, 0.4)), trials=3, seed=11, piece=None, block=None)
+@example(case=(_tilted((3, montecarlo.PIECE + 1)), Axis(1.1, 0.4)), trials=3, seed=11, piece=None, block=None)
+def test_run_trials_matches_reference_sampler(case, trials, seed, piece, block):
     """Trial by trial, ``run_trials`` counts what the dense-CDF reference counts.
 
-    The piece and kernel-call sizes are shrunk at random, so pieces,
-    remainders, kernel calls and column blocks end at arbitrary places.
+    The piece and draw sizes are shrunk at random, so pieces, remainders,
+    draws and column blocks end at arbitrary places; the words must still be
+    taken from the one stream in trial order.
     """
     e, axis = case
     piece = piece or montecarlo.PIECE
     with mock.patch.object(montecarlo, "PIECE", piece):
-        with mock.patch.object(montecarlo, "_BATCH_BLOCKS", batch_blocks or montecarlo._BATCH_BLOCKS):
-            stats, n_plus = run_trials(e, axis, trials, seed, workers=workers, keep_counts=True)
+        with mock.patch.object(montecarlo, "_BLOCK_WORDS", block or montecarlo._BLOCK_WORDS):
+            stats, n_plus = run_trials(e, axis, trials, seed, keep_counts=True)
         assert stats == run_trials(e, axis, trials, seed)
     assert n_plus.tolist() == reference_counts(e, axis, seed, trials, piece)
 
@@ -429,11 +349,11 @@ def test_totals_follow_the_exact_distribution(seed):
 
 
 def test_peak_memory_does_not_grow_with_the_ensemble():
-    """2**26 and 2**30 particles peak alike, at about 1.7 MiB.
+    """2**26 and 2**30 particles peak alike, at about 0.8 MiB.
 
     A trial of 2**30 particles has 2**20 pieces, 32 times the words of one
-    kernel call, so it is drawn in column blocks; holding all its words at
-    once would take 8 MiB.
+    draw, so it is drawn in column blocks; holding all its words at once
+    would take 8 MiB.
     """
     peaks = []
     for k in (26, 30):
@@ -447,14 +367,15 @@ def test_peak_memory_does_not_grow_with_the_ensemble():
     assert peaks[1] < 4 * 2**20
 
 
-def test_certain_outcomes_draw_no_uniforms(monkeypatch):
-    def no_sampling(*args):
-        raise AssertionError("drew uniforms for outcomes that are certain")
+def _no_work(*args, **kwargs):
+    raise AssertionError("built a CDF or opened a random stream for outcomes that are certain")
 
-    monkeypatch.setattr(montecarlo, "_philox_uniforms", no_sampling)
+
+def test_certain_outcomes_draw_no_uniforms(monkeypatch):
+    monkeypatch.setattr(np.random, "Philox", _no_work)
     _, n_plus = run_trials(make_ensemble_A(1000), X, 50, seed=3, keep_counts=True)
     assert n_plus.tolist() == [500] * 50
-    _, n_plus = run_trials(make_ensemble_B(1000), Z, 50, seed=3, workers=2, keep_counts=True)
+    _, n_plus = run_trials(make_ensemble_B(1000), Z, 50, seed=3, keep_counts=True)
     assert n_plus.tolist() == [500] * 50
     along_x = EnsembleSpec((
         EnsembleComponent(eigenstate(X, SpinOutcome.PLUS), 3),
@@ -465,71 +386,14 @@ def test_certain_outcomes_draw_no_uniforms(monkeypatch):
 
 
 def test_largest_certain_ensemble_builds_nothing(monkeypatch):
-    """2**53 particles with certain outcomes: no CDF and no uniform, so it returns at once."""
-    def no_work(*args):
-        raise AssertionError("built a CDF or drew uniforms for certain outcomes")
-
-    monkeypatch.setattr(montecarlo, "_philox_uniforms", no_work)
-    monkeypatch.setattr(montecarlo, "_binomial_count_pmf", no_work)
+    """2**53 particles with certain outcomes: no CDF and no stream, so it returns at once."""
+    monkeypatch.setattr(np.random, "Philox", _no_work)
+    monkeypatch.setattr(montecarlo, "_binomial_count_pmf", _no_work)
     e = EnsembleSpec((
         EnsembleComponent(eigenstate(Z, SpinOutcome.PLUS), 2**52 + 1),
         EnsembleComponent(eigenstate(Z, SpinOutcome.MINUS), 2**52 - 1),
     ))
-    stats, n_plus = run_trials(e, Z, 1000, seed=5, workers=2, keep_counts=True)
+    stats, n_plus = run_trials(e, Z, 1000, seed=5, keep_counts=True)
     assert n_plus.tolist() == [2**52 + 1] * 1000
     assert (stats.sample_mean, stats.sample_variance, stats.min_total, stats.max_total) == (2.0, 0.0, 2, 2)
 
-
-@pytest.mark.parametrize(
-    "workers, trials, cpus, pool_size",
-    [
-        (10**6, 50, 4, 4),  # huge request: capped by the CPU count
-        (3, 100, 8, 3),  # fewer workers than CPUs
-        (8, 5, 8, 5),  # fewer trials than workers: one chunk per trial
-        (4, 100, None, None),  # CPU count unknown: no pool
-        (1, 100, 8, None),
-    ],
-)
-def test_thread_pool_is_bounded(monkeypatch, workers, trials, cpus, pool_size):
-    e = make_pair_ensemble(Axis(0.8, 2.0), 30)
-    reference = run_trials(e, X, trials, seed=4)
-    sizes = []
-
-    class InlineExecutor:
-        """Records the requested pool size and runs every task at submission."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", InlineExecutor)
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
-    assert run_trials(e, X, trials, seed=4, workers=workers) == reference
-    assert sizes == ([] if pool_size is None else [pool_size])
-
-
-@pytest.mark.parametrize("counts", [(6, 4, 2), (120, 80)])
-def test_huge_worker_count_cuts_one_chunk_per_thread(monkeypatch, counts):
-    """However many workers are asked for, each thread fills one chunk."""
-    e = _tilted(counts)
-    _, reference = run_trials(e, X, 5000, seed=9, keep_counts=True)
-    chunks = []
-
-    def counted(seed, certain, runs, width, start, stop, out, fill=montecarlo._fill_counts):
-        chunks.append((start, stop))
-        fill(seed, certain, runs, width, start, stop, out)
-
-    monkeypatch.setattr(montecarlo, "_fill_counts", counted)
-    _, n_plus = run_trials(e, X, 5000, seed=9, workers=10**6, keep_counts=True)
-    assert n_plus.tolist() == reference.tolist()
-    assert 1 <= len(chunks) <= (os.cpu_count() or 1)
