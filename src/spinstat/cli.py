@@ -6,27 +6,29 @@ Three subcommands:
 * ``demo``    -- run one of the preset ensembles (A or B) from flags alone
 * ``paradox`` -- print the variance-operator contradiction report as JSON
 
-Identical invocations write byte-identical outputs; ``--workers`` is still
-checked but has no effect, since every run draws from one stream on one
-thread. Failures exit nonzero with a named error category on stderr.
+``run`` and ``demo`` print the text of the report; ``--out`` saves it as
+``report.json``, which :func:`spinstat.harness.render_report` renders again.
+Identical invocations write byte-identical outputs; ``--workers`` must be a
+positive integer but has no effect, since every run draws from one stream on
+one thread. Failures exit nonzero with a named error category on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
 from .harness import (
     MAX_PARADOX_SAMPLES,
-    ComparisonReport,
     ConfigError,
     ExperimentConfig,
     OutputError,
     demo_paradox,
+    dump_json,
     render_report,
     run_experiment,
+    write_output,
 )
 from .spin import check_int
 
@@ -76,7 +78,7 @@ def _config_from_run_args(args: argparse.Namespace) -> ExperimentConfig:
         raise ConfigError(f"config file {args.config!r} is not valid JSON: {exc}") from exc
     cfg = ExperimentConfig.from_json_dict(data)
     if args.workers is not None:
-        cfg = dataclasses.replace(cfg, workers=args.workers)
+        check_int(args.workers, "workers", 1)
     return cfg
 
 
@@ -98,30 +100,22 @@ def _config_from_demo_args(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig.from_json_dict(data)
 
 
-def _run_and_render(cfg: ExperimentConfig, stdout) -> None:
-    report: ComparisonReport = run_experiment(cfg)
-    stdout.write(render_report(report))
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            _run_and_render(_config_from_run_args(args), sys.stdout)
+            sys.stdout.write(render_report(run_experiment(_config_from_run_args(args))))
         elif args.command == "demo":
-            _run_and_render(_config_from_demo_args(args), sys.stdout)
+            sys.stdout.write(render_report(run_experiment(_config_from_demo_args(args))))
         elif args.command == "paradox":
             check_int(args.samples, "samples", 100, MAX_PARADOX_SAMPLES)
-            payload = json.dumps(demo_paradox(args.samples, args.seed), indent=2, sort_keys=True) + "\n"
+            check_int(args.seed, "seed", 0)
+            payload = dump_json(demo_paradox(args.samples, args.seed))
             if args.out is None:
                 sys.stdout.write(payload)
             else:
-                try:
-                    with open(args.out, "w", encoding="utf-8") as fh:
-                        fh.write(payload)
-                except OSError as exc:
-                    raise OutputError(f"cannot write output path {args.out!r}: {exc}") from exc
+                write_output(args.out, payload)
     except OutputError as exc:
         print(f"error [output-error]: {exc}", file=sys.stderr)
         return EXIT_OUTPUT_ERROR

@@ -2,17 +2,19 @@
 
 An experiment takes one ensemble and one axis, computes the preparation-aware
 prediction and both density-formalism predictions, runs the Monte Carlo
-trials, and reports which predictors the data supports. Reports are written
-as canonical JSON (plus a CSV of per-trial totals) and are byte-identical for
-identical configurations.
+trials, and reports which predictors the data supports. The report is a plain
+dict with exactly the schema of ``report.json``: it is written as canonical
+JSON (plus a CSV of per-trial totals), byte-identical for identical
+configurations, and a saved report renders to the same text as a fresh one.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import reprlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -36,12 +38,11 @@ __all__ = [
     "ConfigError",
     "OutputError",
     "ExperimentConfig",
-    "Verdict",
-    "DensityCheck",
-    "ComparisonReport",
     "run_experiment",
     "demo_paradox",
     "render_report",
+    "dump_json",
+    "write_output",
 ]
 
 # A predictor matches when the empirical variance sits within this many
@@ -69,9 +70,7 @@ class ExperimentConfig:
     """One experiment: an ensemble, an axis, and the sampling parameters.
 
     ``ensemble_json`` keeps the user's raw ensemble form so reports echo the
-    configuration as given. ``workers`` is still checked but has no effect,
-    since every run draws from one stream on one thread; it is never echoed
-    into reports.
+    configuration as given.
     """
 
     ensemble: EnsembleSpec
@@ -82,12 +81,10 @@ class ExperimentConfig:
     hbar: float = 1.0
     report_path: str | None = None
     totals_path: str | None = None
-    workers: int = 1
 
     def __post_init__(self) -> None:
         check_int(self.trials, "trials", 2, MAX_TRIALS)
         check_int(self.seed, "seed")
-        check_int(self.workers, "workers", 1)
         hbar = check_number(self.hbar, "hbar")
         if hbar <= 0:
             raise ConfigError("must be positive", "hbar")
@@ -95,13 +92,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExperimentConfig":
-        """Parse a config; every error is a :class:`ConfigError` naming the field by its full path."""
+        """Parse a config; every error is a :class:`ConfigError` naming the field by its full path.
+
+        ``workers`` must be a positive integer but has no effect, since every
+        run draws from one stream on one thread; it is not stored.
+        """
         check_object(data, "", ("ensemble", "axis", "trials", "seed"), ("hbar", "outputs", "workers"))
+        check_int(data.get("workers", 1), "workers", 1)
         outputs = check_object(data.get("outputs", {}), "outputs", (), ("report", "totals"))
         for key, value in outputs.items():
             if not isinstance(value, str) or "\0" in value:
                 problem = f"must be a path string without NUL bytes, got {reprlib.repr(value)}"
                 raise ConfigError(problem, f"outputs.{key}")
+        if len(outputs) == 2 and os.path.realpath(outputs["report"]) == os.path.realpath(outputs["totals"]):
+            raise ConfigError("must name a different file than outputs.report", "outputs.totals")
         return cls(
             ensemble=ensemble_from_json(data["ensemble"]),
             ensemble_json=data["ensemble"],
@@ -111,7 +115,6 @@ class ExperimentConfig:
             hbar=data.get("hbar", 1.0),
             report_path=outputs.get("report"),
             totals_path=outputs.get("totals"),
-            workers=data.get("workers", 1),
         )
 
     def echo_json(self) -> dict:
@@ -125,89 +128,34 @@ class ExperimentConfig:
         }
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Did the empirical variance support this predictor?"""
-
-    matches_empirical: bool
-    exact_zero_prediction: bool
-    z_score: float | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "matches_empirical": self.matches_empirical,
-            "exact_zero_prediction": self.exact_zero_prediction,
-            "z_score": self.z_score,
-        }
-
-
-@dataclass(frozen=True)
-class DensityCheck:
-    """Entrywise comparison of the two preset preparations' density operators."""
-
-    n: int
-    a_equals_b: bool
-    max_abs_diff: float
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "a_equals_b": self.a_equals_b, "max_abs_diff": self.max_abs_diff}
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """All three predictions, the empirical statistics, and per-predictor verdicts."""
-
-    config: dict
-    preparation_aware: PredictionReport
-    density_normalized: PredictionReport
-    density_unnormalized: PredictionReport
-    empirical: TrialStatistics
-    verdicts: dict = field(default_factory=dict)
-    density_check: DensityCheck | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "predictions": {
-                "preparation_aware": self.preparation_aware.to_json_dict(),
-                "density_normalized": self.density_normalized.to_json_dict(),
-                "density_unnormalized": self.density_unnormalized.to_json_dict(),
-            },
-            "empirical": self.empirical.to_json_dict(),
-            "verdicts": {name: v.to_json_dict() for name, v in self.verdicts.items()},
-            "density_check": None if self.density_check is None else self.density_check.to_json_dict(),
-            "units": {"hbar": self.config["hbar"]},
-        }
-
-
-def _judge(predicted: PredictionReport, empirical: TrialStatistics) -> Verdict:
-    if predicted.variance == 0.0:
-        return Verdict(
-            matches_empirical=(empirical.sample_variance == 0.0),
-            exact_zero_prediction=True,
-            z_score=None,
-        )
+def _judge(variance: float, empirical: TrialStatistics) -> dict:
+    """Did the empirical variance support a predictor of this variance?"""
+    if variance == 0.0:
+        return {"matches_empirical": empirical.sample_variance == 0.0, "exact_zero_prediction": True, "z_score": None}
     rse = math.sqrt(2.0 / (empirical.trials - 1))
-    z = (empirical.sample_variance - predicted.variance) / (predicted.variance * rse)
-    return Verdict(matches_empirical=abs(z) <= VERDICT_SIGMAS, exact_zero_prediction=False, z_score=z)
+    z = (empirical.sample_variance - variance) / (variance * rse)
+    return {"matches_empirical": abs(z) <= VERDICT_SIGMAS, "exact_zero_prediction": False, "z_score": z}
 
 
-def _preset_density_check(n: int) -> DensityCheck:
+def _preset_density_check(n: int) -> dict:
+    """Entrywise comparison of the density operators of presets A and B."""
     n_even = n + (n % 2)
     rho_a = density_operator(make_ensemble_A(n_even), normalized=True)
     rho_b = density_operator(make_ensemble_B(n_even), normalized=True)
-    return DensityCheck(
-        n=n_even,
-        a_equals_b=density_equal(rho_a, rho_b, 1e-12),
-        max_abs_diff=entrywise_difference(rho_a, rho_b),
-    )
+    return {
+        "n": n_even,
+        "a_equals_b": density_equal(rho_a, rho_b, 1e-12),
+        "max_abs_diff": entrywise_difference(rho_a, rho_b),
+    }
 
 
-def _dump_json(payload: dict) -> str:
+def dump_json(payload: dict) -> str:
+    """Canonical JSON text of a report: sorted keys, two-space indent, final newline."""
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write_file(path: str, text: str) -> None:
+def write_output(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, raising :class:`OutputError` on failure."""
     try:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
@@ -221,43 +169,31 @@ def _totals_csv(n_plus: list[int], n: int) -> str:
     return "trial,total_half_quanta,n_plus,n_minus\n" + "".join(rows)
 
 
-def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
-    """Compute all three predictions, run the trials, judge, and write outputs."""
-    rho_norm = density_operator(cfg.ensemble, normalized=True)
-    rho_raw = density_operator(cfg.ensemble, normalized=False)
+def run_experiment(cfg: ExperimentConfig) -> dict:
+    """Compute all three predictions, run the trials, judge, write outputs, and return the report.
 
-    prep = preparation_aware_prediction(cfg.ensemble, cfg.axis)
-    dens_norm = PredictionReport(
-        mean=expectation_tr(rho_norm, cfg.axis),
-        variance=variance_tr(rho_norm, cfg.axis),
-        method="density_normalized",
-    )
-    dens_raw = PredictionReport(
-        mean=expectation_tr(rho_raw, cfg.axis),
-        variance=variance_tr(rho_raw, cfg.axis),
-        method="density_unnormalized",
-    )
+    The report is the dict that ``report.json`` holds.
+    """
+    predictions = {"preparation_aware": preparation_aware_prediction(cfg.ensemble, cfg.axis).to_json_dict()}
+    for name, normalized in (("density_normalized", True), ("density_unnormalized", False)):
+        rho = density_operator(cfg.ensemble, normalized=normalized)
+        prediction = PredictionReport(expectation_tr(rho, cfg.axis), variance_tr(rho, cfg.axis), name)
+        predictions[name] = prediction.to_json_dict()
 
     empirical, n_plus = run_trials(cfg.ensemble, cfg.axis, cfg.trials, cfg.seed, keep_counts=True)
 
-    report = ComparisonReport(
-        config=cfg.echo_json(),
-        preparation_aware=prep,
-        density_normalized=dens_norm,
-        density_unnormalized=dens_raw,
-        empirical=empirical,
-        verdicts={
-            "preparation_aware": _judge(prep, empirical),
-            "density_normalized": _judge(dens_norm, empirical),
-            "density_unnormalized": _judge(dens_raw, empirical),
-        },
-        density_check=_preset_density_check(cfg.ensemble.total_count),
-    )
-
+    report = {
+        "config": cfg.echo_json(),
+        "predictions": predictions,
+        "empirical": empirical.to_json_dict(),
+        "verdicts": {name: _judge(p["variance"], empirical) for name, p in predictions.items()},
+        "density_check": _preset_density_check(cfg.ensemble.total_count),
+        "units": {"hbar": cfg.hbar},
+    }
     if cfg.report_path is not None:
-        _write_file(cfg.report_path, _dump_json(report.to_json_dict()))
+        write_output(cfg.report_path, dump_json(report))
     if cfg.totals_path is not None:
-        _write_file(cfg.totals_path, _totals_csv(n_plus.tolist(), cfg.ensemble.total_count))
+        write_output(cfg.totals_path, _totals_csv(n_plus.tolist(), cfg.ensemble.total_count))
     return report
 
 
@@ -319,39 +255,38 @@ def _physical(mean: float, sigma: float, variance: float, hbar: float) -> tuple[
     )
 
 
-def render_report(report: ComparisonReport) -> str:
-    """Human-readable text of a comparison report.
+# Each predictor's report key and its label in the text.
+_LABELS = {
+    "preparation_aware": "preparation-aware",
+    "density_normalized": "density normalized",
+    "density_unnormalized": "density unnormalized",
+}
+
+
+def render_report(report: dict) -> str:
+    """Human-readable text of a report, fresh from :func:`run_experiment` or loaded from ``report.json``.
 
     Half-quantum values are converted to physical units with the report's
     hbar (mean and sigma scale with hbar/2, variances with hbar^2/4); the
     text states totals as ``mean +/- sigma``.
     """
-    hbar = report.config["hbar"]
-
-    def line(name: str, pred: PredictionReport, verdict: Verdict | None) -> str:
-        mean, sigma, var = _physical(pred.mean, pred.sigma, pred.variance, hbar)
-        tail = ""
-        if verdict is not None:
-            tail = "  [matches empirical]" if verdict.matches_empirical else "  [disagrees]"
-        return f"  {name:<22} {mean} ± {sigma}   (variance {var} hbar²){tail}"
-
-    emp = report.empirical
-    emp_mean, emp_sigma, emp_var = _physical(
-        emp.sample_mean, math.sqrt(max(emp.sample_variance, 0.0)), emp.sample_variance, hbar
+    hbar = report["units"]["hbar"]
+    rows = ["spin totals along the measurement axis (mean ± sigma, hbar units):"]
+    for name, label in _LABELS.items():
+        pred = report["predictions"][name]
+        mean, sigma, var = _physical(pred["mean"], pred["sigma"], pred["variance"], hbar)
+        tail = "  [matches empirical]" if report["verdicts"][name]["matches_empirical"] else "  [disagrees]"
+        rows.append(f"  {label:<22} {mean} ± {sigma}   (variance {var} hbar²){tail}")
+    emp = report["empirical"]
+    variance = emp["sample_variance"]
+    mean, sigma, var = _physical(emp["sample_mean"], math.sqrt(max(variance, 0.0)), variance, hbar)
+    rows.append(
+        f"  {'empirical':<22} {mean} ± {sigma}   (variance {var} hbar², {emp['trials']} trials, "
+        f"half-quantum totals in [{emp['min']}, {emp['max']}])"
     )
-    rows = [
-        "spin totals along the measurement axis (mean ± sigma, hbar units):",
-        line("preparation-aware", report.preparation_aware, report.verdicts.get("preparation_aware")),
-        line("density normalized", report.density_normalized, report.verdicts.get("density_normalized")),
-        line("density unnormalized", report.density_unnormalized, report.verdicts.get("density_unnormalized")),
-        f"  {'empirical':<22} {emp_mean} ± {emp_sigma}   "
-        f"(variance {emp_var} hbar², {emp.trials} trials, "
-        f"half-quantum totals in [{emp.min_total}, {emp.max_total}])",
-    ]
-    if report.density_check is not None:
-        verdict = "equal" if report.density_check.a_equals_b else "DIFFERENT"
-        rows.append(
-            f"  density matrices of presets A and B (n={report.density_check.n}): {verdict} "
-            f"(max entry diff {report.density_check.max_abs_diff:.3g})"
-        )
+    check = report["density_check"]
+    rows.append(
+        f"  density matrices of presets A and B (n={check['n']}): "
+        f"{'equal' if check['a_equals_b'] else 'DIFFERENT'} (max entry diff {check['max_abs_diff']:.3g})"
+    )
     return "\n".join(rows) + "\n"

@@ -76,12 +76,12 @@ def test_criterion_4_trace_variance_blind_to_preparation():
         assert variance_tr(density_operator(make(1000)), X) == 1.0
         assert variance_tr(density_operator(make(1000), normalized=False), X) == 1000.0
 
-    report_a = run_experiment(make_config(preset="A", n=1000, trials=10_000, seed=42))
-    report_b = run_experiment(make_config(preset="B", n=1000, trials=10_000, seed=42))
-    assert not report_a.verdicts["density_normalized"].matches_empirical
-    assert not report_b.verdicts["density_normalized"].matches_empirical
-    assert not report_a.verdicts["density_unnormalized"].matches_empirical
-    assert report_b.verdicts["density_unnormalized"].matches_empirical
+    verdicts_a = run_experiment(make_config(preset="A", n=1000, trials=10_000, seed=42))["verdicts"]
+    verdicts_b = run_experiment(make_config(preset="B", n=1000, trials=10_000, seed=42))["verdicts"]
+    assert not verdicts_a["density_normalized"]["matches_empirical"]
+    assert not verdicts_b["density_normalized"]["matches_empirical"]
+    assert not verdicts_a["density_unnormalized"]["matches_empirical"]
+    assert verdicts_b["density_unnormalized"]["matches_empirical"]
     report(
         "PASS criterion 4: variance_tr exactly 1 (normalized) and exactly 1000 (unnormalized) for A and B; "
         "verdicts reject normalized for both and unnormalized for A only"

@@ -48,7 +48,6 @@ class TestExperimentConfig:
         cfg = make_config()
         assert cfg.trials == 200
         assert cfg.hbar == 1.0
-        assert cfg.workers == 1
         assert cfg.report_path is None
 
     def test_rejects_unknown_fields(self):
@@ -65,11 +64,16 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="'ensemble'"):
             ExperimentConfig.from_json_dict({"ensemble": 5, "axis": "x", "trials": 2, "seed": 0})
 
-    def test_rejects_bad_trials_and_workers(self):
+    def test_rejects_bad_trials_and_workers(self, tmp_path, capsys):
         with pytest.raises(ConfigError, match="'trials'"):
             make_config(trials=1)
         with pytest.raises(ConfigError, match="'workers'"):
             make_config(workers=0)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_tilted_config()))
+        assert cli.main(["run", "--config", str(path), "--workers", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "field 'workers' must be at least 1" in err and "Traceback" not in err
 
     def test_echo_excludes_execution_details(self):
         cfg = make_config(workers=6)
@@ -82,7 +86,7 @@ class TestRunExperiment:
         cfg = make_config(tmp_path)
         report = run_experiment(cfg)
         saved = json.loads((tmp_path / "report.json").read_text())
-        assert saved == report.to_json_dict()
+        assert saved == report
         lines = (tmp_path / "totals.csv").read_text().splitlines()
         assert lines[0] == "trial,total_half_quanta,n_plus,n_minus"
         assert len(lines) == cfg.trials + 1
@@ -91,22 +95,22 @@ class TestRunExperiment:
         assert int(first[1]) == int(first[2]) - int(first[3])
 
     def test_verdict_pattern_for_preset_b(self):
-        report = run_experiment(make_config(trials=2000))
-        assert report.verdicts["preparation_aware"].matches_empirical
-        assert report.verdicts["density_unnormalized"].matches_empirical
-        assert not report.verdicts["density_normalized"].matches_empirical
+        verdicts = run_experiment(make_config(trials=2000))["verdicts"]
+        assert verdicts["preparation_aware"]["matches_empirical"]
+        assert verdicts["density_unnormalized"]["matches_empirical"]
+        assert not verdicts["density_normalized"]["matches_empirical"]
 
     def test_verdict_pattern_for_preset_a(self):
-        report = run_experiment(make_config(preset="A", trials=500))
-        assert report.verdicts["preparation_aware"].matches_empirical
-        assert report.verdicts["preparation_aware"].exact_zero_prediction
-        assert not report.verdicts["density_normalized"].matches_empirical
-        assert not report.verdicts["density_unnormalized"].matches_empirical
+        verdicts = run_experiment(make_config(preset="A", trials=500))["verdicts"]
+        assert verdicts["preparation_aware"]["matches_empirical"]
+        assert verdicts["preparation_aware"]["exact_zero_prediction"]
+        assert not verdicts["density_normalized"]["matches_empirical"]
+        assert not verdicts["density_unnormalized"]["matches_empirical"]
 
     def test_density_check_banner(self):
-        report = run_experiment(make_config(trials=50))
-        assert report.density_check.a_equals_b
-        assert report.density_check.max_abs_diff <= 1e-12
+        check = run_experiment(make_config(trials=50))["density_check"]
+        assert check["a_equals_b"]
+        assert check["max_abs_diff"] <= 1e-12
 
     def test_unwritable_output_raises_named_error(self, tmp_path):
         cfg = make_config(trials=10, **{
@@ -118,8 +122,7 @@ class TestRunExperiment:
 
 class TestReportSerialization:
     def test_schema_keys(self):
-        report = run_experiment(make_config(trials=16))
-        data = report.to_json_dict()
+        data = run_experiment(make_config(trials=16))
         assert set(data) == {"config", "predictions", "empirical", "verdicts", "density_check", "units"}
         assert set(data["predictions"]) == {
             "preparation_aware",
@@ -137,7 +140,7 @@ class TestReportSerialization:
         text = render_report(report)
         assert preparation_aware in text
         assert density_normalized in text
-        assert f"{'empirical':<22} {report.empirical.sample_mean * hbar / 2:.4g} ± " in text
+        assert f"{'empirical':<22} {report['empirical']['sample_mean'] * hbar / 2:.4g} ± " in text
         assert "matches empirical" in text and "disagrees" in text
 
     def test_render_text_scales_to_physical_units(self):
@@ -149,6 +152,12 @@ class TestReportSerialization:
         self._check_render_scaling(
             2.0, "0 ± 31.62   (variance 1000 hbar²)", "0 ± 1   (variance 1 hbar²)"
         )
+
+    @pytest.mark.parametrize("preset", ["A", "B"])
+    def test_saved_report_renders_like_the_fresh_one(self, tmp_path, preset):
+        report = run_experiment(make_config(tmp_path, preset=preset, trials=300, hbar=2.0))
+        saved = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        assert render_report(saved) == render_report(report)
 
     def test_render_text_definite_ensemble_shows_zero_spread(self):
         report = run_experiment(make_config(preset="A", trials=100))
@@ -367,6 +376,10 @@ class TestMalformedConfigs:
             dict(_tilted_config(), outputs={"report": "a\u0000b"}), ["field 'outputs.report'"],
             id="nul-in-output-path",
         ),
+        pytest.param(
+            dict(_tilted_config(), outputs={"report": "out/../same", "totals": "same"}),
+            ["field 'outputs.totals'", "outputs.report"], id="one-path-for-both-outputs",
+        ),
         pytest.param(_ensemble_config(foo=1), ["field 'ensemble'", "'foo'"], id="unknown-ensemble-field"),
         pytest.param(
             _tilted_config(weight=3), ["field 'ensemble.components[0]'", "'weight'"], id="unknown-component-field"
@@ -459,15 +472,27 @@ def test_valid_configs_parse():
         assert ExperimentConfig.from_json_dict(data).echo_json()["ensemble"] == data["ensemble"]
 
 
-@pytest.mark.parametrize("samples", [10**12, 10**400])
-def test_paradox_rejects_samples_beyond_bound(monkeypatch, capsys, samples):
-    """Too many samples exit 2 naming the field, before the fit allocates anything."""
+def _rejected_paradox(monkeypatch, capsys, *flags) -> str:
+    """stderr of a ``paradox`` call that must exit 2 before the fit runs."""
     def no_fit(*args):
-        raise AssertionError("ran the fit for a rejected sample count")
+        raise AssertionError("ran the fit for rejected arguments")
 
     monkeypatch.setattr(cli, "demo_paradox", no_fit)
-    code = cli.main(["paradox", "--samples", str(samples)])
+    code = cli.main(["paradox", *flags])
     err = capsys.readouterr().err
     assert code == 2, err
     assert "invalid-config" in err and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("samples", [10**12, 10**400])
+def test_paradox_rejects_samples_beyond_bound(monkeypatch, capsys, samples):
+    """Too many samples exit 2 naming the field, before the fit allocates anything."""
+    err = _rejected_paradox(monkeypatch, capsys, "--samples", str(samples))
     assert "field 'samples' must be at least 100 and at most 10000000" in err
+
+
+def test_paradox_rejects_negative_seed(monkeypatch, capsys):
+    """A negative seed exits 2 naming the field, not with the random generator's own message."""
+    err = _rejected_paradox(monkeypatch, capsys, "--seed", "-1")
+    assert "field 'seed' must be at least 0" in err
