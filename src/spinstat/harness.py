@@ -3,9 +3,13 @@
 An experiment takes one ensemble and one axis, computes the preparation-aware
 prediction and both density-formalism predictions, runs the Monte Carlo
 trials, and reports which predictors the data supports. The report is a plain
-dict with exactly the schema of ``report.json``: it is written as canonical
-JSON (plus a CSV of per-trial totals), byte-identical for identical
-configurations, and a saved report renders to the same text as a fresh one.
+dict with exactly the schema of ``report.json``, and each of its blocks is
+built once, in :func:`run_experiment`, from the predicted ``(mean, variance)``
+pairs and the per-trial + counts. It is written as canonical JSON (plus a CSV
+of per-trial totals), byte-identical for identical configurations, and a
+saved report renders to the same text as a fresh one. :func:`demo_paradox`
+builds the paradox payload the same way, from the witness operators and the
+fit residuals.
 """
 
 from __future__ import annotations
@@ -20,19 +24,15 @@ from typing import Any
 
 from .density import density_equal, density_operator, entrywise_difference, expectation_tr, variance_tr
 from .ensemble import EnsembleSpec, ensemble_from_json, make_ensemble_A, make_ensemble_B
-from .montecarlo import (
-    PredictionReport,
-    TrialStatistics,
-    preparation_aware_prediction,
-    run_trials,
-)
+from .montecarlo import preparation_aware_prediction, run_trials
 from .paradox import (
     Operator,
     annihilation_residual,
+    expectation,
     fixed_operator_infeasibility,
     null_operator_contradiction,
 )
-from .spin import Axis, ConfigError, SpinOutcome, X, check_int, check_number, check_object, eigenstate
+from .spin import Axis, ConfigError, SpinOutcome, X, Z, check_int, check_number, check_object, eigenstate
 
 __all__ = [
     "ConfigError",
@@ -128,12 +128,12 @@ class ExperimentConfig:
         }
 
 
-def _judge(variance: float, empirical: TrialStatistics) -> dict:
-    """Did the empirical variance support a predictor of this variance?"""
+def _judge(variance: float, empirical: dict) -> dict:
+    """Did the empirical block of a report support a predictor of this variance?"""
     if variance == 0.0:
-        return {"matches_empirical": empirical.sample_variance == 0.0, "exact_zero_prediction": True, "z_score": None}
-    rse = math.sqrt(2.0 / (empirical.trials - 1))
-    z = (empirical.sample_variance - variance) / (variance * rse)
+        return {"matches_empirical": empirical["sample_variance"] == 0.0, "exact_zero_prediction": True, "z_score": None}
+    rse = math.sqrt(2.0 / (empirical["trials"] - 1))
+    z = (empirical["sample_variance"] - variance) / (variance * rse)
     return {"matches_empirical": abs(z) <= VERDICT_SIGMAS, "exact_zero_prediction": False, "z_score": z}
 
 
@@ -174,18 +174,29 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
     The report is the dict that ``report.json`` holds.
     """
-    predictions = {"preparation_aware": preparation_aware_prediction(cfg.ensemble, cfg.axis).to_json_dict()}
+    moments = {"preparation_aware": preparation_aware_prediction(cfg.ensemble, cfg.axis)}
     for name, normalized in (("density_normalized", True), ("density_unnormalized", False)):
         rho = density_operator(cfg.ensemble, normalized=normalized)
-        prediction = PredictionReport(expectation_tr(rho, cfg.axis), variance_tr(rho, cfg.axis), name)
-        predictions[name] = prediction.to_json_dict()
+        moments[name] = expectation_tr(rho, cfg.axis), variance_tr(rho, cfg.axis)
+    predictions = {
+        name: {"mean": m, "variance": v, "sigma": math.sqrt(max(v, 0.0)), "method": name, "units": "half_quanta"}
+        for name, (m, v) in moments.items()
+    }
 
-    empirical, n_plus = run_trials(cfg.ensemble, cfg.axis, cfg.trials, cfg.seed, keep_counts=True)
+    n_plus = run_trials(cfg.ensemble, cfg.axis, cfg.trials, cfg.seed)
+    totals = 2 * n_plus - cfg.ensemble.total_count
+    empirical = {
+        "trials": cfg.trials,
+        "sample_mean": float(int(totals.sum()) / cfg.trials),
+        "sample_variance": float(totals.var(ddof=1)),
+        "min": int(totals.min()),
+        "max": int(totals.max()),
+    }
 
     report = {
         "config": cfg.echo_json(),
         "predictions": predictions,
-        "empirical": empirical.to_json_dict(),
+        "empirical": empirical,
         "verdicts": {name: _judge(p["variance"], empirical) for name, p in predictions.items()},
         "density_check": _preset_density_check(cfg.ensemble.total_count),
         "units": {"hbar": cfg.hbar},
@@ -211,30 +222,34 @@ def _op_json(op: Operator) -> dict:
     return {"m00": m00, "m11": m11, "m01": [re01, im01]}
 
 
-def demo_paradox(samples: int = 100_000, seed: int = 0) -> dict:
-    """Run both variance-operator witnesses and return a serializable payload."""
-    zero_report, nonzero_report = null_operator_contradiction()
+def demo_paradox(samples: int, seed: int) -> dict:
+    """Run both variance-operator witnesses and return the paradox payload.
+
+    ``annihilates_sx_eigenstates`` is true in both witness blocks because
+    :func:`null_operator_contradiction` raises unless each x eigenstate is
+    annihilated by the member built from it.
+    """
+    zero_op, nonzero_op = null_operator_contradiction()
     rms, max_res = fixed_operator_infeasibility(samples, seed)
     x_plus = eigenstate(X, SpinOutcome.PLUS)
     x_minus = eigenstate(X, SpinOutcome.MINUS)
-    d00, d11, d_re, d_im = (
-        p - q for p, q in zip(_entries(zero_report.operator), _entries(nonzero_report.operator))
-    )
+    z_plus = eigenstate(Z, SpinOutcome.PLUS)
+    d00, d11, d_re, d_im = (p - q for p, q in zip(_entries(zero_op), _entries(nonzero_op)))
     member_gap = max(abs(d00), abs(d11), math.hypot(d_re, d_im))
     return {
         "annihilation": {
             "x_plus_residual": annihilation_residual(x_plus),
             "x_minus_residual": annihilation_residual(x_minus),
-            "operator_from_x_plus": _op_json(zero_report.operator),
-            "annihilates_sx_eigenstates": zero_report.annihilates_sx_eigenstates,
-            "expectation_on_source": zero_report.expectation_on_source,
-            "source_state": list(zero_report.source_state),
+            "operator_from_x_plus": _op_json(zero_op),
+            "annihilates_sx_eigenstates": True,
+            "expectation_on_source": expectation(zero_op, x_plus),
+            "source_state": list(x_plus),
         },
         "nonzero_expectation": {
-            "operator_from_z_plus": _op_json(nonzero_report.operator),
-            "annihilates_sx_eigenstates": nonzero_report.annihilates_sx_eigenstates,
-            "expectation_on_source": nonzero_report.expectation_on_source,
-            "source_state": list(nonzero_report.source_state),
+            "operator_from_z_plus": _op_json(nonzero_op),
+            "annihilates_sx_eigenstates": True,
+            "expectation_on_source": expectation(nonzero_op, z_plus),
+            "source_state": list(z_plus),
         },
         "family_members_max_entry_diff": member_gap,
         "fixed_operator_fit": {

@@ -1,6 +1,6 @@
 """Ideal Stern-Gerlach simulation: binomial sampling of each trial's + count,
-trial statistics, and an exact convolution oracle for the total-spin
-distribution.
+the preparation-aware prediction of the total's mean and variance, and an
+exact convolution oracle for the total-spin distribution.
 
 Particles within a component are independent and identical, so a
 component's + count in one trial is a Binomial(count, p+) draw; only the law
@@ -20,7 +20,6 @@ ensemble, the axis, the trial count and the seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,9 +27,7 @@ from .ensemble import EnsembleSpec
 from .spin import Axis, ConfigError, SpinOutcome, born_probability, check_int, state_mean_and_variance
 
 __all__ = [
-    "TrialStatistics",
     "TotalSpinDistribution",
-    "PredictionReport",
     "run_trials",
     "exact_total_distribution",
     "preparation_aware_prediction",
@@ -61,26 +58,6 @@ _BLOCK_WORDS = 1 << 15
 MAX_WORDS = 6 * 10**8
 
 
-@dataclass(frozen=True)
-class TrialStatistics:
-    """Empirical summary over independent repeated trials."""
-
-    trials: int
-    sample_mean: float
-    sample_variance: float
-    min_total: int
-    max_total: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "sample_mean": self.sample_mean,
-            "sample_variance": self.sample_variance,
-            "min": self.min_total,
-            "max": self.max_total,
-        }
-
-
 class TotalSpinDistribution:
     """Exact probability mass function of the ensemble total, half-quantum units."""
 
@@ -100,28 +77,6 @@ class TotalSpinDistribution:
     def variance(self) -> float:
         """Sum of p (x - mean)**2: the centred form, which does not cancel when |mean| >> sigma."""
         return float(self.probabilities @ (self.support.astype(float) - self.mean()) ** 2)
-
-
-@dataclass(frozen=True)
-class PredictionReport:
-    """Predicted (mean, variance) for the ensemble total along one axis."""
-
-    mean: float
-    variance: float
-    method: str
-
-    @property
-    def sigma(self) -> float:
-        return math.sqrt(max(self.variance, 0.0))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "variance": self.variance,
-            "sigma": self.sigma,
-            "method": self.method,
-            "units": "half_quanta",
-        }
 
 
 def _component_probabilities(e: EnsembleSpec, axis: Axis) -> list[tuple[int, float]]:
@@ -157,18 +112,17 @@ def _pieces(probs) -> tuple[int, list[tuple[int, int, np.ndarray, int]], int]:
     return certain, runs, width
 
 
-def run_trials(e: EnsembleSpec, axis: Axis, trials: int, seed: int, keep_counts: bool = False):
-    """Repeat the full-ensemble measurement and summarize the totals.
+def run_trials(e: EnsembleSpec, axis: Axis, trials: int, seed: int) -> np.ndarray:
+    """Repeat the full-ensemble measurement ``trials`` times (at least 2).
 
-    Deterministic for fixed (ensemble, axis, trials, seed). Returns
-    :class:`TrialStatistics`, or ``(stats, n_plus)`` when ``keep_counts`` is
-    set, where ``n_plus[t]`` is trial t's number of + outcomes. Piece ``j`` of
-    trial ``t`` has ``offset + i`` + outcomes, where ``i`` is the number of
-    its CDF entries at or below the piece's word, capped at the last index.
+    Deterministic for fixed (ensemble, axis, trials, seed). Returns the int64
+    array ``n_plus``, where ``n_plus[t]`` is trial t's number of + outcomes;
+    its total spin is ``2 * n_plus[t] - e.total_count`` half quanta. Piece
+    ``j`` of trial ``t`` has ``offset + i`` + outcomes, where ``i`` is the
+    number of its CDF entries at or below the piece's word, capped at the
+    last index.
     """
-    if trials < 2:
-        raise ValueError("at least 2 trials are needed for an unbiased variance")
-
+    trials = check_int(trials, "trials", 2)
     seed = check_int(seed, "seed") % (1 << 64)
     certain, runs, width = _pieces(_component_probabilities(e, axis))
     if trials * width > MAX_WORDS:
@@ -190,17 +144,7 @@ def run_trials(e: EnsembleSpec, axis: Axis, trials: int, seed: int, keep_counts:
                     if a < b:
                         index = np.searchsorted(cdf, words[:, a - first : b - first], side="right")
                         n_plus[lo:hi] += np.minimum(index, len(cdf) - 1).sum(axis=1) + offset * (b - a)
-
-    n = e.total_count
-    totals = 2 * n_plus - n
-    stats = TrialStatistics(
-        trials=trials,
-        sample_mean=float(int(totals.sum()) / trials),
-        sample_variance=float(np.var(totals, ddof=1)),
-        min_total=int(totals.min()),
-        max_total=int(totals.max()),
-    )
-    return (stats, n_plus) if keep_counts else stats
+    return n_plus
 
 
 def _trim(pmf: np.ndarray, offset: int) -> tuple[np.ndarray, int]:
@@ -257,8 +201,8 @@ def exact_total_distribution(e: EnsembleSpec, axis: Axis) -> TotalSpinDistributi
     return TotalSpinDistribution(support[keep], pmf[keep])
 
 
-def preparation_aware_prediction(e: EnsembleSpec, axis: Axis) -> PredictionReport:
-    """Mean and variance of the total from the preparation record.
+def preparation_aware_prediction(e: EnsembleSpec, axis: Axis) -> tuple[float, float]:
+    """``(mean, variance)`` of the total, in half quanta, from the preparation record.
 
     Particles are independent, so component means and variances add with
     multiplicity; matches the exact distribution's moments.
@@ -269,4 +213,4 @@ def preparation_aware_prediction(e: EnsembleSpec, axis: Axis) -> PredictionRepor
         m, v = state_mean_and_variance(component.state, axis)
         mean += component.count * m
         variance += component.count * v
-    return PredictionReport(mean, variance, method="preparation_aware")
+    return mean, variance

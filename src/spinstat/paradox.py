@@ -5,20 +5,20 @@ but the operator it yields depends on the state it was built from: the members
 built from the two x eigenstates annihilate their sources, while the member
 built from a z eigenstate is the identity. A state-independent observable with
 both behaviors cannot exist, and the least-squares fit below quantifies how
-far any fixed candidate must miss.
+far any fixed candidate must miss. An operator a I + b.sigma is the real pair
+``(a, b)``; :func:`null_operator_contradiction` returns the two witness
+members as such pairs, and the harness evaluates them on their sources.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .spin import SpinOutcome, Vector, X, Z, dot, eigenstate
 
 __all__ = [
-    "PseudoOperatorReport",
     "variance_pseudo_operator",
     "annihilation_residual",
     "null_operator_contradiction",
@@ -35,27 +35,6 @@ def expectation(op: Operator, state: Vector) -> float:
     """Expectation a + b.m of ``op`` on the state with Bloch vector m."""
     a, b = op
     return a + dot(b, state)
-
-
-@dataclass(frozen=True)
-class PseudoOperatorReport:
-    """One member of the state-indexed family, evaluated on its source state.
-
-    ``annihilates_sx_eigenstates`` is a family-level fact shared by every
-    report: each x eigenstate is annihilated by the member built from it, so
-    any single fixed operator honoring that would be the null operator. A
-    report with this flag set and a nonzero ``expectation_on_source`` is the
-    contradiction in one object.
-    """
-
-    source_state: Vector
-    operator: Operator
-    annihilates_sx_eigenstates: bool
-    expectation_on_source: float
-
-    def __post_init__(self) -> None:
-        if self.expectation_on_source < -1e-12:
-            raise ValueError("a squared Hermitian operator cannot have negative expectation")
 
 
 def variance_pseudo_operator(beta: Vector) -> Operator:
@@ -78,14 +57,14 @@ def annihilation_residual(beta: Vector) -> float:
     return math.sqrt(max(a * a + dot(b, b) + 2.0 * a * dot(b, beta), 0.0))
 
 
-def null_operator_contradiction() -> tuple[PseudoOperatorReport, PseudoOperatorReport]:
+def null_operator_contradiction() -> tuple[Operator, Operator]:
     """Witness pair showing the family cannot be one fixed operator.
 
-    Each member built from an x eigenstate annihilates its source (so a fixed
-    operator with those eigenstates would be the null operator), yet the
-    member built from the +z eigenstate has expectation 1 there. Both facts
-    are verified numerically; failing to produce them is a bug, not an error
-    state.
+    Returns the members built from the +x and the +z eigenstate. Each member
+    built from an x eigenstate annihilates its source (so a fixed operator
+    with those eigenstates would be the null operator), yet the member built
+    from the +z eigenstate has expectation 1 there. Both facts are verified
+    numerically; failing to produce them is a bug, not an error state.
     """
     x_plus = eigenstate(X, SpinOutcome.PLUS)
     x_minus = eigenstate(X, SpinOutcome.MINUS)
@@ -97,14 +76,10 @@ def null_operator_contradiction() -> tuple[PseudoOperatorReport, PseudoOperatorR
     if not annihilates:
         raise RuntimeError("x eigenstates were not annihilated; numerical kernel is broken")
 
-    def report(source: Vector) -> PseudoOperatorReport:
-        op = variance_pseudo_operator(source)
-        return PseudoOperatorReport(source, op, True, expectation(op, source))
-
-    zero_report, nonzero_report = report(x_plus), report(z_plus)
-    if abs(nonzero_report.expectation_on_source - 1.0) > _ANNIHILATION_TOL:
+    zero_op, nonzero_op = variance_pseudo_operator(x_plus), variance_pseudo_operator(z_plus)
+    if abs(expectation(nonzero_op, z_plus) - 1.0) > _ANNIHILATION_TOL:
         raise RuntimeError("z eigenstate expectation drifted from 1; numerical kernel is broken")
-    return zero_report, nonzero_report
+    return zero_op, nonzero_op
 
 
 def _best_affine_fit(bloch: np.ndarray, targets: np.ndarray) -> tuple[float, float]:

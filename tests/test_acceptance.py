@@ -18,10 +18,11 @@ from spinstat.harness import run_experiment
 from spinstat.montecarlo import exact_total_distribution, preparation_aware_prediction, run_trials
 from spinstat.paradox import (
     annihilation_residual,
+    expectation,
     fixed_operator_infeasibility,
     null_operator_contradiction,
 )
-from spinstat.spin import Axis, SpinOutcome, X, eigenstate
+from spinstat.spin import Axis, SpinOutcome, X, Z, eigenstate
 from test_harness import make_config, run_cli
 
 
@@ -34,27 +35,29 @@ def test_criterion_1_preset_a_deterministic_zero_variance():
     e = make_ensemble_A(1000)
     for seed in (0, 42, 987654321):
         start = time.perf_counter()
-        stats, n_plus = run_trials(e, X, 10_000, seed=seed, keep_counts=True)
+        n_plus = run_trials(e, X, 10_000, seed=seed)
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0, f"simulation took {elapsed:.2f}s at seed {seed}"
         assert n_plus.tolist() == [500] * 10_000, f"nonzero total at seed {seed}"
-        assert stats.sample_mean == 0.0
-        assert stats.sample_variance == 0.0
-        assert stats.min_total == 0 and stats.max_total == 0
+        totals = 2 * n_plus - 1000
+        assert totals.mean() == 0.0
+        assert totals.var(ddof=1) == 0.0
+        assert totals.min() == 0 and totals.max() == 0
     report("PASS criterion 1: preset A gives every total exactly 0 with sample variance exactly 0 in < 5 s")
 
 
 def test_criterion_2_preset_b_binomial_variance():
     """n=1000, trials=10000, seed 42: variance within 5% of 1000, |mean| <= 1.6, < 5 s."""
     start = time.perf_counter()
-    stats = run_trials(make_ensemble_B(1000), X, 10_000, seed=42)
+    totals = 2 * run_trials(make_ensemble_B(1000), X, 10_000, seed=42) - 1000
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"simulation took {elapsed:.2f}s"
-    assert abs(stats.sample_variance - 1000.0) <= 50.0, stats.sample_variance
-    assert abs(stats.sample_mean) <= 1.6, stats.sample_mean
+    variance, mean = totals.var(ddof=1), totals.mean()
+    assert abs(variance - 1000.0) <= 50.0, variance
+    assert abs(mean) <= 1.6, mean
     report(
         "PASS criterion 2: preset B sample variance "
-        f"{stats.sample_variance:.1f} within 5% of 1000, |mean| {abs(stats.sample_mean):.3f} <= 1.6, < 5 s"
+        f"{variance:.1f} within 5% of 1000, |mean| {abs(mean):.3f} <= 1.6, < 5 s"
     )
 
 
@@ -126,11 +129,11 @@ def test_criterion_6_exact_distribution_matches_brute_force():
             assert np.max(np.abs(dist.probabilities - enumerated)) <= 1e-12
             missing = set(dense) - set(dist.support.tolist())
             assert all(dense[t] <= 1e-12 for t in missing)
-            pred = preparation_aware_prediction(e, measure_axis)
+            pred_mean, pred_variance = preparation_aware_prediction(e, measure_axis)
             mean = float(pmf @ support)
             variance = float(pmf @ (support - mean) ** 2)
-            assert abs(pred.mean - mean) <= 1e-9
-            assert abs(pred.variance - variance) <= 1e-9
+            assert abs(pred_mean - mean) <= 1e-9
+            assert abs(pred_variance - variance) <= 1e-9
     for n in sizes:
         dist = exact_total_distribution(make_ensemble_B(n), X)
         count_variance = dist.variance() / 4.0
@@ -147,8 +150,8 @@ def test_criterion_7_variance_operator_witnesses():
     for sign in (SpinOutcome.PLUS, SpinOutcome.MINUS):
         residual = annihilation_residual(eigenstate(X, sign))
         assert residual < 1e-12, residual
-    _, nonzero_report = null_operator_contradiction()
-    assert abs(nonzero_report.expectation_on_source - 1.0) <= 1e-12
+    _, nonzero_op = null_operator_contradiction()
+    assert abs(expectation(nonzero_op, eigenstate(Z, SpinOutcome.PLUS)) - 1.0) <= 1e-12
     rms, _ = fixed_operator_infeasibility(100_000, seed=0)
     assert abs(rms - 0.2981) <= 0.02 * 0.2981, rms
     report(
@@ -167,14 +170,12 @@ def test_criterion_8_generalized_axis_variance_law():
         axis = Axis(theta, 0.0)
         nx = axis.bloch()[0]
         predicted = 1000.0 * (1.0 - nx * nx)
-        stats = run_trials(make_pair_ensemble(axis, 1000), X, trials, seed=2026)
+        variance = (2 * run_trials(make_pair_ensemble(axis, 1000), X, trials, seed=2026) - 1000).var(ddof=1)
         if predicted == 0.0:
-            assert stats.sample_variance == 0.0
+            assert variance == 0.0
         else:
-            assert abs(stats.sample_variance - predicted) <= 5.0 * predicted * rse, (
-                f"theta={theta}: {stats.sample_variance} vs {predicted}"
-            )
-        summaries.append(f"theta={theta:.3f}: {stats.sample_variance:.1f} ~ {predicted:.1f}")
+            assert abs(variance - predicted) <= 5.0 * predicted * rse, f"theta={theta}: {variance} vs {predicted}"
+        summaries.append(f"theta={theta:.3f}: {variance:.1f} ~ {predicted:.1f}")
     report("PASS criterion 8: pair-ensemble variance follows 1000*(1 - nx^2) within 5 rse [" + "; ".join(summaries) + "]")
 
 

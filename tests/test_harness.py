@@ -94,6 +94,19 @@ class TestRunExperiment:
         assert first[0] == "0"
         assert int(first[1]) == int(first[2]) - int(first[3])
 
+    def test_statistics_match_records(self, tmp_path):
+        report = run_experiment(make_config(tmp_path, n=50, trials=100, seed=3))
+        rows = np.loadtxt(tmp_path / "totals.csv", delimiter=",", skiprows=1, dtype=np.int64)
+        totals = rows[:, 1]
+        assert rows[:, 0].tolist() == list(range(100))
+        assert np.array_equal(totals, rows[:, 2] - rows[:, 3])
+        empirical = report["empirical"]
+        assert empirical["trials"] == 100
+        assert_allclose(empirical["sample_mean"], totals.mean(), atol=1e-12)
+        assert_allclose(empirical["sample_variance"], totals.var(ddof=1), atol=1e-9)
+        assert empirical["min"] == totals.min()
+        assert empirical["max"] == totals.max()
+
     def test_verdict_pattern_for_preset_b(self):
         verdicts = run_experiment(make_config(trials=2000))["verdicts"]
         assert verdicts["preparation_aware"]["matches_empirical"]
@@ -170,6 +183,9 @@ class TestDemoParadox:
         payload = demo_paradox(samples=2000, seed=1)
         assert payload["annihilation"]["x_plus_residual"] < 1e-12
         assert payload["annihilation"]["x_minus_residual"] < 1e-12
+        assert payload["annihilation"]["annihilates_sx_eigenstates"]
+        assert payload["nonzero_expectation"]["annihilates_sx_eigenstates"]
+        assert abs(payload["annihilation"]["expectation_on_source"]) <= 1e-12
         assert_allclose(payload["nonzero_expectation"]["expectation_on_source"], 1.0, atol=1e-12)
         assert_allclose(payload["family_members_max_entry_diff"], 2.0, atol=1e-12)
         fit = payload["fixed_operator_fit"]

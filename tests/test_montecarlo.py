@@ -30,43 +30,34 @@ from spinstat.ensemble import (
     make_pair_ensemble,
 )
 from spinstat.montecarlo import exact_total_distribution, preparation_aware_prediction, run_trials
-from spinstat.spin import Axis, SpinOutcome, X, Z, born_probability, eigenstate
+from spinstat.spin import Axis, ConfigError, SpinOutcome, X, Z, born_probability, eigenstate
 
 
 class TestRunTrials:
     def test_matches_per_trial_measurement(self):
         # Two components of 1500: a full piece and a remainder each.
         e = make_pair_ensemble(Axis(0.8, 2.0), 3000)
-        _, n_plus = run_trials(e, X, 12, seed=55, keep_counts=True)
+        n_plus = run_trials(e, X, 12, seed=55)
         assert n_plus.tolist() == reference_counts(e, X, 55, 12, montecarlo.PIECE)
 
     def test_sampled_totals_have_ensemble_parity(self):
         e = make_pair_ensemble(Axis(1.1, 0.3), 9 * 2)
-        _, n_plus = run_trials(e, X, 50, seed=14, keep_counts=True)
+        n_plus = run_trials(e, X, 50, seed=14)
         for total in (2 * n_plus - 18).tolist():
             assert abs(total) <= 18
             assert total % 2 == 0
 
-    def test_statistics_match_records(self):
-        e = make_ensemble_B(50)
-        stats, n_plus = run_trials(e, X, 100, seed=3, keep_counts=True)
-        totals = 2 * n_plus - 50
-        assert stats.trials == 100
-        assert_allclose(stats.sample_mean, totals.mean(), atol=1e-12)
-        assert_allclose(stats.sample_variance, totals.var(ddof=1), atol=1e-9)
-        assert stats.min_total == totals.min()
-        assert stats.max_total == totals.max()
-
     def test_variance_of_total_is_four_times_count_variance(self):
         e = make_ensemble_B(40)
-        _, counts = run_trials(e, X, 400, seed=21, keep_counts=True)
+        counts = run_trials(e, X, 400, seed=21)
         totals = 2 * counts - 40
         assert_allclose(totals.var(ddof=1), 4.0 * counts.var(ddof=1), atol=1e-9)
 
     def test_rejects_degenerate_parameters(self):
         e = make_ensemble_B(4)
-        with pytest.raises(ValueError):
-            run_trials(e, X, 1, seed=0)
+        for trials in (1, 0, -3, 2.5, "3", None, True):
+            with pytest.raises(ConfigError, match="field 'trials'"):
+                run_trials(e, X, trials, seed=0)
 
 
 class TestExactDistribution:
@@ -136,9 +127,9 @@ class TestExactDistribution:
             for i, theta in enumerate(thetas)
         ))
         dist = exact_total_distribution(e, Z)
-        pred = preparation_aware_prediction(e, Z)
-        assert dist.mean() > 100 * pred.sigma
-        assert abs(dist.variance() - pred.variance) <= 1e-14 * pred.variance
+        _, variance = preparation_aware_prediction(e, Z)
+        assert dist.mean() > 100 * math.sqrt(variance)
+        assert abs(dist.variance() - variance) <= 1e-14 * variance
 
 
 class TestPreparationAwarePrediction:
@@ -147,26 +138,23 @@ class TestPreparationAwarePrediction:
         for _ in range(30):
             e = random_ensemble(rng)
             axis = random_axis(rng)
-            pred = preparation_aware_prediction(e, axis)
+            mean, variance = preparation_aware_prediction(e, axis)
             dist = exact_total_distribution(e, axis)
-            assert_allclose(pred.mean, dist.mean(), atol=1e-9)
-            assert_allclose(pred.variance, dist.variance(), atol=1e-9)
+            assert_allclose(mean, dist.mean(), atol=1e-9)
+            assert_allclose(variance, dist.variance(), atol=1e-9)
 
     def test_preset_closed_forms(self):
-        pred_a = preparation_aware_prediction(make_ensemble_A(1000), X)
-        assert pred_a.mean == 0.0 and pred_a.variance == 0.0 and pred_a.sigma == 0.0
-        pred_b = preparation_aware_prediction(make_ensemble_B(1000), X)
-        assert pred_b.mean == 0.0 and pred_b.variance == 1000.0
-        assert_allclose(pred_b.sigma, math.sqrt(1000.0), atol=1e-12)
+        assert preparation_aware_prediction(make_ensemble_A(1000), X) == (0.0, 0.0)
+        assert preparation_aware_prediction(make_ensemble_B(1000), X) == (0.0, 1000.0)
 
     def test_sampling_agrees_with_prediction(self):
         e = make_pair_ensemble(Axis(math.pi / 3, 0.4), 200)
-        pred = preparation_aware_prediction(e, X)
-        stats = run_trials(e, X, 4000, seed=10)
-        rse = math.sqrt(2.0 / (stats.trials - 1))
-        assert abs(stats.sample_variance - pred.variance) <= 5.0 * pred.variance * rse
-        sigma_mean = math.sqrt(pred.variance / stats.trials)
-        assert abs(stats.sample_mean - pred.mean) <= 5.0 * sigma_mean
+        mean, variance = preparation_aware_prediction(e, X)
+        totals = 2 * run_trials(e, X, 4000, seed=10) - e.total_count
+        rse = math.sqrt(2.0 / (len(totals) - 1))
+        assert abs(totals.var(ddof=1) - variance) <= 5.0 * variance * rse
+        sigma_mean = math.sqrt(variance / len(totals))
+        assert abs(totals.mean() - mean) <= 5.0 * sigma_mean
 
 
 def test_single_particle_ensemble_distribution():
@@ -229,8 +217,7 @@ def test_largest_admitted_component_sums_to_one():
     e = EnsembleSpec((EnsembleComponent(state, montecarlo.MAX_SUPPORT_POINTS - 1),))
     dist = exact_total_distribution(e, Z)
     assert abs(math.fsum(dist.probabilities) - 1.0) <= 1e-15
-    pred = preparation_aware_prediction(e, Z)
-    assert_allclose([dist.mean(), dist.variance()], [pred.mean, pred.variance], rtol=1e-9)
+    assert_allclose([dist.mean(), dist.variance()], preparation_aware_prediction(e, Z), rtol=1e-9)
 
 
 def test_exact_distribution_guard_rejects_before_any_work():
@@ -305,8 +292,8 @@ def test_run_trials_matches_reference_sampler(case, trials, seed, piece, block):
     piece = piece or montecarlo.PIECE
     with mock.patch.object(montecarlo, "PIECE", piece):
         with mock.patch.object(montecarlo, "_BLOCK_WORDS", block or montecarlo._BLOCK_WORDS):
-            stats, n_plus = run_trials(e, axis, trials, seed, keep_counts=True)
-        assert stats == run_trials(e, axis, trials, seed)
+            n_plus = run_trials(e, axis, trials, seed)
+        assert np.array_equal(n_plus, run_trials(e, axis, trials, seed))
     assert n_plus.tolist() == reference_counts(e, axis, seed, trials, piece)
 
 
@@ -324,7 +311,7 @@ def test_totals_follow_the_exact_distribution(seed):
     seeds 1 and 2 give 134.1 and 129.1, and seeds 1-20 average 127.6.
     """
     e, axis, trials = _tilted((1500, 1100, 700, 2100)), Axis(0.8, 0.7), 200_000
-    _, n_plus = run_trials(e, axis, trials, seed, keep_counts=True)
+    n_plus = run_trials(e, axis, trials, seed)
     dist = exact_total_distribution(e, axis)
     index = np.searchsorted(dist.support, 2 * n_plus - e.total_count)
     assert np.array_equal(dist.support[index], 2 * n_plus - e.total_count)
@@ -373,16 +360,16 @@ def _no_work(*args, **kwargs):
 
 def test_certain_outcomes_draw_no_uniforms(monkeypatch):
     monkeypatch.setattr(np.random, "Philox", _no_work)
-    _, n_plus = run_trials(make_ensemble_A(1000), X, 50, seed=3, keep_counts=True)
+    n_plus = run_trials(make_ensemble_A(1000), X, 50, seed=3)
     assert n_plus.tolist() == [500] * 50
-    _, n_plus = run_trials(make_ensemble_B(1000), Z, 50, seed=3, keep_counts=True)
+    n_plus = run_trials(make_ensemble_B(1000), Z, 50, seed=3)
     assert n_plus.tolist() == [500] * 50
     along_x = EnsembleSpec((
         EnsembleComponent(eigenstate(X, SpinOutcome.PLUS), 3),
         EnsembleComponent(eigenstate(X, SpinOutcome.MINUS), 5),
     ))
-    stats = run_trials(along_x, X, 10, seed=0)
-    assert stats.sample_mean == -2.0 and stats.sample_variance == 0.0
+    totals = 2 * run_trials(along_x, X, 10, seed=0) - 8
+    assert totals.mean() == -2.0 and totals.var(ddof=1) == 0.0
 
 
 def test_largest_certain_ensemble_builds_nothing(monkeypatch):
@@ -393,7 +380,8 @@ def test_largest_certain_ensemble_builds_nothing(monkeypatch):
         EnsembleComponent(eigenstate(Z, SpinOutcome.PLUS), 2**52 + 1),
         EnsembleComponent(eigenstate(Z, SpinOutcome.MINUS), 2**52 - 1),
     ))
-    stats, n_plus = run_trials(e, Z, 1000, seed=5, keep_counts=True)
+    n_plus = run_trials(e, Z, 1000, seed=5)
     assert n_plus.tolist() == [2**52 + 1] * 1000
-    assert (stats.sample_mean, stats.sample_variance, stats.min_total, stats.max_total) == (2.0, 0.0, 2, 2)
+    totals = 2 * n_plus - 2**53
+    assert (totals.mean(), totals.var(ddof=1), totals.min(), totals.max()) == (2.0, 0.0, 2, 2)
 

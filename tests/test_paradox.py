@@ -56,15 +56,16 @@ class TestNullOperatorContradiction:
             assert annihilation_residual(eigenstate(X, sign)) == 0.0
 
     def test_witness_pair(self):
-        zero_report, nonzero_report = null_operator_contradiction()
-        assert zero_report.annihilates_sx_eigenstates
-        assert nonzero_report.annihilates_sx_eigenstates
-        assert abs(zero_report.expectation_on_source) <= 1e-12
-        assert abs(nonzero_report.expectation_on_source - 1.0) <= 1e-12
+        x_plus, z_plus = eigenstate(X, SpinOutcome.PLUS), eigenstate(Z, SpinOutcome.PLUS)
+        zero_op, nonzero_op = null_operator_contradiction()
+        assert zero_op == variance_pseudo_operator(x_plus)
+        assert nonzero_op == variance_pseudo_operator(z_plus)
+        assert abs(expectation(zero_op, x_plus)) <= 1e-12
+        assert abs(expectation(nonzero_op, z_plus) - 1.0) <= 1e-12
 
     def test_family_members_differ(self):
-        zero_report, nonzero_report = null_operator_contradiction()
-        gap = np.abs(matrix(*zero_report.operator) - matrix(*nonzero_report.operator)).max()
+        zero_op, nonzero_op = null_operator_contradiction()
+        gap = np.abs(matrix(*zero_op) - matrix(*nonzero_op)).max()
         assert_allclose(gap, 2.0, atol=1e-12)
 
 
