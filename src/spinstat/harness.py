@@ -165,8 +165,7 @@ def write_output(path: str, text: str) -> None:
 def _totals_csv(n_plus: list[int], n: int) -> str:
     # One suffix per distinct count: at most min(trials, n + 1) strings.
     suffix = {plus: f",{2 * plus - n},{plus},{n - plus}\n" for plus in set(n_plus)}
-    rows = map(str.__add__, map(str, range(len(n_plus))), map(suffix.__getitem__, n_plus))
-    return "trial,total_half_quanta,n_plus,n_minus\n" + "".join(rows)
+    return "trial,total_half_quanta,n_plus,n_minus\n" + "".join([f"{i}{suffix[p]}" for i, p in enumerate(n_plus)])
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:

@@ -33,8 +33,9 @@ def matrix(a, b) -> np.ndarray:
 
 
 def density_matrix(rho) -> np.ndarray:
-    """The matrix (t I + s.sigma)/2 of a ``DensityOp``."""
-    return matrix(rho.trace / 2.0, [c / 2.0 for c in rho.bloch])
+    """The matrix (t I + s.sigma)/2 of a density operator's (trace, bloch) pair."""
+    trace, bloch = rho
+    return matrix(trace / 2.0, [c / 2.0 for c in bloch])
 
 
 def quantum_expectation(op: np.ndarray, bloch) -> float:

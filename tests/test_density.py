@@ -14,27 +14,26 @@ class TestDensityOperator:
     def test_pure_state_density_is_projector(self):
         z_plus = eigenstate(Z, SpinOutcome.PLUS)
         rho = density_operator(EnsembleSpec((EnsembleComponent(z_plus, 7),)))
-        assert rho.bloch == (0.0, 0.0, 1.0)
+        assert rho == (1.0, (0.0, 0.0, 1.0))
         assert_allclose(density_matrix(rho), [[1.0, 0.0], [0.0, 0.0]], atol=1e-15)
 
     def test_preset_mixture_is_half_identity(self):
         rho = density_operator(make_ensemble_B(4))
-        assert rho.bloch == (0.0, 0.0, 0.0)
+        assert rho == (1.0, (0.0, 0.0, 0.0))
         assert_allclose(density_matrix(rho), [[0.5, 0.0], [0.0, 0.5]], atol=0)
 
     def test_normalized_trace_is_exactly_one(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
-            rho = density_operator(random_ensemble(rng))
-            assert rho.trace == 1.0
+            trace, _ = density_operator(random_ensemble(rng))
+            assert trace == 1.0
 
     def test_unnormalized_trace_is_exactly_n(self):
         rng = np.random.default_rng(12)
         for _ in range(50):
             e = random_ensemble(rng)
-            rho = density_operator(e, normalized=False)
-            assert rho.trace == float(e.total_count)
-            assert rho.particle_count == e.total_count
+            trace, _ = density_operator(e, normalized=False)
+            assert trace == float(e.total_count)
 
     def test_presets_give_maximally_mixed_state(self):
         for n in (2, 10, 1000):
@@ -50,7 +49,7 @@ class TestDensityOperator:
         for _ in range(50):
             for normalized in (True, False):
                 rho, sigma = (density_operator(random_ensemble(rng, max_count=5), normalized) for _ in range(2))
-                if rho.trace != sigma.trace:
+                if rho[0] != sigma[0]:
                     continue
                 gap = np.abs(density_matrix(rho) - density_matrix(sigma)).max()
                 assert_allclose(entrywise_difference(rho, sigma), gap, rtol=1e-12, atol=1e-15)
@@ -60,6 +59,16 @@ class TestDensityOperator:
         rho_u = density_operator(make_ensemble_A(2), normalized=False)
         with pytest.raises(ValueError):
             entrywise_difference(rho_n, rho_u)
+
+    def test_one_particle_forms_coincide(self):
+        # With N = 1 both forms have trace 1: the same matrix, so they compare equal.
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            e = random_ensemble(rng, max_components=1, max_count=1)
+            rho_n, rho_u = density_operator(e), density_operator(e, normalized=False)
+            assert rho_n == rho_u
+            assert entrywise_difference(rho_n, rho_u) == 0.0
+            assert density_equal(rho_n, rho_u, 0.0)
 
 
 class TestTraceFormulas:

@@ -10,12 +10,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import density_matrix, ket, matrix, quantum_expectation, random_axis, random_ensemble, states
-from spinstat.density import DensityOp, density_operator, expectation_tr, variance_tr
+from spinstat.density import density_operator, expectation_tr, variance_tr
 from spinstat.ensemble import EnsembleComponent, EnsembleSpec
 from spinstat.paradox import annihilation_residual, expectation, variance_pseudo_operator
 
@@ -84,8 +84,8 @@ class TestHermitianOp:
             e = random_ensemble(rng)
             for normalized in (True, False):
                 rho = density_operator(e, normalized=normalized)
-                assert rho.trace == (1.0 if normalized else float(e.total_count))
-                assert_allclose(np.trace(density_matrix(rho)).real, rho.trace, rtol=1e-15)
+                assert rho[0] == (1.0 if normalized else float(e.total_count))
+                assert_allclose(np.trace(density_matrix(rho)).real, rho[0], rtol=1e-15)
         assert np.trace(matrix(1.0, (0.0, 0.0, 0.0))).real == 2.0
 
 
@@ -97,7 +97,7 @@ class TestProducts:
         psi = ket(m)
         assert_allclose(proj, np.outer(psi, psi.conj()), atol=1e-12)
         assert_allclose(proj @ proj, proj, atol=1e-12)
-        assert rho.trace == 1.0
+        assert rho[0] == 1.0
         assert_allclose(quantum_expectation(proj, m), 1.0, atol=1e-12)
 
     @given(states(), _reals, states())
@@ -116,32 +116,21 @@ class TestProducts:
                 rho = density_operator(e, normalized=normalized)
                 r = density_matrix(rho)
                 mean = np.trace(r @ obs).real
-                scale = rho.trace
+                scale = rho[0]
                 assert_allclose(expectation_tr(rho, axis), mean, atol=1e-12 * scale)
                 second = np.trace(r @ obs @ obs).real
                 assert_allclose(variance_tr(rho, axis), second - mean**2, atol=1e-12 * scale**2)
 
 
 class TestEigensystem:
-    """The positive-semidefinite check |s| <= t against numpy's eigenvalues."""
+    """Every density operator the package builds is positive semidefinite: |s| <= t."""
 
-    def test_diagonal_operator(self):
-        rho = DensityOp(1.0, (0.0, 0.0, 1.0), normalized=True)
-        assert_allclose(np.linalg.eigvalsh(density_matrix(rho)), [0.0, 1.0], atol=1e-15)
-        with pytest.raises(ValueError, match="positive semidefinite"):
-            DensityOp(1.0, (0.0, 0.0, -1.5), normalized=True)
-        assert_allclose(np.linalg.eigvalsh(matrix(0.5, (0.0, 0.0, -0.75))), [-0.25, 1.25], atol=1e-15)
-
-    def test_degenerate_spectrum(self):
-        rho = DensityOp(4.0, (0.0, 0.0, 0.0), normalized=False, particle_count=4)
-        assert_allclose(np.linalg.eigvalsh(density_matrix(rho)), [2.0, 2.0], atol=1e-15)
-
-    @given(st.integers(1, 5), _reals, _reals, _reals)
-    def test_matches_numpy_eigh(self, count, sx, sy, sz):
-        lowest = np.linalg.eigvalsh(matrix(count / 2.0, (sx / 2.0, sy / 2.0, sz / 2.0)))[0]
-        assume(abs(lowest) > 1e-9)
-        if lowest > 0:
-            DensityOp(float(count), (sx, sy, sz), normalized=False, particle_count=count)
-        else:
-            with pytest.raises(ValueError, match="positive semidefinite"):
-                DensityOp(float(count), (sx, sy, sz), normalized=False, particle_count=count)
+    def test_density_operators_are_positive_semidefinite(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            e = random_ensemble(rng)
+            for normalized in (True, False):
+                rho = density_operator(e, normalized=normalized)
+                trace, bloch = rho
+                assert math.hypot(*bloch) <= trace * (1.0 + 1e-12)
+                assert np.linalg.eigvalsh(density_matrix(rho))[0] >= -1e-12 * trace
