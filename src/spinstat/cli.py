@@ -115,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.out is None:
                 sys.stdout.write(payload)
             else:
-                write_output(args.out, payload)
+                write_output(args.out, [payload.encode()])
     except OutputError as exc:
         print(f"error [output-error]: {exc}", file=sys.stderr)
         return EXIT_OUTPUT_ERROR

@@ -18,9 +18,11 @@ import json
 import math
 import os
 import reprlib
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any
+
+import numpy as np
 
 from .density import density_equal, density_operator, entrywise_difference, expectation_tr, variance_tr
 from .ensemble import EnsembleSpec, ensemble_from_json, make_ensemble_A, make_ensemble_B
@@ -51,9 +53,15 @@ __all__ = [
 VERDICT_SIGMAS = 5.0
 
 # Most trials one experiment may request, checked before any work starts:
-# the per-trial counts take 8 bytes each, and building totals.csv holds one
-# Python string per trial.
+# the run holds a few arrays of 8 bytes per trial, and totals.csv is written
+# in blocks of _CSV_BLOCK rows. At 10**7 trials of demo B along x with n = 2,
+# the run took 1.0 s and 264 MB peak RSS, and 2.2 s and 265 MB with --totals
+# (a 141 MB file; 2-core x86 box, numpy 2.4).
 MAX_TRIALS = 10**7
+
+# Rows of totals.csv formatted per block. At 2**16 rows the many-small
+# benchmark's peak RSS rose by 0.9 MB; at 2**13 it fell by 2.6 MB.
+_CSV_BLOCK = 1 << 13
 
 # Most random states `paradox` may fit, checked before any work starts. The
 # fit's peak memory grows by about 120 bytes per sample: 167 MB at 10**6 and
@@ -154,18 +162,47 @@ def dump_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def write_output(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` as UTF-8, raising :class:`OutputError` on failure."""
+def write_output(path: str, blocks: Iterable[bytes]) -> None:
+    """Write ``blocks`` to ``path`` in order, raising :class:`OutputError` on failure."""
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "wb") as fh:
+            for block in blocks:
+                fh.write(block)
     except OSError as exc:
         raise OutputError(f"cannot write output path {path!r}: {exc}") from exc
 
 
-def _totals_csv(n_plus: list[int], n: int) -> str:
-    # One suffix per distinct count: at most min(trials, n + 1) strings.
-    suffix = {plus: f",{2 * plus - n},{plus},{n - plus}\n" for plus in set(n_plus)}
-    return "trial,total_half_quanta,n_plus,n_minus\n" + "".join([f"{i}{suffix[p]}" for i, p in enumerate(n_plus)])
+def _totals_csv(n_plus: np.ndarray, n: int) -> Iterator[bytes]:
+    """``totals.csv`` for the + counts ``n_plus`` of ``n`` particles: its header, then its rows in blocks.
+
+    Each block is formatted in numpy, so no Python object is built per row
+    and memory stays flat in the trial count. A row is an 8-byte field that
+    holds the trial number right-aligned after NUL bytes (trial numbers
+    below ``MAX_TRIALS`` fit), then the row's suffix
+    ``,{2p-n},{p},{n-p}\\n`` from a NUL-padded table of the block's distinct
+    counts; the CSV holds no NUL, so deleting them all leaves the rows. Every
+    scalar is a ``np.uint64``, so numpy 1.24 and 2 cast alike.
+    """
+    yield b"trial,total_half_quanta,n_plus,n_minus\n"
+    nul, ten, digit0, byte = np.uint64(0), np.uint64(10), np.uint64(ord("0")), np.uint64(8)
+    for lo in range(0, len(n_plus), _CSV_BLOCK):
+        block = n_plus[lo : lo + _CSV_BLOCK]
+        counts = np.sort(block)
+        counts = counts[np.concatenate(([True], counts[1:] != counts[:-1]))]
+        suffix = np.array([f",{2 * p - n},{p},{n - p}\n".encode() for p in counts.tolist()])
+        # Digit k of trial t is t // 10**k - 10 * (t // 10**(k+1)), NUL where
+        # 10**k > t: numpy's `//` by a scalar is several times faster than `%`.
+        trial = np.arange(lo, lo + len(block), dtype=np.uint64)
+        rest = trial // ten
+        field, shift = trial - rest * ten + digit0, nul
+        for _ in range(1, len(str(lo + len(block) - 1))):
+            trial, rest = rest, rest // ten
+            shift += byte
+            field |= np.where(trial > nul, (trial - rest * ten + digit0) << shift, nul)
+        rows = np.empty(len(block), dtype=[("trial", ">u8"), ("suffix", suffix.dtype)])
+        rows["trial"] = field
+        rows["suffix"] = suffix[np.searchsorted(counts, block)]
+        yield rows.tobytes().translate(None, b"\0")
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
@@ -201,9 +238,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         "units": {"hbar": cfg.hbar},
     }
     if cfg.report_path is not None:
-        write_output(cfg.report_path, dump_json(report))
+        write_output(cfg.report_path, [dump_json(report).encode()])
     if cfg.totals_path is not None:
-        write_output(cfg.totals_path, _totals_csv(n_plus.tolist(), cfg.ensemble.total_count))
+        write_output(cfg.totals_path, _totals_csv(n_plus, cfg.ensemble.total_count))
     return report
 
 

@@ -96,9 +96,10 @@ def _pieces(probs) -> tuple[int, list[tuple[int, int, np.ndarray, int]], int]:
     lists ``(first, stop, cdf, offset)`` once for a component's full pieces
     and once for its remainder: words ``first..stop-1`` each invert ``cdf``,
     whose entry ``i`` is the probability of at most ``offset + i`` + outcomes
-    in the piece. ``width`` is the number of words.
+    in the piece. ``width`` is the number of words. Each distinct
+    ``(size, p)`` CDF is built once and shared by every run that needs it.
     """
-    certain, runs, width = 0, [], 0
+    certain, runs, width, cdfs = 0, [], 0, {}
     for count, p in probs:
         if p == 1.0:
             certain += count
@@ -106,8 +107,10 @@ def _pieces(probs) -> tuple[int, list[tuple[int, int, np.ndarray, int]], int]:
             full, rest = divmod(count, PIECE)
             for pieces, size in ((full, PIECE), (1, rest)):
                 if pieces and size:
-                    pmf, offset = _binomial_count_pmf(size, p)
-                    runs.append((width, width + pieces, np.cumsum(pmf), offset))
+                    if (size, p) not in cdfs:
+                        pmf, offset = _binomial_count_pmf(size, p)
+                        cdfs[size, p] = np.cumsum(pmf), offset
+                    runs.append((width, width + pieces, *cdfs[size, p]))
                     width += pieces
     return certain, runs, width
 

@@ -225,3 +225,15 @@ def reference_counts(e: EnsembleSpec, axis: Axis, seed: int, trials: int, piece:
         certain + sum(min(bisect.bisect_right(cdf, stream.random()), last) for cdf, last in cdfs)
         for _ in range(trials)
     ]
+
+
+def reference_totals_csv(n_plus, n: int) -> bytes:
+    """Reference for ``harness._totals_csv``: the bytes of ``totals.csv``, one Python string per row.
+
+    ``n_plus`` holds each trial's + count among ``n`` particles; a row is
+    ``trial,total,n_plus,n_minus`` with total ``2 * n_plus - n``.
+    """
+    n_plus = [int(p) for p in n_plus]
+    suffix = {plus: f",{2 * plus - n},{plus},{n - plus}\n" for plus in set(n_plus)}
+    text = "trial,total_half_quanta,n_plus,n_minus\n" + "".join([f"{i}{suffix[p]}" for i, p in enumerate(n_plus)])
+    return text.encode()

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,14 +17,18 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import spinstat
+from conftest import reference_totals_csv
 from spinstat import cli
 from spinstat.harness import (
+    _CSV_BLOCK,
     ConfigError,
     ExperimentConfig,
     OutputError,
+    _totals_csv,
     demo_paradox,
     render_report,
     run_experiment,
+    write_output,
 )
 
 
@@ -131,6 +136,66 @@ class TestRunExperiment:
         })
         with pytest.raises(OutputError):
             run_experiment(cfg)
+
+    def test_unwritable_totals_raises_named_error(self, tmp_path):
+        cfg = make_config(trials=10, outputs={"totals": str(tmp_path / "missing_dir" / "totals.csv")})
+        with pytest.raises(OutputError, match="missing_dir"):
+            run_experiment(cfg)
+
+
+# Trial counts on both sides of every digit boundary up to 10**5 and of the
+# first two block edges.
+_TRIAL_COUNTS = sorted(
+    {t for k in range(1, 6) for t in (10**k - 1, 10**k, 10**k + 1)}
+    | {t for edge in (_CSV_BLOCK, 2 * _CSV_BLOCK) for t in (edge - 1, edge, edge + 1)}
+    | {2}
+)
+
+
+class TestTotalsCsv:
+    """``_totals_csv`` writes the bytes of the one-string-per-row reference in ``conftest``."""
+
+    @staticmethod
+    def _bytes(n_plus, n):
+        return b"".join(_totals_csv(n_plus, n))
+
+    @given(
+        trials=st.sampled_from(_TRIAL_COUNTS),
+        n=st.sampled_from([1, 2, 12, 1000, 2**53]),
+        spread=st.sampled_from([1, 5, None]),
+        seed=st.integers(0, 2**32 - 1),
+        ends=st.tuples(st.integers(0, 10**5), st.integers(0, 10**5)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference(self, trials, n, spread, seed, ends):
+        """Counts spread over all of [0, n] or over a few values, with 0 and n both present."""
+        rng = np.random.default_rng(seed)
+        if spread is None:
+            n_plus = rng.integers(0, n, trials, dtype=np.int64, endpoint=True)
+        else:
+            low = int(rng.integers(0, max(n - spread, 0), endpoint=True))
+            n_plus = np.minimum(low + rng.integers(0, spread, trials, endpoint=True), n)
+        n_plus[ends[0] % trials] = 0
+        n_plus[ends[1] % trials] = n
+        assert self._bytes(n_plus, n) == reference_totals_csv(n_plus, n)
+
+    def test_matches_reference_past_a_million_trials(self):
+        """Trial numbers reach 7 digits, beyond every golden config."""
+        n_plus = np.random.default_rng(7).binomial(1000, 0.5, 10**6 + 2)
+        assert self._bytes(n_plus, 1000) == reference_totals_csv(n_plus, 1000)
+
+    def test_memory_stays_flat_in_trials(self, tmp_path):
+        """Writing 10**6 rows peaks below twice the traced memory of writing 10**5."""
+        peaks = []
+        for trials in (10**5, 10**6):
+            n_plus = np.random.default_rng(trials).binomial(1000, 0.5, trials)
+            tracemalloc.start()
+            try:
+                write_output(str(tmp_path / "totals.csv"), _totals_csv(n_plus, 1000))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0]
 
 
 class TestReportSerialization:
@@ -303,6 +368,14 @@ class TestCli:
         )
         assert proc.returncode == 3
         assert "output-error" in proc.stderr
+
+    def test_unwritable_totals_exits_3(self, tmp_path):
+        proc = run_cli(
+            "demo", "--ensemble", "A", "--n", "10", "--trials", "10",
+            "--axis", "x", "--seed", "0", "--totals", str(tmp_path / "nope" / "t.csv"),
+        )
+        assert proc.returncode == 3
+        assert "output-error" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def _tilted_config(**component_overrides):
