@@ -64,8 +64,8 @@ MAX_TRIALS = 10**7
 _CSV_BLOCK = 1 << 13
 
 # Most random states `paradox` may fit, checked before any work starts. The
-# fit's peak memory grows by about 120 bytes per sample: 167 MB at 10**6 and
-# 1.26 GB at 10**7, measured as the CLI's peak RSS.
+# fit's peak memory grows by about 46 bytes per sample: 81 MB at 10**6 and
+# 493 MB at 10**7, measured as the CLI's peak RSS.
 MAX_PARADOX_SAMPLES = 10**7
 
 

@@ -237,3 +237,22 @@ def reference_totals_csv(n_plus, n: int) -> bytes:
     suffix = {plus: f",{2 * plus - n},{plus},{n - plus}\n" for plus in set(n_plus)}
     text = "trial,total_half_quanta,n_plus,n_minus\n" + "".join([f"{i}{suffix[p]}" for i, p in enumerate(n_plus)])
     return text.encode()
+
+
+def reference_affine_fit(samples: int, seed: int) -> tuple[float, float]:
+    """Reference for ``fixed_operator_infeasibility``: the fit by SVD over an n x 4 design.
+
+    Draws the same states from ``default_rng(seed)``, stacks their Bloch
+    vectors as columns, fits ``[1, m]`` to 1 - m_x^2 with ``np.linalg.lstsq``
+    and returns (rms, max) of the residuals.
+    """
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(-1.0, 1.0, samples)
+    phi = rng.uniform(0.0, 2.0 * math.pi, samples)
+    sin_t = np.sqrt(1.0 - z**2)
+    bloch = np.column_stack([sin_t * np.cos(phi), sin_t * np.sin(phi), z])
+    targets = 1.0 - bloch[:, 0] ** 2
+    design = np.column_stack([np.ones(samples), bloch])
+    coef, *_ = np.linalg.lstsq(design, targets, rcond=None)
+    residuals = design @ coef - targets
+    return float(np.sqrt(np.mean(residuals**2))), float(np.max(np.abs(residuals)))

@@ -1,12 +1,13 @@
 """Unit tests for the variance-operator contradiction."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import matrix, quantum_expectation, states
+from conftest import matrix, quantum_expectation, reference_affine_fit, states
 from hypothesis import given
 
 from spinstat.paradox import (
@@ -87,6 +88,24 @@ class TestFixedOperatorInfeasibility:
     def test_rejects_tiny_sample_counts(self):
         with pytest.raises(ValueError):
             fixed_operator_infeasibility(10, seed=0)
+
+    @pytest.mark.parametrize("samples", [100, 1000, 10**5])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_normal_equations_match_the_svd_fit(self, samples, seed):
+        # float64 with a Gram condition number near 3: far inside 1e-13
+        assert_allclose(fixed_operator_infeasibility(samples, seed), reference_affine_fit(samples, seed), rtol=1e-13)
+
+    def test_peak_memory_per_sample(self):
+        samples = 10**5
+        fixed_operator_infeasibility(samples, seed=1)  # warm-up: lazy numpy/LAPACK set-up
+        tracemalloc.start()
+        try:
+            fixed_operator_infeasibility(samples, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 4 x n sample array and two n-vectors are 48 bytes per sample
+        assert peak <= 64 * samples, peak / samples
 
 
 def test_direct_variance_check_numpy():
