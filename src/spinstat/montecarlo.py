@@ -10,6 +10,15 @@ first, then its remainder, components in order) and draws each piece of each
 trial as one binomial, by inverting the piece's exact CDF at one uniform word.
 Components with p+ in {0, 1} add a constant and take no words.
 
+A word w in [0, 1) inverts to the number i of CDF entries at or below it,
+capped at the last index. Where a CDF inverts enough words in one run, a
+table of B buckets (B a power of two, 4-8 per entry) does this with one
+lookup: bucket floor(w * B), exact since B is a power of two, holds i for
+every word in it unless an entry lies strictly inside the bucket. The CDF is
+monotone, so a bucket without an entry inside inverts all its words alike,
+and only words in the other buckets take a binary search: the result equals
+the search for every word (the indexed search of Chen and Asau, 1974).
+
 Reproducibility contract: every word comes from one stream, numpy's
 ``Generator(Philox(key=s mod 2**64)).random()`` under seed ``s``, taken in
 trial order. With ``width`` pieces per trial, piece ``j`` of trial ``t``
@@ -52,9 +61,10 @@ PIECE = 1024
 _BLOCK_WORDS = 1 << 15
 
 # Most words one run may draw (trials times pieces per trial), checked before
-# the first draw. At the edge, 4 trials of 1.5 * 10**8 pieces took 48 s and
-# 10**7 trials of 60 pieces 46 s (2-core x86 box, numpy 2.4). Unbounded, one
-# component of 2**53 particles at p+ = 1/2 would take 2**43 words per trial.
+# the first draw. At the edge, 4 trials of 1.5 * 10**8 pieces took 14 s and
+# 10**7 trials of 60 pieces 16 s, at p+ = 1/2 (2-core x86 box, numpy 2.4; 51
+# and 58 s with a binary search per word). Unbounded, one component of 2**53
+# particles at p+ = 1/2 would take 2**43 words per trial.
 MAX_WORDS = 6 * 10**8
 
 
@@ -87,19 +97,26 @@ def _component_probabilities(e: EnsembleSpec, axis: Axis) -> list[tuple[int, flo
     ]
 
 
-def _pieces(probs) -> tuple[int, list[tuple[int, int, np.ndarray, int]], int]:
+def _pieces(probs, trials: int) -> tuple[int, list[tuple[int, int, np.ndarray, int, np.ndarray | None]], int]:
     """Lay out one trial's words: ``(certain, runs, width)``.
 
     ``certain`` counts the particles with p+ = 1. Each component with
     0 < p+ < 1 is cut into pieces of at most :data:`PIECE` particles, its full
     pieces first, then its remainder, and each piece takes one word. ``runs``
-    lists ``(first, stop, cdf, offset)`` once for a component's full pieces
-    and once for its remainder: words ``first..stop-1`` each invert ``cdf``,
-    whose entry ``i`` is the probability of at most ``offset + i`` + outcomes
-    in the piece. ``width`` is the number of words. Each distinct
-    ``(size, p)`` CDF is built once and shared by every run that needs it.
+    lists ``(first, stop, cdf, offset, table)`` once for a component's full
+    pieces and once for its remainder: words ``first..stop-1`` each invert
+    ``cdf``, whose entry ``i`` is the probability of at most ``offset + i``
+    + outcomes in the piece; the last entry, about 1, is left off, since a
+    word past every entry takes the last count anyway. ``width`` is the
+    number of words. Each distinct ``(size, p)`` CDF is built once and shared
+    by every run that needs it, and so is its bucket table (:func:`_guide`)
+    of B buckets, the power of two that is 4-8 times the CDF's full length.
+    The table is built only when the CDF inverts at least B words in
+    ``trials`` trials, so its O(B) cost never exceeds that of the lookups it
+    serves; otherwise ``table`` is None and every word of that CDF is
+    searched.
     """
-    certain, runs, width, cdfs = 0, [], 0, {}
+    certain, layout, width, words, cdfs = 0, [], 0, {}, {}
     for count, p in probs:
         if p == 1.0:
             certain += count
@@ -107,12 +124,50 @@ def _pieces(probs) -> tuple[int, list[tuple[int, int, np.ndarray, int]], int]:
             full, rest = divmod(count, PIECE)
             for pieces, size in ((full, PIECE), (1, rest)):
                 if pieces and size:
-                    if (size, p) not in cdfs:
-                        pmf, offset = _binomial_count_pmf(size, p)
-                        cdfs[size, p] = np.cumsum(pmf), offset
-                    runs.append((width, width + pieces, *cdfs[size, p]))
+                    words[size, p] = words.get((size, p), 0) + pieces
+                    layout.append((width, width + pieces, (size, p)))
                     width += pieces
-    return certain, runs, width
+    for (size, p), pieces in words.items():
+        pmf, offset = _binomial_count_pmf(size, p)
+        cdf, buckets = np.cumsum(pmf)[:-1], 4 << len(pmf).bit_length()
+        cdfs[size, p] = cdf, offset, _guide(cdf, buckets) if trials * pieces >= buckets else None
+    return certain, [(first, stop, *cdfs[key]) for first, stop, key in layout], width
+
+
+def _guide(cdf: np.ndarray, buckets: int) -> np.ndarray:
+    """Bucket table of ``cdf`` for words in [0, 1): bucket ``j`` covers [j/buckets, (j+1)/buckets).
+
+    Bucket ``j`` holds the number of entries at or below j/buckets, which is
+    what every word in the bucket inverts to, unless an entry lies strictly
+    inside the bucket; then it holds -1. ``buckets`` is a power of two, so
+    ``cdf * buckets`` is exact, and an entry lies inside bucket ``j`` exactly
+    when its scaled value is not an integer and rounds up to ``j + 1``. Built
+    in O(len(cdf) + buckets) by counting the entries at each rounded-up
+    scaled value. A piece has at most :data:`PIECE` + 1 entries, so int16
+    holds every index.
+    """
+    scaled = cdf * buckets
+    ceil = np.ceil(scaled).astype(np.intp)
+    table = np.cumsum(np.bincount(ceil, minlength=buckets)).astype(np.int16)
+    table[ceil[ceil != scaled] - 1] = -1
+    return table[:buckets]
+
+
+def _invert(words: np.ndarray, cdf: np.ndarray, table: np.ndarray | None) -> np.ndarray:
+    """Number of entries of ``cdf`` at or below each word, through ``table`` where it has one.
+
+    A word in bucket ``floor(word * len(table))`` takes that bucket's index
+    when it has one; only the words in -1 buckets, and every word when
+    ``table`` is None, take the binary search. Both give the same index:
+    no entry lies strictly inside a bucket that holds one, so every word in
+    it has the same entries at or below it as the bucket's start.
+    """
+    if table is None:
+        return np.searchsorted(cdf, words, side="right")
+    index = table[(words * len(table)).astype(np.intp)]
+    miss = index < 0
+    index[miss] = np.searchsorted(cdf, words[miss], side="right")
+    return index
 
 
 def run_trials(e: EnsembleSpec, axis: Axis, trials: int, seed: int) -> np.ndarray:
@@ -123,11 +178,13 @@ def run_trials(e: EnsembleSpec, axis: Axis, trials: int, seed: int) -> np.ndarra
     its total spin is ``2 * n_plus[t] - e.total_count`` half quanta. Piece
     ``j`` of trial ``t`` has ``offset + i`` + outcomes, where ``i`` is the
     number of its CDF entries at or below the piece's word, capped at the
-    last index.
+    last index. ``i`` is read from the CDF's bucket table where it has one and
+    the word's bucket holds an index, else found by binary search; both give
+    the same ``i`` (see :func:`_invert`).
     """
     trials = check_int(trials, "trials", 2)
     seed = check_int(seed, "seed") % (1 << 64)
-    certain, runs, width = _pieces(_component_probabilities(e, axis))
+    certain, runs, width = _pieces(_component_probabilities(e, axis), trials)
     if trials * width > MAX_WORDS:
         problem = f"is {trials}, and at {width} words per trial the run exceeds the budget of {MAX_WORDS} words"
         raise ConfigError(problem, "trials")
@@ -142,11 +199,11 @@ def run_trials(e: EnsembleSpec, axis: Axis, trials: int, seed: int) -> np.ndarra
             for first in range(0, width, _BLOCK_WORDS):
                 last = min(first + _BLOCK_WORDS, width)
                 words = stream.random((hi - lo, last - first))
-                for a, b, cdf, offset in runs:
+                for a, b, cdf, offset, table in runs:
                     a, b = max(a, first), min(b, last)
                     if a < b:
-                        index = np.searchsorted(cdf, words[:, a - first : b - first], side="right")
-                        n_plus[lo:hi] += np.minimum(index, len(cdf) - 1).sum(axis=1) + offset * (b - a)
+                        index = _invert(words[:, a - first : b - first], cdf, table)
+                        n_plus[lo:hi] += index.sum(axis=1) + offset * (b - a)
     return n_plus
 
 

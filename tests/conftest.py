@@ -227,6 +227,20 @@ def reference_counts(e: EnsembleSpec, axis: Axis, seed: int, trials: int, piece:
     ]
 
 
+def reference_guide(cdf: np.ndarray, buckets: int) -> np.ndarray:
+    """Reference for ``montecarlo._guide``: each bucket by two binary searches.
+
+    Bucket ``j`` holds the words from j/buckets up to the largest double below
+    (j+1)/buckets. It gets the count of entries at or below its first word
+    when its last word has the same count, which means no entry lies inside
+    it, and -1 otherwise.
+    """
+    starts = np.arange(buckets) / buckets
+    ends = np.nextafter(np.arange(1, buckets + 1) / buckets, 0.0)
+    first = np.searchsorted(cdf, starts, side="right")
+    return np.where(first == np.searchsorted(cdf, ends, side="right"), first, -1).astype(np.int16)
+
+
 def reference_totals_csv(n_plus, n: int) -> bytes:
     """Reference for ``harness._totals_csv``: the bytes of ``totals.csv``, one Python string per row.
 

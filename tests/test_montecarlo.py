@@ -19,6 +19,7 @@ from conftest import (
     random_axis,
     random_ensemble,
     reference_counts,
+    reference_guide,
     slow_enumerate_totals,
 )
 from spinstat import montecarlo
@@ -295,6 +296,60 @@ def test_run_trials_matches_reference_sampler(case, trials, seed, piece, block):
             n_plus = run_trials(e, axis, trials, seed)
         assert np.array_equal(n_plus, run_trials(e, axis, trials, seed))
     assert n_plus.tolist() == reference_counts(e, axis, seed, trials, piece)
+
+
+PROBABILITIES = st.one_of(st.sampled_from([1e-3, 0.5, 0.999]), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(size=st.integers(1, montecarlo.PIECE), p=PROBABILITIES, seed=st.integers(0, 2**32 - 1))
+@example(size=montecarlo.PIECE, p=0.5, seed=0)
+@example(size=1, p=0.5, seed=0)
+def test_bucket_table_inverts_like_the_search(size, p, seed):
+    """Through its bucket table, a piece CDF inverts every word as the capped binary search does.
+
+    The words are every CDF entry and its neighbouring doubles, the first and
+    last ``random()`` word of every bucket, both ends of [0, 1) and random
+    words; the counting table builder must equal the per-bucket search.
+    """
+    pmf, _ = montecarlo._binomial_count_pmf(size, p)
+    cdf = np.cumsum(pmf)
+    buckets = 4 << len(cdf).bit_length()
+    table = montecarlo._guide(cdf[:-1], buckets)
+    assert np.array_equal(table, reference_guide(cdf[:-1], buckets))
+    starts = np.arange(buckets) / buckets
+    words = np.concatenate([
+        cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0), starts, starts + (1.0 / buckets - 2.0**-53),
+        [0.0, 1.0 - 2.0**-53], np.random.default_rng(seed).random(1000),
+    ])
+    words = words[(words >= 0.0) & (words < 1.0)]
+    expected = np.minimum(np.searchsorted(cdf, words, "right"), len(cdf) - 1)
+    assert np.array_equal(montecarlo._invert(words, cdf[:-1], table), expected)
+    assert np.array_equal(montecarlo._invert(words, cdf[:-1], None), expected)
+
+
+@pytest.mark.parametrize("trials, tables", [
+    (31, []),
+    (32, [(3, 32), (5, 32), (7, 64)]),
+    (2048, [(3, 32), (5, 32), (7, 64), (970, 4096)]),
+])
+def test_tables_are_built_for_the_cdfs_that_invert_enough_words(trials, tables):
+    """A CDF gets a bucket table when it inverts at least as many words in the run as the table has buckets.
+
+    Along z, 3 particles at p+ = 0.96 make a 4-entry CDF (32 buckets, one word
+    a trial); the two components of 7 particles at p+ = 0.73 share one
+    8-entry CDF (64 buckets, two words a trial); 2 * PIECE + 5 particles at
+    p+ = 0.39 make two 971-entry pieces (4096 buckets, two words a trial) and
+    a 6-entry remainder (32 buckets). So 32 trials build three tables, 31 none,
+    and 2048 all four. Both inversion paths must count as the reference does.
+    """
+    states = [eigenstate(Axis(0.4 + 0.7 * i, 1.3 * i), SpinOutcome.PLUS) for i in range(3)]
+    counts = [(states[0], 3), (states[1], 7), (states[2], 2 * montecarlo.PIECE + 5), (states[1], 7)]
+    e = EnsembleSpec(tuple(EnsembleComponent(state, count) for state, count in counts))
+    with mock.patch.object(montecarlo, "_guide", wraps=montecarlo._guide) as guide:
+        n_plus = run_trials(e, Z, trials, seed=9)
+    assert sorted((len(call.args[0]), call.args[1]) for call in guide.call_args_list) == tables
+    assert n_plus.tolist() == reference_counts(e, Z, 9, trials, montecarlo.PIECE)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
