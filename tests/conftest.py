@@ -136,6 +136,30 @@ def dense_binomial_count_pmf(count: int, p: float) -> np.ndarray:
     return result
 
 
+def reference_binomial_count_pmf(count: int, p: float) -> tuple[np.ndarray, int]:
+    """Reference for ``montecarlo._binomial_count_pmf``: the same builder, summed in index order.
+
+    Binary-power convolution of [1-p, p] with the exact zeros stripped from
+    both ends after every step, divided by ``math.fsum`` of the PMF taken
+    from its first entry to its last. Returns ``(pmf, offset)``, ``pmf[i]``
+    being the probability of ``offset + i`` outcomes.
+    """
+    def trim(pmf, offset):
+        nonzero = np.flatnonzero(pmf)
+        return pmf[nonzero[0] : nonzero[-1] + 1], offset + int(nonzero[0])
+
+    result, result_offset = np.array([1.0]), 0
+    power, power_offset = trim(np.array([1.0 - p, p]), 0)
+    k = count
+    while k:
+        if k & 1:
+            result, result_offset = trim(np.convolve(result, power), result_offset + power_offset)
+        k >>= 1
+        if k:
+            power, power_offset = trim(np.convolve(power, power), 2 * power_offset)
+    return result / math.fsum(result), result_offset
+
+
 def dense_total_distribution(e: EnsembleSpec, axis: Axis) -> tuple[np.ndarray, np.ndarray]:
     """Reference exact PMF: dense convolution over every total from -N to N.
 

@@ -18,7 +18,7 @@ from numpy.testing import assert_allclose
 
 import spinstat
 from conftest import reference_totals_csv
-from spinstat import cli
+from spinstat import cli, montecarlo
 from spinstat.harness import (
     _CSV_BLOCK,
     ConfigError,
@@ -441,6 +441,15 @@ class TestMalformedConfigs:
         err = self.run_config(tmp_path, capsys, data)
         assert time.perf_counter() - start < 1.0
         assert "field 'trials'" in err and f"{2**43} words per trial" in err
+
+    def test_simulation_budget_is_checked_before_any_cdf_is_built(self, tmp_path, capsys, monkeypatch):
+        # 2000 components of 2047 particles, each at its own tilt, take 4000
+        # words per trial and would build 4000 CDFs before a single draw.
+        components = [{"axis": {"theta": 0.5 + i * 1e-4, "phi": 0.0}, "sign": 1, "count": 2047} for i in range(2000)]
+        data = {"ensemble": {"components": components}, "axis": "z", "trials": 10**6, "seed": 0}
+        monkeypatch.setattr(montecarlo, "_binomial_count_pmf", lambda *args: pytest.fail("built a CDF past the budget"))
+        err = self.run_config(tmp_path, capsys, data)
+        assert "field 'trials'" in err and "4000 words per trial" in err
 
     def test_boolean_hbar(self, tmp_path, capsys):
         data = dict(_tilted_config(), hbar=True)

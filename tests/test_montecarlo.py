@@ -18,6 +18,7 @@ from conftest import (
     enumerate_totals,
     random_axis,
     random_ensemble,
+    reference_binomial_count_pmf,
     reference_counts,
     reference_guide,
     slow_enumerate_totals,
@@ -219,6 +220,24 @@ def test_largest_admitted_component_sums_to_one():
     dist = exact_total_distribution(e, Z)
     assert abs(math.fsum(dist.probabilities) - 1.0) <= 1e-15
     assert_allclose([dist.mean(), dist.variance()], preparation_aware_prediction(e, Z), rtol=1e-9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    count=st.one_of(st.integers(1, montecarlo.PIECE), st.integers(montecarlo.PIECE + 1, 20000)),
+    p=st.one_of(st.sampled_from([0.5, 1e-3, 0.999, 0.2]), st.floats(0.0, 1.0)),
+)
+# Tails down to subnormals on both sides: the largest-first sum must still be
+# the correctly rounded one.
+@example(count=1024, p=0.5)
+@example(count=672, p=0.5)
+@example(count=20000, p=0.7509844331222613)
+def test_binomial_pmf_matches_the_index_order_sum(count, p):
+    """Normalized by a largest-first ``fsum``, every PMF has the bytes of the index-order one."""
+    pmf, offset = montecarlo._binomial_count_pmf(count, p)
+    reference, reference_offset = reference_binomial_count_pmf(count, p)
+    assert offset == reference_offset
+    assert pmf.tobytes() == reference.tobytes()
 
 
 def test_exact_distribution_guard_rejects_before_any_work():
