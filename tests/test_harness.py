@@ -197,6 +197,41 @@ class TestTotalsCsv:
                 tracemalloc.stop()
         assert peaks[1] < 2 * peaks[0]
 
+    @given(
+        trials=st.integers(2 * _CSV_BLOCK, 5 * _CSV_BLOCK),
+        cuts=st.lists(st.integers(1, 5 * _CSV_BLOCK), min_size=1, max_size=6),
+        spread=st.sampled_from([2, _CSV_BLOCK - 1, _CSV_BLOCK]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_dense_and_sparse_blocks_alternate(self, trials, cuts, spread, seed):
+        """Runs of rows switch at arbitrary rows between a narrow count range and one of all of [0, n].
+
+        Every 500th narrow row holds the least or the greatest count of its
+        range, so a block of narrow rows spans ``spread + 1`` counts: up to a
+        block's worth fits the presence table, one more takes ``np.unique``.
+        """
+        n = 2**53
+        rng = np.random.default_rng(seed)
+        low = int(rng.integers(0, n - spread, endpoint=True))
+        narrow = low + rng.integers(0, spread, trials, endpoint=True)
+        narrow[::1000], narrow[500::1000] = low, low + spread
+        wide = rng.integers(0, n, trials, endpoint=True)
+        n_plus = np.where(np.searchsorted(sorted(cuts), np.arange(trials), side="right") % 2, wide, narrow)
+        assert self._bytes(n_plus, n) == reference_totals_csv(n_plus, n)
+
+    def test_narrow_blocks_take_no_sort(self, monkeypatch):
+        """Counts that span less than a block are indexed without ``np.sort`` or ``np.unique``."""
+        n_plus = np.random.default_rng(3).binomial(1000, 0.5, 3 * _CSV_BLOCK + 5)
+        want = reference_totals_csv(n_plus, 1000)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a narrow block was sorted")
+
+        monkeypatch.setattr(np, "sort", refuse)
+        monkeypatch.setattr(np, "unique", refuse)
+        assert self._bytes(n_plus, 1000) == want
+
 
 class TestReportSerialization:
     def test_schema_keys(self):
