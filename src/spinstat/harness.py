@@ -54,9 +54,9 @@ __all__ = [
 VERDICT_SIGMAS = 5.0
 
 # Most trials one experiment may request, checked before any work starts:
-# the run holds a few arrays of 8 bytes per trial, and totals.csv is written
+# the run holds two arrays of 8 bytes per trial, and totals.csv is written
 # in blocks of _CSV_BLOCK rows. At 10**7 trials of demo B along x with n = 2,
-# the run took 0.8-1.0 s and 265 MB peak RSS, and 1.6-1.7 s and 265 MB with
+# the run took 0.6-0.7 s and 188 MB peak RSS, and 0.9-1.1 s and 189 MB with
 # --totals (a 141 MB file; 2-core x86 box, Python 3.11, numpy 2.4).
 MAX_TRIALS = 10**7
 
@@ -230,6 +230,47 @@ def _totals_csv(n_plus: np.ndarray, n: int) -> Iterator[bytes]:
         yield rows.tobytes().translate(None, b"\0")
 
 
+def _exact_sums(d: np.ndarray) -> tuple[int, int]:
+    """Sum and sum of squares of the non-negative int64 array ``d``, exactly, as Python ints.
+
+    When ``len(d) * max(d)**2`` fits int64, numpy sums in int64 directly.
+    Otherwise ``d`` is split into 16-bit limbs: each limb product is below
+    2**32 and each sum of ``len(d)`` of them fits int64, and the sums are
+    shifted into place as Python ints.
+    """
+    top = int(d.max())
+    if len(d) * top * top < 1 << 63:
+        return int(d.sum()), int(d @ d)
+    limbs = [(d >> shift) & 0xFFFF for shift in range(0, top.bit_length(), 16)]
+    total = sum(int(a.sum()) << 16 * i for i, a in enumerate(limbs))
+    squares = sum(int(a @ b) << 16 * (i + j) for i, a in enumerate(limbs) for j, b in enumerate(limbs))
+    return total, squares
+
+
+def _empirical(n_plus: np.ndarray, n: int) -> dict:
+    """The ``empirical`` block of the totals ``2 * n_plus - n``: every moment correctly rounded.
+
+    The moments come from the exact integer sums of d = n_plus - min(n_plus),
+    which stay small however large the certain part of the total is; the
+    totals' variance is 4 times that of n_plus. The mean and variance are the
+    exact rationals rounded once, so no sum wraps and no constant cancels:
+    Python divides two ints with one correct rounding, as
+    ``float(Fraction(a, b))`` does.
+
+    At 10**7 trials of demo B with n = 2 this took 0.07 s, against 0.11 s for
+    the float moments of the totals it replaced (2-core x86 box, numpy 2.4).
+    """
+    trials, least = len(n_plus), int(n_plus.min())
+    total, squares = _exact_sums(n_plus - least)
+    return {
+        "trials": trials,
+        "sample_mean": (2 * (least * trials + total) - n * trials) / trials,
+        "sample_variance": 4 * (trials * squares - total * total) / (trials * (trials - 1)),
+        "min": 2 * least - n,
+        "max": 2 * int(n_plus.max()) - n,
+    }
+
+
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Compute all three predictions, run the trials, judge, write outputs, and return the report.
 
@@ -245,14 +286,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     }
 
     n_plus = run_trials(cfg.ensemble, cfg.axis, cfg.trials, cfg.seed)
-    totals = 2 * n_plus - cfg.ensemble.total_count
-    empirical = {
-        "trials": cfg.trials,
-        "sample_mean": float(int(totals.sum()) / cfg.trials),
-        "sample_variance": float(totals.var(ddof=1)),
-        "min": int(totals.min()),
-        "max": int(totals.max()),
-    }
+    empirical = _empirical(n_plus, cfg.ensemble.total_count)
 
     report = {
         "config": cfg.echo_json(),

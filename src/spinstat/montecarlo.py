@@ -2,13 +2,16 @@
 the preparation-aware prediction of the total's mean and variance, and an
 exact convolution oracle for the total-spin distribution.
 
-Particles within a component are independent and identical, so a
-component's + count in one trial is a Binomial(count, p+) draw; only the law
-of the total matters. :func:`run_trials` cuts each component with
-0 < p+ < 1 into pieces of at most :data:`PIECE` particles (its full pieces
-first, then its remainder, components in order) and draws each piece of each
-trial as one binomial, by inverting the piece's exact CDF at one uniform word.
-Components with p+ in {0, 1} add a constant and take no words.
+Every particle is an independent two-point variable, so only the law of a
+trial's total matters, not which component a particle belongs to.
+:func:`run_trials` merges the components with 0 < p+ < 1 whose p+ are
+bit-equal, lays out their particles in order of first appearance, and cuts
+them every :data:`PIECE` particles, across component boundaries. It draws each
+piece of each trial by inverting the piece's exact CDF at one uniform word:
+the binomial CDF of a piece within one component, or the CDF of the
+convolution of its parts' binomials where a piece spans components, built by
+:func:`_group_pmf` as the exact PMF is. So a trial takes ceil(random particles
+/ PIECE) words. Components with p+ in {0, 1} add a constant and take no words.
 
 A word w in [0, 1) inverts to the number i of CDF entries at or below it,
 capped at the last index. Where a CDF inverts enough words in one run, a
@@ -49,22 +52,27 @@ __all__ = [
 # numpy 2.4).
 MAX_SUPPORT_POINTS = 1_000_000
 
-# Particles per piece. Building a piece's CDF by convolution takes about
-# 0.4 ms at 1024 particles, 5 ms at 4096 and 10 s at 10**7 at p+ = 1/2 (2-core
-# x86 box, numpy 2.4), while each trial takes one word per piece: pieces keep
-# both the setup and the per-trial work small, however large a component is.
+# Particles per piece, and so per word. Building a piece's CDF by convolution
+# takes about 0.4 ms at 1024 particles, 5 ms at 4096 and 10 s at 10**7 at
+# p+ = 1/2 (2-core x86 box, numpy 2.4), while each trial takes one word per
+# piece. Pieces are cut across components, so a trial takes ceil(random
+# particles / PIECE) words however the particles split into components: 1 for
+# 12 particles in three components, 196 for 2 * 10**5 particles in two.
 PIECE = 1024
 
-# One draw takes at most this many words, 256 KiB of doubles: whole trials
+# One draw takes at most this many words, 128 KiB of doubles: whole trials
 # when they fit, else one trial in column blocks, so memory stays flat however
-# large the ensemble.
-_BLOCK_WORDS = 1 << 15
+# large the ensemble. Inverting a run of columns makes a few temporaries of the
+# draw's size; at 2**15 words, a 2 * 10**5-particle ensemble at one p+ (one
+# 195-column run) raised the CLI's peak RSS by 0.4 MB, with no gain in speed.
+_BLOCK_WORDS = 1 << 14
 
-# Most words one run may draw (trials times pieces per trial), checked before
-# any CDF is built. At the edge, 4 trials of 1.5 * 10**8 pieces took 14 s and
-# 10**7 trials of 60 pieces 16 s, at p+ = 1/2 (2-core x86 box, numpy 2.4; 51
-# and 58 s with a binary search per word). Unbounded, one component of 2**53
-# particles at p+ = 1/2 would take 2**43 words per trial.
+# Most words one run may draw: trials times ceil(random particles / PIECE),
+# read from the counts alone and checked before any layout or CDF. At the
+# edge, 4 trials of 1.5 * 10**8 words took 8-12 s and 10**7 trials of 60
+# words 9-11 s, at p+ = 1/2 (2-core x86 box, numpy 2.4; 51 and 58 s with a
+# binary search per word). Unbounded, one component of 2**53 particles at
+# p+ = 1/2 would take 2**43 words per trial.
 MAX_WORDS = 6 * 10**8
 
 
@@ -100,42 +108,61 @@ def _component_probabilities(e: EnsembleSpec, axis: Axis) -> list[tuple[int, flo
 def _pieces(probs, trials: int) -> tuple[int, list[tuple[int, int, np.ndarray, int, np.ndarray | None]], int]:
     """Lay out one trial's words: ``(certain, runs, width)``.
 
-    ``certain`` counts the particles with p+ = 1. Each component with
-    0 < p+ < 1 is cut into pieces of at most :data:`PIECE` particles, its full
-    pieces first, then its remainder, and each piece takes one word. ``runs``
-    lists ``(first, stop, cdf, offset, table)`` once for a component's full
-    pieces and once for its remainder: words ``first..stop-1`` each invert
-    ``cdf``, whose entry ``i`` is the probability of at most ``offset + i``
-    + outcomes in the piece; the last entry, about 1, is left off, since a
-    word past every entry takes the last count anyway. ``width`` is the
-    number of words. Each distinct ``(size, p)`` CDF is built once and shared
-    by every run that needs it, and so is its bucket table (:func:`_guide`)
-    of B buckets, the power of two that is 4-8 times the CDF's full length.
-    The table is built only when the CDF inverts at least B words in
-    ``trials`` trials, so its O(B) cost never exceeds that of the lookups it
-    serves; otherwise ``table`` is None and every word of that CDF is
-    searched. Raises ConfigError naming ``trials`` when ``trials * width``
-    exceeds :data:`MAX_WORDS`, before any CDF is built.
+    ``certain`` counts the particles with p+ = 1. Components with 0 < p+ < 1
+    whose p+ are bit-equal are merged, in order of first appearance, and
+    their particles are laid out in that order and cut every :data:`PIECE`
+    particles, whatever component each belongs to; each piece takes one
+    word, so ``width`` is ceil(random particles / PIECE), read from the
+    counts alone. The layout walks the merged components once: each fills
+    the open partial piece, then lays out its full pieces as one run, then
+    opens a new partial piece with its remainder.
+
+    ``runs`` lists ``(first, stop, cdf, offset, table)``: words
+    ``first..stop-1`` each invert ``cdf``, whose entry ``i`` is the
+    probability of at most ``offset + i`` + outcomes in the piece, built by
+    :func:`_group_pmf` from the piece's ``(count, p)`` parts; the last entry,
+    about 1, is left off, since a word past every entry takes the last count
+    anyway. After the merge no two runs have the same parts, so each CDF is
+    built once. A CDF gets a bucket table (:func:`_guide`) of B buckets, the
+    power of two that is 4-8 times its full length, when it inverts at least
+    B words in ``trials`` trials, so the table's O(B) cost never exceeds that
+    of the lookups it serves; otherwise ``table`` is None and every word of
+    that CDF is searched. Raises ConfigError naming ``trials`` when
+    ``trials * width`` exceeds :data:`MAX_WORDS`, before any layout or CDF.
     """
-    certain, layout, width, words, cdfs = 0, [], 0, {}, {}
+    certain, merged = 0, {}
     for count, p in probs:
         if p == 1.0:
             certain += count
         elif p > 0.0:
-            full, rest = divmod(count, PIECE)
-            for pieces, size in ((full, PIECE), (1, rest)):
-                if pieces and size:
-                    words[size, p] = words.get((size, p), 0) + pieces
-                    layout.append((width, width + pieces, (size, p)))
-                    width += pieces
+            merged[p] = merged.get(p, 0) + count
+    width = -(-sum(merged.values()) // PIECE)
     if trials * width > MAX_WORDS:
         problem = f"is {trials}, and at {width} words per trial the run exceeds the budget of {MAX_WORDS} words"
         raise ConfigError(problem, "trials")
-    for (size, p), pieces in words.items():
-        pmf, offset = _binomial_count_pmf(size, p)
+    layout, parts, fill = [], [], 0
+    for p, count in merged.items():
+        if fill:
+            take = min(count, PIECE - fill)
+            parts.append((take, p))
+            count, fill = count - take, fill + take
+            if fill == PIECE:
+                layout.append((1, tuple(parts)))
+                parts, fill = [], 0
+        full, rest = divmod(count, PIECE)
+        if full:
+            layout.append((full, ((PIECE, p),)))
+        if rest:
+            parts, fill = [(rest, p)], rest
+    if fill:
+        layout.append((1, tuple(parts)))
+    runs, first = [], 0
+    for pieces, key in layout:
+        pmf, offset = _group_pmf(key)
         cdf, buckets = np.cumsum(pmf)[:-1], 4 << len(pmf).bit_length()
-        cdfs[size, p] = cdf, offset, _guide(cdf, buckets) if trials * pieces >= buckets else None
-    return certain, [(first, stop, *cdfs[key]) for first, stop, key in layout], width
+        runs.append((first, first + pieces, cdf, offset, _guide(cdf, buckets) if trials * pieces >= buckets else None))
+        first += pieces
+    return certain, runs, width
 
 
 def _guide(cdf: np.ndarray, buckets: int) -> np.ndarray:
@@ -248,6 +275,20 @@ def _binomial_count_pmf(count: int, p: float) -> tuple[np.ndarray, int]:
     return result / math.fsum(np.sort(result)[::-1]), result_offset
 
 
+def _group_pmf(parts) -> tuple[np.ndarray, int]:
+    """PMF of the + count of independent groups of particles, ``parts`` listing each group's ``(count, p)``.
+
+    Returns ``(pmf, offset)`` as :func:`_binomial_count_pmf` does: the
+    groups' binomial PMFs convolved in order, trimmed after every step. One
+    group gives its binomial PMF with every bit unchanged.
+    """
+    pmf, offset = np.array([1.0]), 0
+    for count, p in parts:
+        binomial, shift = _binomial_count_pmf(count, p)
+        pmf, offset = _trim(np.convolve(pmf, binomial), offset + shift)
+    return pmf, offset
+
+
 def exact_total_distribution(e: EnsembleSpec, axis: Axis) -> TotalSpinDistribution:
     """Exact total-spin PMF by convolving every particle's two-point law.
 
@@ -261,10 +302,7 @@ def exact_total_distribution(e: EnsembleSpec, axis: Axis) -> TotalSpinDistributi
             f"total of {n} particles exceeds the exact-PMF guard "
             f"({MAX_SUPPORT_POINTS} support points)"
         )
-    pmf, offset = np.array([1.0]), 0
-    for count, p in _component_probabilities(e, axis):
-        binomial, shift = _binomial_count_pmf(count, p)
-        pmf, offset = _trim(np.convolve(pmf, binomial), offset + shift)
+    pmf, offset = _group_pmf(_component_probabilities(e, axis))
     support = 2 * (offset + np.arange(len(pmf), dtype=np.int64)) - n
     keep = pmf > 0.0
     return TotalSpinDistribution(support[keep], pmf[keep])

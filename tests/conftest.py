@@ -10,6 +10,7 @@ import bisect
 import cmath
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
@@ -213,14 +214,16 @@ def statistical_average_expectation(e: EnsembleSpec, axis: Axis, extensive: bool
 def reference_counts(e: EnsembleSpec, axis: Axis, seed: int, trials: int, piece: int) -> list[int]:
     """Reference for ``run_trials``: each trial's + count, one piece at a time.
 
-    Each component with 0 < p+ < 1 is cut into pieces of at most ``piece``
-    particles, its full pieces first, then its remainder. Every piece of every
-    trial, in trial order, takes the next scalar ``random()`` of one
+    Components with 0 < p+ < 1 and bit-equal p+ are merged, in order of first
+    appearance. Their particles are listed one by one in that order and cut
+    every ``piece`` particles, whatever component each belongs to. Every piece
+    of every trial, in trial order, takes the next scalar ``random()`` of one
     ``Generator(Philox(key=seed % 2**64))`` and counts the entries of its CDF
     at or below it with ``bisect_right``, capped at the last count with
-    nonzero probability. The CDF is the running sum of
-    ``dense_binomial_count_pmf`` divided by its exact sum. Components with
-    p+ in {0, 1} add their + count and take no uniform.
+    nonzero probability. The CDF is the running sum of the dense convolution
+    of the piece's parts, each part's ``dense_binomial_count_pmf`` divided by
+    its exact sum. Components with p+ in {0, 1} add their + count and take no
+    uniform.
 
     The dense and the trimmed convolution may round an entry differently in
     its last bits. Over 10**4 CDFs of 511-1024 particles, about 7 of the
@@ -228,22 +231,27 @@ def reference_counts(e: EnsembleSpec, axis: Axis, seed: int, trials: int, piece:
     differs with probability below 1e-15 per uniform; up to 50 particles the
     two CDFs were identical.
     """
-    def dense_cdf(count, p_plus):
-        pmf = dense_binomial_count_pmf(count, p_plus)
-        pmf = pmf / math.fsum(pmf)
+    def dense_cdf(parts):
+        pmf = np.array([1.0])
+        for count, p_plus in parts:
+            part = dense_binomial_count_pmf(count, p_plus)
+            pmf = np.convolve(pmf, part / math.fsum(part))
         return list(itertools.accumulate(pmf.tolist())), int(np.flatnonzero(pmf)[-1])
 
-    certain, cdfs = 0, []
+    certain, merged = 0, {}
     for comp in e.components:
         p_plus = born_probability(comp.state, axis, SpinOutcome.PLUS)
         if p_plus == 1.0:
             certain += comp.count
         elif p_plus > 0.0:
-            full, rest = divmod(comp.count, piece)
-            if full:
-                cdfs += [dense_cdf(piece, p_plus)] * full
-            if rest:
-                cdfs.append(dense_cdf(rest, p_plus))
+            merged[p_plus] = merged.get(p_plus, 0) + comp.count
+    particles = [p_plus for p_plus, count in merged.items() for _ in range(count)]
+    cdfs, built = [], {}
+    for lo in range(0, len(particles), piece):
+        parts = tuple((len(list(run)), p_plus) for p_plus, run in itertools.groupby(particles[lo : lo + piece]))
+        if parts not in built:
+            built[parts] = dense_cdf(parts)
+        cdfs.append(built[parts])
     stream = Generator(Philox(key=seed % 2**64))
     return [
         certain + sum(min(bisect.bisect_right(cdf, stream.random()), last) for cdf, last in cdfs)
@@ -275,6 +283,23 @@ def reference_totals_csv(n_plus, n: int) -> bytes:
     suffix = {plus: f",{2 * plus - n},{plus},{n - plus}\n" for plus in set(n_plus)}
     text = "trial,total_half_quanta,n_plus,n_minus\n" + "".join([f"{i}{suffix[p]}" for i, p in enumerate(n_plus)])
     return text.encode()
+
+
+def reference_empirical(n_plus, n: int) -> dict:
+    """Reference for ``harness._empirical``: the moments of the totals ``2 * n_plus - n`` in Python integers.
+
+    The mean and the sample variance are exact ``Fraction``s of the totals'
+    own sums, each rounded once to a float.
+    """
+    totals = [2 * int(p) - n for p in n_plus]
+    trials, s1, s2 = len(totals), sum(totals), sum(t * t for t in totals)
+    return {
+        "trials": trials,
+        "sample_mean": float(Fraction(s1, trials)),
+        "sample_variance": float(Fraction(trials * s2 - s1 * s1, trials * (trials - 1))),
+        "min": min(totals),
+        "max": max(totals),
+    }
 
 
 def reference_affine_fit(samples: int, seed: int) -> tuple[float, float]:

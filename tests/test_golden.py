@@ -21,8 +21,8 @@ TILTED_12 = {
     ],
 }
 
-# Three tilted components, 75000 particles: each is cut into full pieces of
-# 1024 particles and a remainder, 75 pieces per trial.
+# Three tilted components, 75000 particles: cut every 1024 particles across
+# the components, 74 pieces per trial, two of which mix two components.
 TILTED_75K = {
     "name": "tilted-75k",
     "components": [
@@ -57,36 +57,36 @@ GOLDEN = {
         "ffe8148497afb0d30f3d2f5d61d7eaff8e8d158a743bc4264190e4f59fa84a86",
     ),
     "A-y-n1000": (
-        "3dbc6ea60ee36ea0a4403cfce68d9aede683d685e689c98cf4899f9db440124b",
-        "4e218a44e83b8c881b07562fe9c220e2cfa9f3eb301f3ad00b26f68f2d262d02",
+        "52c8f45c73aa0f637f9337aa0363642d5b75f6bed96ac9d518ad723cf56ecd2b",
+        "3357ca11ff409e3e248b80618e8f4e7df2dc4e96f38868a13ff1a82ed31d2955",
     ),
     "A-y-n40": (
-        "28d1895d96f89ed9508923d62d393fba9c9b809aff6deef7876a2b227b051560",
-        "49b4f021164990ac180df3700e76ae83f0404f5024dccf0dd64075bf24a02e8f",
+        "409eeece2da9a618234afad29e37a07342c5938c257d58797ac5bfdb589a1d18",
+        "a0b3b87b6ecd73ab1d5ff1ccfd348d422f6852eaa38eaa833a39d619683cbe6c",
     ),
     "A-z-n1000": (
-        "03adffc3ebbaf2209022fd84d816f40ef42be17e84c43d052f72e193c8f9bf65",
-        "4e218a44e83b8c881b07562fe9c220e2cfa9f3eb301f3ad00b26f68f2d262d02",
+        "c6dab66b450bf9ede2b4b64006b4eddf00bc1fa4acec143f3b2f95231b1e4c79",
+        "3357ca11ff409e3e248b80618e8f4e7df2dc4e96f38868a13ff1a82ed31d2955",
     ),
     "A-z-n40": (
-        "aa4476f19f014d34bc239588a488b4cea704f3984ffe338a358fc7683379e441",
-        "49b4f021164990ac180df3700e76ae83f0404f5024dccf0dd64075bf24a02e8f",
+        "5836426ce013f81080c41b080dbe3b03e5cdaf0af6227fcee13d5f20a8a9114a",
+        "a0b3b87b6ecd73ab1d5ff1ccfd348d422f6852eaa38eaa833a39d619683cbe6c",
     ),
     "B-x-n1000": (
-        "d118aefa22fb2c73a6df123f4f5804c06bd281ea8fde7b36b9b290ddab1402bc",
-        "4e218a44e83b8c881b07562fe9c220e2cfa9f3eb301f3ad00b26f68f2d262d02",
+        "20cc44341786b61e4f3f11782c154e360c863262a715032428225d8efe48ae92",
+        "3357ca11ff409e3e248b80618e8f4e7df2dc4e96f38868a13ff1a82ed31d2955",
     ),
     "B-x-n40": (
-        "a05e2ef6c076c0956aaa89b228d74c621cac117f2f3396e2f8f7bbcf352e1afe",
-        "49b4f021164990ac180df3700e76ae83f0404f5024dccf0dd64075bf24a02e8f",
+        "678226c289086466fdaa8b1296b7c1852e23f3241f28f48b675edb5e486e2ede",
+        "a0b3b87b6ecd73ab1d5ff1ccfd348d422f6852eaa38eaa833a39d619683cbe6c",
     ),
     "B-y-n1000": (
-        "cb185460ae8beae16fa8e38421b53ce0e1f34df4c09b682fd659522de33dc503",
-        "4e218a44e83b8c881b07562fe9c220e2cfa9f3eb301f3ad00b26f68f2d262d02",
+        "3966a1566d7c321a6e6e9db6b40014731126b142d24df0a10c0c30f85bf2b9fe",
+        "3357ca11ff409e3e248b80618e8f4e7df2dc4e96f38868a13ff1a82ed31d2955",
     ),
     "B-y-n40": (
-        "91216cdfd6573165d529e9678a54d68e08287736409e5115064b448cdce3ac5e",
-        "49b4f021164990ac180df3700e76ae83f0404f5024dccf0dd64075bf24a02e8f",
+        "fdb4c725df4ac7cdb17b41d4b9b9d51a2300d97e3d655ae24a89a138aa240539",
+        "a0b3b87b6ecd73ab1d5ff1ccfd348d422f6852eaa38eaa833a39d619683cbe6c",
     ),
     "B-z-n1000": (
         "a385a612dfe953580207fcb212c851315f057651a6cffafe37e8b8069b7d42de",
@@ -97,12 +97,12 @@ GOLDEN = {
         "ffe8148497afb0d30f3d2f5d61d7eaff8e8d158a743bc4264190e4f59fa84a86",
     ),
     "tilted-12": (
-        "81e745d5fdb9be532b40fbe22b5a955e96bcdafbc100c6d543aaa2a805bf7c66",
-        "ad0b95a790170a27ec165cc0bf60be8e94681d69548302bfdf84659f892c14d6",
+        "05bb182abb983a6ff5a1d9849d02469592b83c9a2b5685d7bec74bd6a8449df3",
+        "33fb2fd773ee40f2d8fa2131a670f6f86c3b482e6dd29f844b4a3b3f0c79edf4",
     ),
     "tilted-75k": (
-        "764bb401843a797129fa712ee7abfeba1ce8d693f9e8a6397ace270d0bd16089",
-        "411da78c896c7ca3ddbe16e7384c115c838f59bca6696a606097f9a6ab5b02f5",
+        "fb283d875ef5ecda2181b9f942fff025676ff33ab0baf9e7c404e4528bcbaff3",
+        "09e0c53d64518e934bb38f8d5ba4eb801c9d5b43f38140a74fbe9407aa332c32",
     ),
 }
 

@@ -12,18 +12,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import spinstat
-from conftest import reference_totals_csv
+from conftest import reference_empirical, reference_totals_csv
 from spinstat import cli, montecarlo
 from spinstat.harness import (
     _CSV_BLOCK,
     ConfigError,
     ExperimentConfig,
     OutputError,
+    _empirical,
     _totals_csv,
     demo_paradox,
     render_report,
@@ -141,6 +142,67 @@ class TestRunExperiment:
         cfg = make_config(trials=10, outputs={"totals": str(tmp_path / "missing_dir" / "totals.csv")})
         with pytest.raises(OutputError, match="missing_dir"):
             run_experiment(cfg)
+
+
+def _certain_plus_two_along_x(certain, trials):
+    """``certain`` particles along +z, certain along z, then 2 along +x, each + along z with p+ = 1/2."""
+    components = [{"axis": "z", "sign": 1, "count": certain}, {"axis": "x", "sign": 1, "count": 2}]
+    return ExperimentConfig.from_json_dict({
+        "ensemble": {"components": components}, "axis": "z", "trials": trials, "seed": 4,
+    })
+
+
+@pytest.mark.parametrize("certain, trials", [(2**53 - 2, 2000), (2**53 - 2, 1000), (2**52, 1000)])
+def test_empirical_block_is_exact_at_large_totals(certain, trials):
+    """A certain part near 2**53 neither wraps the mean nor swamps the variance.
+
+    Summed in int64, 2000 totals near 2**53 wrapped, so ``sample_mean`` read
+    -2.16e14 below a ``min`` of 9.007e15. Taken in float64, the variance of
+    1000 such totals read 5.81 where the same draws without the constant give
+    2.08, and the true predictor, 2, was rejected.
+    """
+    cfg = _certain_plus_two_along_x(certain, trials)
+    report = run_experiment(cfg)
+    n_plus = montecarlo.run_trials(cfg.ensemble, cfg.axis, trials, cfg.seed)
+    assert report["empirical"] == reference_empirical(n_plus, certain + 2)
+    assert report["empirical"]["min"] <= report["empirical"]["sample_mean"] <= report["empirical"]["max"]
+    assert report["predictions"]["preparation_aware"]["variance"] == 2.0
+    assert report["verdicts"]["preparation_aware"]["matches_empirical"]
+
+
+@st.composite
+def count_samples(draw):
+    """+ counts of ``n`` particles, ``n`` up to 2**53, and as many trials as put T * |total| about 2**63.
+
+    The certain part is all + or all -, so the totals sit near +n or -n. The
+    random part spans up to 2**53 values, past what the word budget admits,
+    so the sum of squares takes its split path too.
+    """
+    certain = draw(st.one_of(st.integers(0, 2**53), st.sampled_from([2**53 - 2, 2**52, 2**50, 0])))
+    spread = draw(st.one_of(st.integers(0, 3), st.integers(0, 2**53 - certain)))
+    spread = min(spread, 2**53 - certain)
+    n = certain + spread
+    edge = 2**63 // max(n, 1)
+    if edge > 5000:
+        trials = draw(st.integers(2, 300))
+    else:
+        trials = max(2, edge + draw(st.integers(-3, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = rng.integers(0, spread, size=trials, endpoint=True, dtype=np.int64)
+    if draw(st.booleans()):
+        d[draw(st.integers(0, trials - 1))] = spread
+    return (d + certain if draw(st.booleans()) else d), n
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=count_samples())
+@example(case=(np.array([2**53 - 2, 2**53 - 1, 2**53] * 700, dtype=np.int64), 2**53))
+@example(case=(np.array([0, 2**53] * 600, dtype=np.int64), 2**53))
+@example(case=(np.array([5, 5], dtype=np.int64), 9))
+def test_empirical_matches_the_fraction_reference(case):
+    """Every field of the ``empirical`` block is the correctly rounded value of the exact rational."""
+    n_plus, n = case
+    assert _empirical(n_plus, n) == reference_empirical(n_plus, n)
 
 
 # Trial counts on both sides of every digit boundary up to 10**5 and of the
@@ -478,13 +540,14 @@ class TestMalformedConfigs:
         assert "field 'trials'" in err and f"{2**43} words per trial" in err
 
     def test_simulation_budget_is_checked_before_any_cdf_is_built(self, tmp_path, capsys, monkeypatch):
-        # 2000 components of 2047 particles, each at its own tilt, take 4000
-        # words per trial and would build 4000 CDFs before a single draw.
+        # 2000 components of 2047 particles, each at its own tilt, take
+        # ceil(2000 * 2047 / 1024) = 3999 words per trial and would build about
+        # 4000 CDFs before a single draw.
         components = [{"axis": {"theta": 0.5 + i * 1e-4, "phi": 0.0}, "sign": 1, "count": 2047} for i in range(2000)]
         data = {"ensemble": {"components": components}, "axis": "z", "trials": 10**6, "seed": 0}
         monkeypatch.setattr(montecarlo, "_binomial_count_pmf", lambda *args: pytest.fail("built a CDF past the budget"))
         err = self.run_config(tmp_path, capsys, data)
-        assert "field 'trials'" in err and "4000 words per trial" in err
+        assert "field 'trials'" in err and "3999 words per trial" in err
 
     def test_boolean_hbar(self, tmp_path, capsys):
         data = dict(_tilted_config(), hbar=True)

@@ -1,5 +1,6 @@
 """Unit tests for the simulated apparatus and exact distributions."""
 
+import hashlib
 import math
 import statistics
 import tracemalloc
@@ -37,7 +38,8 @@ from spinstat.spin import Axis, ConfigError, SpinOutcome, X, Z, born_probability
 
 class TestRunTrials:
     def test_matches_per_trial_measurement(self):
-        # Two components of 1500: a full piece and a remainder each.
+        # Two components of 1500 at different p+: a full piece of the first, a
+        # piece of its last 476 and the second's first 548, then the second's 952.
         e = make_pair_ensemble(Axis(0.8, 2.0), 3000)
         n_plus = run_trials(e, X, 12, seed=55)
         assert n_plus.tolist() == reference_counts(e, X, 55, 12, montecarlo.PIECE)
@@ -255,6 +257,12 @@ def _tilted(counts):
     ))
 
 
+def _repeated():
+    """3 and 5 particles of one tilted state around 4 of another: the first and last share p+."""
+    first, second = (eigenstate(Axis(0.4 + 0.7 * i, 1.3 * i), SpinOutcome.PLUS) for i in range(2))
+    return EnsembleSpec((EnsembleComponent(first, 3), EnsembleComponent(second, 4), EnsembleComponent(first, 5)))
+
+
 @st.composite
 def sampled_ensembles(draw):
     """An ensemble and a measurement axis for the sampler cross-check.
@@ -293,14 +301,22 @@ SEEDS = st.one_of(st.integers(-(2**70), 2**70), st.integers(2**64 - 4, 2**64 + 4
 @example(case=(_tilted((6, 4, 3)), Axis(0.8, 0.7)), trials=5, seed=3, piece=1, block=4)
 # 13 pieces against 32-word draws: two whole trials per draw, one in the last.
 @example(case=(_tilted((6, 4, 3)), Axis(0.8, 0.7)), trials=5, seed=5, piece=1, block=32)
-# At the real sizes: 68 full pieces and a remainder of 368 in the large
-# component, and 2**64 - 1 as the key.
+# At the real sizes: 3 particles open a piece that 1021 of the large
+# component fill, then 67 full pieces and a remainder of 371; 2**64 - 1 as
+# the key.
 @example(case=(_tilted((3, 70_000)), Axis(1.1, 0.4)), trials=3, seed=2**64 - 1, piece=None, block=None)
-# n = 13 at the real sizes: three one-word pieces, 5000 trials in one draw.
+# n = 13 at the real sizes: one piece mixes all three components, one word a
+# trial, 5000 trials in one draw.
 @example(case=(_tilted((6, 4, 3)), Axis(0.8, 0.7)), trials=5000, seed=2**64 + 1, piece=None, block=None)
-# A component of exactly one piece, then one particle more: a one-particle remainder.
+# 3 particles and 1021 of the next fill a piece, leaving a remainder of 3, then 4.
 @example(case=(_tilted((3, montecarlo.PIECE)), Axis(1.1, 0.4)), trials=3, seed=11, piece=None, block=None)
 @example(case=(_tilted((3, montecarlo.PIECE + 1)), Axis(1.1, 0.4)), trials=3, seed=11, piece=None, block=None)
+# Preset B along x: two components at p+ = 1/2, bit-equal, merged into one
+# of 10 particles, so three full pieces and a remainder of 1.
+@example(case=(make_ensemble_B(10), X), trials=7, seed=4, piece=3, block=None)
+# The first and third components share p+: merged into 8 particles ahead of
+# the second's 4, so a piece mixes the last 3 of the first with 2 of the second.
+@example(case=(_repeated(), Z), trials=9, seed=6, piece=5, block=3)
 def test_run_trials_matches_reference_sampler(case, trials, seed, piece, block):
     """Trial by trial, ``run_trials`` counts what the dense-CDF reference counts.
 
@@ -349,21 +365,23 @@ def test_bucket_table_inverts_like_the_search(size, p, seed):
 
 @pytest.mark.parametrize("trials, tables", [
     (31, []),
-    (32, [(3, 32), (5, 32), (7, 64)]),
-    (2048, [(3, 32), (5, 32), (7, 64), (970, 4096)]),
+    (32, [(6, 32)]),
+    (2048, [(6, 32), (970, 4096)]),
 ])
 def test_tables_are_built_for_the_cdfs_that_invert_enough_words(trials, tables):
     """A CDF gets a bucket table when it inverts at least as many words in the run as the table has buckets.
 
-    Along z, 3 particles at p+ = 0.96 make a 4-entry CDF (32 buckets, one word
-    a trial); the two components of 7 particles at p+ = 0.73 share one
-    8-entry CDF (64 buckets, two words a trial); 2 * PIECE + 5 particles at
-    p+ = 0.39 make two 971-entry pieces (4096 buckets, two words a trial) and
-    a 6-entry remainder (32 buckets). So 32 trials build three tables, 31 none,
-    and 2048 all four. Both inversion paths must count as the reference does.
+    Along z, PIECE particles at p+ = 0.39, 1 at p+ = 0.96, then PIECE + 5
+    more at p+ = 0.39: the first and last components are merged into
+    2 * PIECE + 5 particles ahead of the single one. So two full pieces
+    share one 971-entry CDF (4096 buckets, two words a trial), and the last
+    piece mixes the 5 left with the single particle into a 7-entry CDF (32
+    buckets, one word a trial). So 31 trials build no table, 32 the small
+    one, and 2048 both. Both inversion paths must count as the reference
+    does.
     """
-    states = [eigenstate(Axis(0.4 + 0.7 * i, 1.3 * i), SpinOutcome.PLUS) for i in range(3)]
-    counts = [(states[0], 3), (states[1], 7), (states[2], 2 * montecarlo.PIECE + 5), (states[1], 7)]
+    states = [eigenstate(Axis(0.4 + 0.7 * i, 1.3 * i), SpinOutcome.PLUS) for i in (2, 0)]
+    counts = [(states[0], montecarlo.PIECE), (states[1], 1), (states[0], montecarlo.PIECE + 5)]
     e = EnsembleSpec(tuple(EnsembleComponent(state, count) for state, count in counts))
     with mock.patch.object(montecarlo, "_guide", wraps=montecarlo._guide) as guide:
         n_plus = run_trials(e, Z, trials, seed=9)
@@ -371,20 +389,85 @@ def test_tables_are_built_for_the_cdfs_that_invert_enough_words(trials, tables):
     assert n_plus.tolist() == reference_counts(e, Z, 9, trials, montecarlo.PIECE)
 
 
-@pytest.mark.parametrize("seed", [1, 2])
-def test_totals_follow_the_exact_distribution(seed):
-    """Chi-square of 2*10**5 sampled totals against ``exact_total_distribution``.
+# Positive counts only, as ``_component_probabilities`` leaves out empty
+# components; six of 2**35 at 2 trials stay within the word budget.
+COUNTS = st.one_of(
+    st.integers(1, 3000), st.integers(1, 2**35), st.sampled_from([montecarlo.PIECE - 1, montecarlo.PIECE])
+)
 
-    Four tilted components of 1500, 1100, 700 and 2100 particles: full
-    pieces, remainders, and one component that is only a remainder. Adjacent
-    totals are merged until each bin expects at least 20 trials, which gives
-    129 bins (128 degrees of freedom). The threshold, 219.2, is the
-    Wilson-Hilferty chi-square quantile at 1 - 1e-6: a correct sampler fails
-    for a given seed with probability 9.5e-7, so both seeds together about
-    2e-6. The seeds are fixed, so the outcome does not change between runs;
-    seeds 1 and 2 give 134.1 and 129.1, and seeds 1-20 average 127.6.
+
+@settings(max_examples=80, deadline=None)
+@given(probs=st.lists(
+    st.tuples(COUNTS, st.one_of(st.sampled_from([0.0, 1.0, 0.5, 0.25]), st.floats(0.0, 1.0))),
+    min_size=1,
+    max_size=6,
+))
+# Two bit-equal p+ apart: merged, so 2 * PIECE particles make two full pieces, not four words.
+@example(probs=[(montecarlo.PIECE - 1, 0.5), (1, 0.25), (montecarlo.PIECE + 1, 0.5)])
+def test_width_is_the_random_particles_over_piece(probs):
+    """Every config takes ceil(random particles / PIECE) words a trial, cut across components.
+
+    Bit-equal p+ are merged in order of first appearance. Laid end to end, the
+    pieces' parts list every merged component's particles once, in that
+    order, and every piece but the last holds exactly PIECE particles.
     """
-    e, axis, trials = _tilted((1500, 1100, 700, 2100)), Axis(0.8, 0.7), 200_000
+    merged = {}
+    for count, p in probs:
+        if 0.0 < p < 1.0:
+            merged[p] = merged.get(p, 0) + count
+    random_particles = sum(merged.values())
+    with mock.patch.object(montecarlo, "_group_pmf", wraps=montecarlo._group_pmf) as group:
+        certain, runs, width = montecarlo._pieces(probs, 2)
+    assert width == -(-random_particles // montecarlo.PIECE)
+    assert certain == sum(count for count, p in probs if p == 1.0)
+    bounds = [0] + [stop for _, stop, *_ in runs]
+    assert [(first, stop) for first, stop, *_ in runs] == list(zip(bounds, bounds[1:]))
+    assert bounds[-1] == width
+    totals = {}
+    for (first, stop, *_), call in zip(runs, group.call_args_list, strict=True):
+        parts = call.args[0]
+        assert sum(count for count, _ in parts) == montecarlo.PIECE or stop == width
+        assert stop - first == 1 or len(parts) == 1
+        for count, p in parts:
+            totals[p] = totals.get(p, 0) + count * (stop - first)
+    assert totals == merged
+    assert list(totals) == list(merged)
+
+
+def test_headline_b_along_x_draws_one_word_per_trial():
+    """Preset B's two 500-particle halves share p+ = 1/2 along x: one 1000-particle piece, one word a trial."""
+    e = make_ensemble_B(1000)
+    certain, runs, width = montecarlo._pieces(montecarlo._component_probabilities(e, X), 10_000)
+    assert (certain, width, [(first, stop) for first, stop, *_ in runs]) == (0, 1, [(0, 1)])
+    assert run_trials(e, X, 300, seed=8).tolist() == reference_counts(e, X, 8, 300, montecarlo.PIECE)
+
+
+@pytest.mark.parametrize("e, axis, digest", [
+    pytest.param(
+        make_ensemble_B(1000), X, "a869c52bc344f42ac11782c0a2e5e8af7367f74dfe2e84051b6d547d9b48efef", id="B-x-n1000"
+    ),
+    pytest.param(
+        _tilted((20_000, 20_000, 20_000)), Axis(0.8, 0.7),
+        "b79026154c0f221eaf1f6cb1f9e9072e2c6977050da28857b88fc5c9bd63ea3a", id="tilted-3x20000",
+    ),
+])
+def test_exact_distribution_bytes_are_pinned(e, axis, digest):
+    """``exact_total_distribution`` convolves every component in order, unmerged: its bytes are pinned.
+
+    The digests were taken before the sampler's pieces crossed component
+    boundaries, so sharing the group builder with the sampler moved no bit.
+    """
+    dist = exact_total_distribution(e, axis)
+    assert hashlib.sha256(dist.probabilities.tobytes()).hexdigest() == digest
+
+
+def _chi_square(e, axis, trials, seed):
+    """Chi-square of ``trials`` sampled totals against ``exact_total_distribution``: ``(chi2, df, threshold)``.
+
+    Adjacent totals are merged until each bin expects at least 20 trials. The
+    threshold is the Wilson-Hilferty chi-square quantile at 1 - 1e-6, so a
+    correct sampler exceeds it for a given seed with probability 9.5e-7.
+    """
     n_plus = run_trials(e, axis, trials, seed)
     dist = exact_total_distribution(e, axis)
     index = np.searchsorted(dist.support, 2 * n_plus - e.total_count)
@@ -404,7 +487,38 @@ def test_totals_follow_the_exact_distribution(seed):
     chi2 = float(((observed - expected) ** 2 / expected).sum())
     df = len(starts) - 1
     z = statistics.NormalDist().inv_cdf(1.0 - 1e-6)
-    threshold = df * (1.0 - 2.0 / (9 * df) + z * math.sqrt(2.0 / (9 * df))) ** 3
+    return chi2, df, df * (1.0 - 2.0 / (9 * df) + z * math.sqrt(2.0 / (9 * df))) ** 3
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_totals_follow_the_exact_distribution(seed):
+    """Chi-square of 2*10**5 sampled totals against ``exact_total_distribution``.
+
+    Four tilted components of 1500, 1100, 700 and 2100 particles: full
+    pieces, and pieces that mix the end of one component with the start of
+    the next. The bins give 128 degrees of freedom and a threshold
+    of 219.2; both seeds together fail a correct sampler with probability
+    about 2e-6. The seeds are fixed, so the outcome does not change between
+    runs; seeds 1 and 2 give 139.7 and 111.7, and seeds 1-20 average 126.8.
+    """
+    chi2, df, threshold = _chi_square(_tilted((1500, 1100, 700, 2100)), Axis(0.8, 0.7), 200_000, seed)
+    assert df >= 100
+    assert chi2 <= threshold, (chi2, df, threshold)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_mixed_piece_follows_the_exact_distribution(seed):
+    """Chi-square, as above, of one piece that mixes three components against ``exact_total_distribution``.
+
+    Components of 400, 300 and 324 particles fill exactly one piece, so every
+    trial's total is one word inverted through the convolution of three
+    binomials, at p+ = 0.40, 0.21 and 0.53. The bins give 106 degrees of
+    freedom and a threshold of 190.4; seeds 1 and 2 give 107.4 and 98.8, and
+    seeds 1-20 average 107.3.
+    """
+    e, axis = _tilted((400, 300, montecarlo.PIECE - 700)), Axis(2.0, 1.0)
+    assert montecarlo._pieces(montecarlo._component_probabilities(e, axis), 2)[2] == 1
+    chi2, df, threshold = _chi_square(e, axis, 200_000, seed)
     assert df >= 100
     assert chi2 <= threshold, (chi2, df, threshold)
 
