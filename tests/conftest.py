@@ -161,18 +161,74 @@ def reference_binomial_count_pmf(count: int, p: float) -> tuple[np.ndarray, int]
     return result / math.fsum(result), result_offset
 
 
-def dense_total_distribution(e: EnsembleSpec, axis: Axis) -> tuple[np.ndarray, np.ndarray]:
+def exact_binomial_count_pmf(count: int, p: float) -> tuple[np.ndarray, int]:
+    """The exact binomial law of the doubles p and q = 1 - p, each entry correctly rounded.
+
+    With p = A/D and q = B/D over one denominator D, entry k is the rational
+    C(count, k) A**k B**(count - k) / (A + B)**count: the law of p and q
+    normalized, as a builder that divides by its sum approximates it. Returns
+    ``(pmf, offset)`` over the window of entries that do not round to 0.
+
+    Each entry is carried as an integer V, the entry times 2**1200 within a
+    proven bound ``err``. The walk starts at the mode from the exact integer
+    quotient, then steps k -> k +- 1 by the exact integer ratio of consecutive
+    entries, floor-divided: each step adds at most 1 to the error, so ``err``
+    follows by the same step rounded up, plus 1. Where V - err and V + err
+    round to the same double, the exact entry lies between them and rounds to
+    it too; otherwise, which at 2**126 units per subnormal step is all but
+    never, the entry is divided out exactly. A side stops at the first entry
+    whose upper bound rounds to 0, which every entry beyond it does too.
+    About 0.1 s at 20000 particles, where stepping the exact integers took 8 s.
+    """
+    a, b = Fraction(p), Fraction(1.0 - p)
+    d = math.lcm(a.denominator, b.denominator)
+    plus, minus = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
+    total, scale = (plus + minus) ** count, 1 << 1200
+    mode = min(count, math.floor((count + 1) * p))
+
+    def exact(k):
+        return math.comb(count, k) * plus**k * minus ** (count - k)
+
+    top = exact(mode)
+
+    def side(stop, step, ratio):
+        entries, k, value, err = [], mode, top * scale // total, 1
+        while k != stop:
+            num, den = ratio(k)
+            k += step
+            value, err = value * num // den, -(-err * num // den) + 1
+            low, high = max(value - err, 0) / scale, (value + err) / scale
+            if high == 0.0:
+                break
+            entries.append(low if low == high else exact(k) / total)
+        return entries
+
+    upper = side(count, 1, lambda k: ((count - k) * plus, (k + 1) * minus))
+    lower = side(0, -1, lambda k: (k * minus, (count - k + 1) * plus))
+    return np.array(lower[::-1] + [top / total] + upper), mode - len(lower)
+
+
+def dense_total_distribution(e: EnsembleSpec, axis: Axis, piece: int) -> tuple[np.ndarray, np.ndarray]:
     """Reference exact PMF: dense convolution over every total from -N to N.
 
-    Returns ``(support, probabilities)`` with the exactly-zero entries
-    dropped, as ``exact_total_distribution`` reports them.
+    A component of at most ``piece`` particles convolves its
+    ``dense_binomial_count_pmf``; a larger one, its
+    ``exact_binomial_count_pmf``, zeros included. Returns ``(support,
+    probabilities)`` with the exactly-zero entries dropped, as
+    ``exact_total_distribution`` reports them.
     """
     n = e.total_count
     pmf = np.array([1.0])
     for comp in e.components:
         if comp.count > 0:
             p_plus = born_probability(comp.state, axis, SpinOutcome.PLUS)
-            pmf = np.convolve(pmf, dense_binomial_count_pmf(comp.count, p_plus))
+            if comp.count <= piece:
+                part = dense_binomial_count_pmf(comp.count, p_plus)
+            else:
+                window, offset = exact_binomial_count_pmf(comp.count, p_plus)
+                part = np.zeros(comp.count + 1)
+                part[offset : offset + len(window)] = window
+            pmf = np.convolve(pmf, part)
     support = 2 * np.arange(n + 1, dtype=np.int64) - n
     keep = pmf > 0.0
     return support[keep], pmf[keep]

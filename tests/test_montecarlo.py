@@ -17,6 +17,7 @@ from conftest import (
     dense_total_distribution,
     enumerate_mean_variance,
     enumerate_totals,
+    exact_binomial_count_pmf,
     random_axis,
     random_ensemble,
     reference_binomial_count_pmf,
@@ -191,17 +192,25 @@ def test_exact_distribution_matches_dense_reference(components):
     """The trimmed PMF is the dense reference convolution, rescaled to mass 1.
 
     Up to 6000 particles per component, so the binomial tails underflow to
-    exact zeros that the trimmed convolution never stores. The reference sums
-    to 1 only up to rounding that grows with the count, while
+    exact zeros that the trimmed convolution never stores. A component of at
+    most ``PIECE`` particles is referred to the dense convolution, a larger
+    one to the exact law of its p+, correctly rounded: the dense convolution
+    itself strays up to 1.2e-13 from that law at 4963-6000 particles, past
+    this test's bound. The reference sums to 1 only up to rounding, while
     ``exact_total_distribution`` divides each component by its exact sum, so
-    the reference is divided by its own sum before the comparison.
+    the reference is divided by its own sum before the comparison. Below
+    1e-300 both hold subnormal rounding, so a point may be missing from one
+    and not the other only there.
     """
     e = EnsembleSpec(tuple(components))
+    n = e.total_count
     dist = exact_total_distribution(e, Z)
-    support, pmf = dense_total_distribution(e, Z)
-    assert dist.support.tolist() == support.tolist()
-    reference = pmf / math.fsum(pmf)
-    diff = np.abs(dist.probabilities - reference)
+    support, pmf = dense_total_distribution(e, Z, montecarlo.PIECE)
+    reference, got = np.zeros(n + 1), np.zeros(n + 1)
+    reference[(support + n) // 2] = pmf / math.fsum(pmf)
+    got[(dist.support + n) // 2] = dist.probabilities
+    assert np.all(got[reference >= 1e-300] > 0.0)
+    diff = np.abs(got - reference)
     # Relative where doubles keep full precision; absolute in the far tail.
     large = reference >= 1e-290
     assert np.all(diff[large] <= 1e-13 * reference[large])
@@ -209,7 +218,7 @@ def test_exact_distribution_matches_dense_reference(components):
 
 
 def test_largest_admitted_component_sums_to_one():
-    """999999 particles at p+ = 0.2, the most the guard admits: about 1 s.
+    """999999 particles at p+ = 0.2, the most the guard admits: about 0.1 s.
 
     Without the division by its exact sum, this binomial sums to
     1 + 1.06e-10, beyond what ``TotalSpinDistribution`` accepts: 1 - 0.2
@@ -226,20 +235,45 @@ def test_largest_admitted_component_sums_to_one():
 
 @settings(max_examples=80, deadline=None)
 @given(
-    count=st.one_of(st.integers(1, montecarlo.PIECE), st.integers(montecarlo.PIECE + 1, 20000)),
+    count=st.integers(1, montecarlo.PIECE),
     p=st.one_of(st.sampled_from([0.5, 1e-3, 0.999, 0.2]), st.floats(0.0, 1.0)),
 )
 # Tails down to subnormals on both sides: the largest-first sum must still be
 # the correctly rounded one.
 @example(count=1024, p=0.5)
 @example(count=672, p=0.5)
-@example(count=20000, p=0.7509844331222613)
 def test_binomial_pmf_matches_the_index_order_sum(count, p):
-    """Normalized by a largest-first ``fsum``, every PMF has the bytes of the index-order one."""
+    """Up to ``PIECE`` particles, normalized by a largest-first ``fsum``, every PMF has the bytes of the index-order one."""
     pmf, offset = montecarlo._binomial_count_pmf(count, p)
     reference, reference_offset = reference_binomial_count_pmf(count, p)
     assert offset == reference_offset
     assert pmf.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("count, p", [
+    (montecarlo.PIECE + 1, 0.5),
+    (1069, 0.5926358719),
+    (4963, 0.8564109931),
+    (6000, 0.3),
+    # The three p+ of the oracles benchmark workload at seed 1.
+    (20000, 0.7509844331222613),
+    (20000, 0.7875476367917376),
+    (20000, 0.23551599416642488),
+])
+def test_binomial_pmf_matches_the_exact_law(count, p):
+    """Above ``PIECE`` particles, every entry is within 2e-14 of the exact law wherever that is at least 1e-290.
+
+    The ratio recurrence keeps its window's ends nonzero and within the
+    window where the exact law does not round to 0.
+    """
+    pmf, offset = montecarlo._binomial_count_pmf(count, p)
+    exact, exact_offset = exact_binomial_count_pmf(count, p)
+    assert pmf[0] > 0.0 and pmf[-1] > 0.0
+    assert exact_offset <= offset and offset + len(pmf) <= exact_offset + len(exact)
+    got = np.zeros(len(exact))
+    got[offset - exact_offset : offset - exact_offset + len(pmf)] = pmf
+    large = exact >= 1e-290
+    assert np.all(np.abs(got - exact)[large] <= 2e-14 * exact[large])
 
 
 def test_exact_distribution_guard_rejects_before_any_work():
@@ -448,14 +482,17 @@ def test_headline_b_along_x_draws_one_word_per_trial():
     ),
     pytest.param(
         _tilted((20_000, 20_000, 20_000)), Axis(0.8, 0.7),
-        "b79026154c0f221eaf1f6cb1f9e9072e2c6977050da28857b88fc5c9bd63ea3a", id="tilted-3x20000",
+        "ef4ea9a503b9c0b0323a8ae934b8f795f3d2ce5add467c7782fa049b66030a30", id="tilted-3x20000",
     ),
 ])
 def test_exact_distribution_bytes_are_pinned(e, axis, digest):
     """``exact_total_distribution`` convolves every component in order, unmerged: its bytes are pinned.
 
-    The digests were taken before the sampler's pieces crossed component
-    boundaries, so sharing the group builder with the sampler moved no bit.
+    The B digest was taken before the sampler's pieces crossed component
+    boundaries, so sharing the group builder with the sampler moved no bit;
+    its two components of 500 are built by convolution, as every piece is.
+    The tilted digest pins components above ``PIECE``, built by the ratio
+    recurrence.
     """
     dist = exact_total_distribution(e, axis)
     assert hashlib.sha256(dist.probabilities.tobytes()).hexdigest() == digest
