@@ -1,7 +1,10 @@
 """Ideal Stern-Gerlach simulation: binomial sampling of each trial's + count,
 the preparation-aware prediction of the total's mean and variance, and the
 exact total-spin distribution: each component's binomial PMF, convolved
-across components.
+across components. Where a window is longer than a piece's, each output of a
+convolution is summed over its band, the terms at least 2**-84 times its
+largest; the dropped ones together are below 2**-64 of it, past a double's
+precision.
 
 Every particle is an independent two-point variable, so only the law of a
 trial's total matters, not which component a particle belongs to.
@@ -49,9 +52,11 @@ __all__ = [
 # Exact-PMF guard: refuse totals with more support points than this. Only the
 # window of nonzero probabilities is kept, about 75 sqrt(n p q) points wide. A
 # component's binomial costs O(count); each convolution across components
-# costs the product of the two windows. At the edge, 999999 particles take
-# 0.07-0.08 s in one component and 0.32-0.36 s in three (2-core x86 box,
-# numpy 2.4).
+# costs the output window times the band, about 22 sqrt(v1 v2 / (v1 + v2))
+# terms for windows of variances v1 and v2, plus 128 for the block. At the
+# edge, 999999 particles take 0.07-0.08 s in one component and 0.12-0.16 s in
+# three tilted ones, 0.33-0.38 s with whole-window convolutions (2-core x86
+# box, numpy 2.4).
 MAX_SUPPORT_POINTS = 1_000_000
 
 # Particles per piece, and so per word. Building a piece's CDF by convolution
@@ -76,6 +81,21 @@ _BLOCK_WORDS = 1 << 14
 # binary search per word). Unbounded, one component of 2**53 particles at
 # p+ = 1/2 would take 2**43 words per trial.
 MAX_WORDS = 6 * 10**8
+
+# An exact-PMF convolution above PIECE + 1 entries keeps, for each output,
+# the terms within this factor of its largest term (see _group_pmf for why no
+# kept bit moves). At the oracles p+ of 3 * 20000 particles the band does 30%
+# of the multiply-adds of the whole window product; a floor of 2**-64, which
+# needs a sharper tail bound to keep the output's bits, would do 27%.
+_BAND_FLOOR = 2.0**-84
+
+# Outputs per banded convolution call. Each call convolves over the union of
+# its outputs' bands, which widens as the peak drifts across the block, while
+# each call costs about 5 us of Python. Measured on both convolutions of
+# 3 * 20000 particles (2-core x86 box, numpy 2.4): 11.2, 10.7, 10.2 and
+# 10.7 ms at 64, 128, 256 and 512 outputs; of 3 * 333333 particles: 60, 75
+# and 72 ms at 128, 256 and 512.
+_BAND_BLOCK = 128
 
 
 class TotalSpinDistribution:
@@ -310,17 +330,92 @@ def _binomial_count_pmf(count: int, p: float) -> tuple[np.ndarray, int]:
     return _trim(result / math.fsum(np.sort(result)[::-1]), result_offset)
 
 
+def _last_true(pred, first: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Per lane, the largest i in [first, last] with ``pred(i)``, or first - 1 if there is none.
+
+    ``pred`` maps an index array to a bool array, lane by lane, and must be
+    true then false over each lane's range. Binary lifting: each step tries
+    to advance every lane by the same power of two. ``pred`` is only asked
+    about indices in [first, last], or about ``last`` where that is empty.
+    """
+    i = first - 1
+    step = 1 << int(np.max(last - first + 1)).bit_length()
+    while step:
+        ahead = i + step
+        i = np.where((ahead <= last) & pred(np.minimum(ahead, last)), ahead, i)
+        step >>= 1
+    return i
+
+
+def _band_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.convolve(a, b)`` of two positive log-concave windows, each output summed over its band.
+
+    Output c_k = sum_i a_i b_(k-i) keeps only the terms of its band: those at
+    or above :data:`_BAND_FLOOR` times its largest term. Log-concave
+    sequences have log-concave convolutions, so along each anti-diagonal the
+    terms rise to one peak and fall, and the band is one run of i around it.
+    The peak i*(k) is where the rise of log a_i meets the fall of
+    log b_(k-i): a binary search over the merge of the two log-slope
+    sequences. The band's ends are binary searches on log a_i + log b_(k-i).
+    Both ends are nondecreasing in k, so the union of a block's bands runs
+    from the band start of its first output to the band end of its last:
+    the searches run at the :data:`_BAND_BLOCK` block ends only, and each
+    block is one ``np.convolve(..., "valid")`` of the union's slice of ``a``
+    against ``b`` padded with zeros.
+    """
+    m, n = len(a), len(b)
+    # An entry that underflowed inside a window counts as the least subnormal.
+    log_a, log_b = (np.concatenate(([-np.inf], np.log(np.fmax(x, 5e-324)), [-np.inf])) for x in (a, b))
+    size = m + n - 1
+    starts = np.arange(0, size, _BAND_BLOCK)
+    k = np.concatenate((starts, np.minimum(starts + _BAND_BLOCK, size) - 1))
+    first, last = np.maximum(0, k - n + 1), np.minimum(m - 1, k)
+
+    def term(i):
+        # log a_i b_(k - i), -inf one step outside either window.
+        return log_a[i + 1] + log_b[k - i + 1]
+
+    peak = _last_true(lambda i: term(i) >= term(i - 1), first + 1, last)
+    floor = term(peak) + math.log(_BAND_FLOOR)
+    # A block's first output searches below its peak for the last term under
+    # the floor, its last output above its peak for the last term at or over
+    # it: one past each is where the block's band starts and stops.
+    ends = np.arange(len(k)) >= len(starts)
+    edge = _last_true(lambda i: (term(i) >= floor) == ends, np.where(ends, peak, first), np.where(ends, last, peak)) + 1
+    padded = np.concatenate((np.zeros(_BAND_BLOCK - 1), b, np.zeros(_BAND_BLOCK - 1)))
+    out = np.empty(size)
+    for k0, i0, i1 in zip(starts.tolist(), edge[~ends].tolist(), edge[ends].tolist()):
+        k1 = min(k0 + _BAND_BLOCK, size)
+        out[k0:k1] = np.convolve(a[i0:i1], padded[k0 - i1 + _BAND_BLOCK : k1 - i0 + _BAND_BLOCK - 1], "valid")
+    return out
+
+
 def _group_pmf(parts) -> tuple[np.ndarray, int]:
     """PMF of the + count of independent groups of particles, ``parts`` listing each group's ``(count, p)``.
 
     Returns ``(pmf, offset)`` as :func:`_binomial_count_pmf` does: the
     groups' binomial PMFs convolved in order, trimmed after every step. One
     group gives its binomial PMF with every bit unchanged.
+
+    Where both windows are at most :data:`PIECE` + 1 long, as in every piece
+    the sampler inverts, the step is the plain ``np.convolve``, so piece CDFs
+    keep their bits. Where either is longer, only an exact PMF asks for it,
+    and :func:`_band_convolve` sums each output over its band. Binomial PMFs
+    are log-concave, and so is every convolution of them (Hoggar, 1974), so
+    each output drops at most one term per entry of the shorter window, each
+    below 2**-84 of its largest term. A window holds at most
+    :data:`MAX_SUPPORT_POINTS` < 2**20 entries, so the dropped terms together
+    stay below 2**-64 of the output: no bit that a double of it can hold.
+    The searches compare logarithms, which round; the 5% that 2**20 leaves
+    over 10**6 covers that. Only where a factor is subnormal, so that its
+    stored value is log-concave only up to rounding of a few digits, may a
+    band miss a term, and every such term is below 2.3e-308.
     """
     pmf, offset = np.array([1.0]), 0
     for count, p in parts:
         binomial, shift = _binomial_count_pmf(count, p)
-        pmf, offset = _trim(np.convolve(pmf, binomial), offset + shift)
+        convolve = _band_convolve if max(len(pmf), len(binomial)) > PIECE + 1 else np.convolve
+        pmf, offset = _trim(convolve(pmf, binomial), offset + shift)
     return pmf, offset
 
 
@@ -328,8 +423,11 @@ def exact_total_distribution(e: EnsembleSpec, axis: Axis) -> TotalSpinDistributi
     """Exact total-spin PMF: every component's binomial PMF, convolved in order.
 
     Only the window between the first and last nonzero probability is
-    convolved. Support points with exactly zero probability are dropped, so a
-    deterministic preparation reports a single-point distribution.
+    convolved. Above :data:`PIECE` + 1 entries each output sums only the terms
+    of its band, and the terms it drops add up to less than 2**-64 of it, so
+    no bit that matters is lost (see :func:`_group_pmf`). Support points with
+    exactly zero probability are dropped, so a deterministic preparation
+    reports a single-point distribution.
     """
     n = e.total_count
     if n + 1 > MAX_SUPPORT_POINTS:

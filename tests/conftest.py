@@ -145,20 +145,35 @@ def reference_binomial_count_pmf(count: int, p: float) -> tuple[np.ndarray, int]
     from its first entry to its last. Returns ``(pmf, offset)``, ``pmf[i]``
     being the probability of ``offset + i`` outcomes.
     """
-    def trim(pmf, offset):
-        nonzero = np.flatnonzero(pmf)
-        return pmf[nonzero[0] : nonzero[-1] + 1], offset + int(nonzero[0])
-
     result, result_offset = np.array([1.0]), 0
-    power, power_offset = trim(np.array([1.0 - p, p]), 0)
+    power, power_offset = _trim(np.array([1.0 - p, p]), 0)
     k = count
     while k:
         if k & 1:
-            result, result_offset = trim(np.convolve(result, power), result_offset + power_offset)
+            result, result_offset = _trim(np.convolve(result, power), result_offset + power_offset)
         k >>= 1
         if k:
-            power, power_offset = trim(np.convolve(power, power), 2 * power_offset)
+            power, power_offset = _trim(np.convolve(power, power), 2 * power_offset)
     return result / math.fsum(result), result_offset
+
+
+def reference_group_pmf(parts) -> tuple[np.ndarray, int]:
+    """Reference for ``montecarlo._group_pmf`` up to ``PIECE`` particles: the plain trimmed convolution loop.
+
+    Each ``(count, p)`` part's ``reference_binomial_count_pmf`` is convolved
+    into the running PMF by the whole ``np.convolve``, the exact zeros
+    stripped from both ends after every step. Returns ``(pmf, offset)``.
+    """
+    pmf, offset = np.array([1.0]), 0
+    for count, p in parts:
+        binomial, shift = reference_binomial_count_pmf(count, p)
+        pmf, offset = _trim(np.convolve(pmf, binomial), offset + shift)
+    return pmf, offset
+
+
+def _trim(pmf, offset):
+    nonzero = np.flatnonzero(pmf)
+    return pmf[nonzero[0] : nonzero[-1] + 1], offset + int(nonzero[0])
 
 
 def exact_binomial_count_pmf(count: int, p: float) -> tuple[np.ndarray, int]:
@@ -271,8 +286,9 @@ def reference_counts(e: EnsembleSpec, axis: Axis, seed: int, trials: int, piece:
     """Reference for ``run_trials``: each trial's + count, one piece at a time.
 
     Components with 0 < p+ < 1 and bit-equal p+ are merged, in order of first
-    appearance. Their particles are listed one by one in that order and cut
-    every ``piece`` particles, whatever component each belongs to. Every piece
+    appearance, where a component of no particles does not appear. Their
+    particles are listed one by one in that order and cut every ``piece``
+    particles, whatever component each belongs to. Every piece
     of every trial, in trial order, takes the next scalar ``random()`` of one
     ``Generator(Philox(key=seed % 2**64))`` and counts the entries of its CDF
     at or below it with ``bisect_right``, capped at the last count with
@@ -296,6 +312,8 @@ def reference_counts(e: EnsembleSpec, axis: Axis, seed: int, trials: int, piece:
 
     certain, merged = 0, {}
     for comp in e.components:
+        if comp.count == 0:
+            continue
         p_plus = born_probability(comp.state, axis, SpinOutcome.PLUS)
         if p_plus == 1.0:
             certain += comp.count

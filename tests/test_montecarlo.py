@@ -22,6 +22,7 @@ from conftest import (
     random_ensemble,
     reference_binomial_count_pmf,
     reference_counts,
+    reference_group_pmf,
     reference_guide,
     slow_enumerate_totals,
 )
@@ -188,6 +189,14 @@ def _along_z(p_plus, count):
 @example(components=[_along_z(1.0, 5), _along_z(0.0, 3)])
 # Every component's tails underflow, the skewed ones' on one side only.
 @example(components=[_along_z(0.3, 6000), _along_z(1e-3, 5000), _along_z(0.999, 4000)])
+# Long one-sided subnormal tails on either side of a symmetric component.
+@example(components=[_along_z(1e-3, 6000), _along_z(0.5, 6000), _along_z(0.999, 6000)])
+# Six banded convolutions: the running PMF is log-concave only up to rounding.
+@example(components=[_along_z(p, count) for p, count in zip(
+    (0.3, 0.5, 0.7, 0.2, 0.9, 0.45), (1500, 1480, 1520, 1510, 1490, 1500)
+)])
+# A binomial longer than the running PMF it is convolved into.
+@example(components=[_along_z(0.6, 200), _along_z(0.4, 6000)])
 def test_exact_distribution_matches_dense_reference(components):
     """The trimmed PMF is the dense reference convolution, rescaled to mass 1.
 
@@ -196,7 +205,9 @@ def test_exact_distribution_matches_dense_reference(components):
     most ``PIECE`` particles is referred to the dense convolution, a larger
     one to the exact law of its p+, correctly rounded: the dense convolution
     itself strays up to 1.2e-13 from that law at 4963-6000 particles, past
-    this test's bound. The reference sums to 1 only up to rounding, while
+    this test's bound. Above ``PIECE + 1`` entries each output is summed
+    over its band, so this also checks the terms the band drops. The
+    reference sums to 1 only up to rounding, while
     ``exact_total_distribution`` divides each component by its exact sum, so
     the reference is divided by its own sum before the comparison. Below
     1e-300 both hold subnormal rounding, so a point may be missing from one
@@ -250,15 +261,16 @@ def test_binomial_pmf_matches_the_index_order_sum(count, p):
     assert pmf.tobytes() == reference.tobytes()
 
 
+# The three components of the oracles benchmark workload at seed 1.
+ORACLES_SEED_1 = [(20000, 0.7509844331222613), (20000, 0.7875476367917376), (20000, 0.23551599416642488)]
+
+
 @pytest.mark.parametrize("count, p", [
     (montecarlo.PIECE + 1, 0.5),
     (1069, 0.5926358719),
     (4963, 0.8564109931),
     (6000, 0.3),
-    # The three p+ of the oracles benchmark workload at seed 1.
-    (20000, 0.7509844331222613),
-    (20000, 0.7875476367917376),
-    (20000, 0.23551599416642488),
+    *ORACLES_SEED_1,
 ])
 def test_binomial_pmf_matches_the_exact_law(count, p):
     """Above ``PIECE`` particles, every entry is within 2e-14 of the exact law wherever that is at least 1e-290.
@@ -274,6 +286,56 @@ def test_binomial_pmf_matches_the_exact_law(count, p):
     got[offset - exact_offset : offset - exact_offset + len(pmf)] = pmf
     large = exact >= 1e-290
     assert np.all(np.abs(got - exact)[large] <= 2e-14 * exact[large])
+
+
+@st.composite
+def piece_parts(draw):
+    """One to four ``(count, p)`` parts of at most ``PIECE`` particles in all, as a sampler piece holds."""
+    parts, room = [], montecarlo.PIECE
+    for _ in range(draw(st.integers(1, 4))):
+        count = draw(st.integers(1, room))
+        parts.append((count, draw(st.one_of(st.sampled_from([0.5, 1e-3, 0.999]), st.floats(0.0, 1.0)))))
+        room -= count
+        if not room:
+            break
+    return parts
+
+
+@settings(max_examples=60, deadline=None)
+@given(parts=piece_parts())
+# Two halves of a full piece: the running PMF reaches PIECE + 1 entries.
+@example(parts=[(montecarlo.PIECE // 2, 0.3), (montecarlo.PIECE // 2, 0.7)])
+@example(parts=[(1, 0.5), (montecarlo.PIECE - 1, 0.5)])
+@example(parts=[(montecarlo.PIECE, 0.5)])
+def test_group_pmf_of_a_piece_is_the_plain_convolution(parts):
+    """Up to ``PIECE`` particles, the group PMF has every byte of the whole trimmed ``np.convolve`` loop.
+
+    Every piece the sampler inverts is built so, so no piece CDF moves.
+    """
+    pmf, offset = montecarlo._group_pmf(parts)
+    reference, reference_offset = reference_group_pmf(parts)
+    assert offset == reference_offset
+    assert pmf.tobytes() == reference.tobytes()
+
+
+def test_band_does_at_most_half_the_window_products_work():
+    """On the oracles seed-1 components, the exact PMF's convolutions do at most half the whole windows' multiply-adds.
+
+    Counted through ``np.convolve``: a full convolution of lengths u and v
+    takes u v multiply-adds, a valid one (max - min + 1) min. Convolving the
+    whole windows w1, w2 and w3 in turn would take w1 w2 + (w1 + w2) w3.
+    """
+    w1, w2, w3 = (len(montecarlo._binomial_count_pmf(count, p)[0]) for count, p in ORACLES_SEED_1)
+    work, convolve = [0], np.convolve
+
+    def counted(a, v, mode="full"):
+        short, long = sorted((len(a), len(v)))
+        work[0] += short * (long if mode == "full" else long - short + 1)
+        return convolve(a, v, mode)
+
+    with mock.patch.object(np, "convolve", counted):
+        montecarlo._group_pmf(ORACLES_SEED_1)
+    assert 0 < work[0] <= (w1 * w2 + (w1 + w2) * w3) / 2
 
 
 def test_exact_distribution_guard_rejects_before_any_work():
@@ -351,6 +413,16 @@ SEEDS = st.one_of(st.integers(-(2**70), 2**70), st.integers(2**64 - 4, 2**64 + 4
 # The first and third components share p+: merged into 8 particles ahead of
 # the second's 4, so a piece mixes the last 3 of the first with 2 of the second.
 @example(case=(_repeated(), Z), trials=9, seed=6, piece=5, block=3)
+# A component of no particles ahead of a later one with its p+: the merge
+# order starts at the first particle, so the -z particle is laid out first.
+@example(
+    case=(EnsembleSpec((
+        EnsembleComponent((0.0, 0.0, 1.0), 0),
+        EnsembleComponent((0.0, 0.0, -1.0), 1),
+        EnsembleComponent((0.0, 0.0, 1.0), 1),
+    )), Axis(1.0, 0.0)),
+    trials=2, seed=0, piece=1, block=1,
+)
 def test_run_trials_matches_reference_sampler(case, trials, seed, piece, block):
     """Trial by trial, ``run_trials`` counts what the dense-CDF reference counts.
 
@@ -482,7 +554,7 @@ def test_headline_b_along_x_draws_one_word_per_trial():
     ),
     pytest.param(
         _tilted((20_000, 20_000, 20_000)), Axis(0.8, 0.7),
-        "ef4ea9a503b9c0b0323a8ae934b8f795f3d2ce5add467c7782fa049b66030a30", id="tilted-3x20000",
+        "1f132c9403658c2281f875d5f1a2a438f8e3b1f174ebdf31c40535d06a917cd0", id="tilted-3x20000",
     ),
 ])
 def test_exact_distribution_bytes_are_pinned(e, axis, digest):
@@ -492,7 +564,7 @@ def test_exact_distribution_bytes_are_pinned(e, axis, digest):
     boundaries, so sharing the group builder with the sampler moved no bit;
     its two components of 500 are built by convolution, as every piece is.
     The tilted digest pins components above ``PIECE``, built by the ratio
-    recurrence.
+    recurrence and convolved over each output's band.
     """
     dist = exact_total_distribution(e, axis)
     assert hashlib.sha256(dist.probabilities.tobytes()).hexdigest() == digest
