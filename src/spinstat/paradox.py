@@ -5,9 +5,13 @@ but the operator it yields depends on the state it was built from: the members
 built from the two x eigenstates annihilate their sources, while the member
 built from a z eigenstate is the identity. A state-independent observable with
 both behaviors cannot exist, and the least-squares fit below quantifies how
-far any fixed candidate must miss. An operator a I + b.sigma is the real pair
-``(a, b)``; :func:`null_operator_contradiction` returns the two witness
-members as such pairs, and the harness evaluates them on their sources.
+far any fixed candidate must miss. It fits over states drawn uniformly on the
+Bloch sphere by Marsaglia's trig-free method, in chunks whose size does not
+change the states of a seed, and writes its residuals into the sample array's
+all-ones row once the normal equations are solved. An operator a I + b.sigma
+is the real pair ``(a, b)``; :func:`null_operator_contradiction` returns the
+two witness members as such pairs, and the harness evaluates them on their
+sources.
 """
 
 from __future__ import annotations
@@ -90,34 +94,65 @@ def _best_affine_fit(rows: np.ndarray, targets: np.ndarray) -> tuple[float, floa
     array ``rows`` searches all of them. The fit solves the 4x4 normal
     equations: over points spread on the sphere their Gram matrix is near
     n diag(1, 1/3, 1/3, 1/3), with condition number about 3, so they agree
-    with an SVD fit to a few ulps. ``targets`` is overwritten by the residuals.
+    with an SVD fit to a few ulps. The all-ones row 0 is not needed once they
+    are solved, so the residuals are written into it and no n-vector is made.
     """
     coef = np.linalg.solve(rows @ rows.T, rows @ targets)
-    residuals = np.subtract(coef @ rows, targets, out=targets)
-    rms = float(np.sqrt(np.mean(residuals**2)))
-    return rms, float(np.max(np.abs(residuals)))
+    residuals = np.matmul(coef[1:], rows[1:], out=rows[0])
+    residuals += coef[0]
+    residuals -= targets
+    rms = math.sqrt(float(residuals @ residuals) / residuals.size)
+    return rms, max(float(residuals.max()), -float(residuals.min()))
+
+
+# Pairs of uniforms drawn per chunk by _sphere_rows. The states of a seed do
+# not depend on it; it only bounds the chunk buffers, under 1 MB at 2**14.
+_PAIR_CHUNK = 1 << 14
+
+
+def _sphere_rows(samples: int, seed: int) -> np.ndarray:
+    """The 4 x samples array [1, m_x, m_y, m_z] of states uniform on the Bloch sphere.
+
+    Marsaglia's method (Ann. Math. Statist. 43, 645-646, 1972), with no sin or
+    cos: consecutive pairs (u, v) of ``default_rng(seed).random()``, scaled to
+    [-1, 1)^2, are kept when s = u^2 + v^2 < 1, and each kept pair gives
+    m = (2u sqrt(1 - s), 2v sqrt(1 - s), 1 - 2s). Pairs are drawn
+    ``_PAIR_CHUNK`` at a time and kept in stream order, so the states do not
+    depend on the chunk size, and the first n states of a larger run are the
+    states of n samples.
+    """
+    rng = np.random.default_rng(seed)
+    rows = np.empty((4, samples))
+    rows[0] = 1.0
+    pairs = np.empty((_PAIR_CHUNK, 2))
+    u, v = pairs.T
+    done = 0
+    while done < samples:
+        rng.random(out=pairs)
+        pairs *= 2.0
+        pairs -= 1.0
+        s = u * u + v * v
+        kept = np.flatnonzero(s < 1.0)[: samples - done]
+        end = done + kept.size
+        m = rows[1:, done:end]
+        m[0], m[1], m[2] = u[kept], v[kept], s[kept]
+        m[:2] *= 2.0 * np.sqrt(1.0 - m[2])
+        m[2] = 1.0 - 2.0 * m[2]
+        done = end
+    return rows
 
 
 def fixed_operator_infeasibility(samples: int, seed: int) -> tuple[float, float]:
     """How badly the best state-independent observable misses the variance.
 
-    States are drawn uniformly on the Bloch sphere; the target is each state's
-    x-spin variance 1 - m_x^2. Returns (rms_residual, max_residual) of the
-    optimal fit, which converge to sqrt(4/45) and 2/3 as samples grow.
+    States are drawn uniformly on the Bloch sphere by :func:`_sphere_rows`;
+    the target is each state's x-spin variance 1 - m_x^2. Returns
+    (rms_residual, max_residual) of the optimal fit, which converge to
+    sqrt(4/45) and 2/3 as samples grow. Peak memory is the 4 x n sample array
+    and the targets, 40 bytes per sample: the residuals land in row 0.
     """
     if samples < 100:
         raise ValueError("need at least 100 samples for a meaningful fit")
-    rng = np.random.default_rng(seed)
-    # z is drawn before phi, which fixes the states of a seed. The rows are 1,
-    # m_x, m_y, m_z, filled in place: sin(theta) lives in the m_x row until
-    # m_x replaces it, and the targets reuse phi's buffer.
-    rows = np.empty((4, samples))
-    rows[0] = 1.0
-    rows[3] = rng.uniform(-1.0, 1.0, samples)
-    phi = rng.uniform(0.0, 2.0 * math.pi, samples)
-    sin_t = np.square(rows[3], out=rows[1])
-    np.sqrt(np.subtract(1.0, sin_t, out=sin_t), out=sin_t)
-    np.multiply(sin_t, np.sin(phi, out=rows[2]), out=rows[2])
-    np.multiply(sin_t, np.cos(phi, out=phi), out=rows[1])
-    targets = np.subtract(1.0, np.square(rows[1], out=phi), out=phi)
-    return _best_affine_fit(rows, targets)
+    rows = _sphere_rows(samples, seed)
+    targets = np.square(rows[1])
+    return _best_affine_fit(rows, np.subtract(1.0, targets, out=targets))

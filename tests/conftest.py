@@ -379,15 +379,24 @@ def reference_empirical(n_plus, n: int) -> dict:
 def reference_affine_fit(samples: int, seed: int) -> tuple[float, float]:
     """Reference for ``fixed_operator_infeasibility``: the fit by SVD over an n x 4 design.
 
-    Draws the same states from ``default_rng(seed)``, stacks their Bloch
-    vectors as columns, fits ``[1, m]`` to 1 - m_x^2 with ``np.linalg.lstsq``
-    and returns (rms, max) of the residuals.
+    Draws the same states from ``default_rng(seed)`` in its own plain way:
+    pairs ``2 * random((1000, 2)) - 1`` at a time, kept by a mask on
+    s = u^2 + v^2 < 1, concatenated, the first ``samples`` taken, and
+    m = (2u sqrt(1 - s), 2v sqrt(1 - s), 1 - 2s) (Marsaglia, 1972). Stacks
+    the Bloch vectors as rows, fits ``[1, m]`` to 1 - m_x^2 with
+    ``np.linalg.lstsq`` and returns (rms, max) of the residuals.
     """
     rng = np.random.default_rng(seed)
-    z = rng.uniform(-1.0, 1.0, samples)
-    phi = rng.uniform(0.0, 2.0 * math.pi, samples)
-    sin_t = np.sqrt(1.0 - z**2)
-    bloch = np.column_stack([sin_t * np.cos(phi), sin_t * np.sin(phi), z])
+    kept, count = [], 0
+    while count < samples:
+        pairs = 2.0 * rng.random((1000, 2)) - 1.0
+        pairs = pairs[pairs[:, 0] ** 2 + pairs[:, 1] ** 2 < 1.0]
+        kept.append(pairs)
+        count += len(pairs)
+    u, v = np.concatenate(kept)[:samples].T
+    s = u * u + v * v
+    root = 2.0 * np.sqrt(1.0 - s)
+    bloch = np.column_stack([u * root, v * root, 1.0 - 2.0 * s])
     targets = 1.0 - bloch[:, 0] ** 2
     design = np.column_stack([np.ones(samples), bloch])
     coef, *_ = np.linalg.lstsq(design, targets, rcond=None)

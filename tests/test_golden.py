@@ -129,7 +129,7 @@ def test_output_bytes_are_pinned(tmp_path, name, workers):
 
 
 # SHA-256 of what `spinstat paradox --samples 1000 --seed 0` prints.
-PARADOX_GOLDEN = "c5f67797e18bead703eec45d596ec220ebc883e85988dfda403930ff4f1d112f"
+PARADOX_GOLDEN = "fe2a76b6b1429882e366913ed13cce779951760e4cd136f6c1c28a77cc16aff0"
 
 
 def test_paradox_json_is_pinned(capsys):

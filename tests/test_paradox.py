@@ -10,7 +10,10 @@ from numpy.testing import assert_allclose
 from conftest import matrix, quantum_expectation, reference_affine_fit, states
 from hypothesis import given
 
+from spinstat import paradox
 from spinstat.paradox import (
+    _best_affine_fit,
+    _sphere_rows,
     annihilation_residual,
     expectation,
     fixed_operator_infeasibility,
@@ -104,8 +107,41 @@ class TestFixedOperatorInfeasibility:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the 4 x n sample array and two n-vectors are 48 bytes per sample
-        assert peak <= 64 * samples, peak / samples
+        # the 4 x n sample array and the target vector are 40 bytes per
+        # sample; the residuals land in the sample array's row 0
+        assert peak <= 48 * samples, peak / samples
+
+    def test_states_do_not_depend_on_the_chunk_size(self, monkeypatch):
+        default = np.array(fixed_operator_infeasibility(5000, seed=2))
+        monkeypatch.setattr(paradox, "_PAIR_CHUNK", 7)
+        assert np.array(fixed_operator_infeasibility(5000, seed=2)).tobytes() == default.tobytes()
+
+    def test_states_of_n_samples_begin_the_states_of_more(self):
+        n = 5000
+        assert np.array_equal(_sphere_rows(n, seed=3), _sphere_rows(n + 1000, seed=3)[:, :n])
+
+    def test_states_are_unit_vectors(self):
+        m = _sphere_rows(10**5, seed=5)[1:]
+        assert np.abs(np.sqrt(np.sum(m**2, axis=0)) - 1.0).max() <= 4 * np.finfo(float).eps
+
+    def test_states_are_uniform_on_the_sphere(self):
+        n = 2 * 10**5
+        m = _sphere_rows(n, seed=6)[1:]
+        # uniform on the sphere: E[m_i] = 0 with variance 1/3, and
+        # E[m_i m_j] = delta_ij/3 with variance 4/45 on the diagonal, 1/15 off it
+        assert np.all(np.abs(m.mean(axis=1)) <= 6 * math.sqrt(1 / 3 / n))
+        se = np.sqrt(np.where(np.eye(3, dtype=bool), 4 / 45, 1 / 15) / n)
+        assert np.all(np.abs(m @ m.T / n - np.eye(3) / 3) <= 6 * se)
+
+    def test_fit_is_exact_on_a_spherical_5_design(self):
+        # the 12 icosahedron vertices integrate every polynomial of degree <= 5
+        # over the sphere exactly, and the fit's moments are of degree <= 4
+        g = (1 + math.sqrt(5)) / 2
+        corners = np.array([(0.0, a, b * g) for a in (1, -1) for b in (1, -1)])
+        vertices = np.concatenate([np.roll(corners, k, axis=1) for k in range(3)]) / math.hypot(1, g)
+        rows = np.vstack([np.ones(12), vertices.T])
+        rms, _ = _best_affine_fit(rows, 1.0 - vertices[:, 0] ** 2)
+        assert abs(rms - RMS_LIMIT) <= 1e-15
 
 
 def test_direct_variance_check_numpy():
