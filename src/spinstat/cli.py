@@ -20,7 +20,6 @@ import json
 import sys
 
 from .harness import (
-    MAX_PARADOX_SAMPLES,
     ConfigError,
     ExperimentConfig,
     OutputError,
@@ -109,8 +108,6 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "demo":
             sys.stdout.write(render_report(run_experiment(_config_from_demo_args(args))))
         elif args.command == "paradox":
-            check_int(args.samples, "samples", 100, MAX_PARADOX_SAMPLES)
-            check_int(args.seed, "seed", 0)
             payload = dump_json(demo_paradox(args.samples, args.seed))
             if args.out is None:
                 sys.stdout.write(payload)

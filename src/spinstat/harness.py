@@ -65,11 +65,6 @@ MAX_TRIALS = 10**7
 # peak RSS rose by 0.9 MB; at 2**13 it fell by 2.6 MB.
 _CSV_BLOCK = 1 << 13
 
-# Most random states `paradox` may fit, checked before any work starts. The
-# fit's peak memory grows by about 38 bytes per sample: 74 MB at 10**6 and
-# 417 MB at 10**7, measured as the CLI's peak RSS.
-MAX_PARADOX_SAMPLES = 10**7
-
 
 class OutputError(OSError):
     """An output path could not be written."""
@@ -234,17 +229,15 @@ def _exact_sums(d: np.ndarray) -> tuple[int, int]:
     """Sum and sum of squares of the non-negative int64 array ``d``, exactly, as Python ints.
 
     When ``len(d) * max(d)**2`` fits int64, numpy sums in int64 directly.
-    Otherwise ``d`` is split into 16-bit limbs: each limb product is below
-    2**32 and each sum of ``len(d)`` of them fits int64, and the sums are
-    shifted into place as Python ints.
+    Otherwise Python ints sum ``d.tolist()``. A run reaches that only with
+    about 41000 trials or fewer (``MAX_WORDS`` caps the spread of the +
+    counts) and a spread of thousands of standard deviations.
     """
     top = int(d.max())
     if len(d) * top * top < 1 << 63:
         return int(d.sum()), int(d @ d)
-    limbs = [(d >> shift) & 0xFFFF for shift in range(0, top.bit_length(), 16)]
-    total = sum(int(a.sum()) << 16 * i for i, a in enumerate(limbs))
-    squares = sum(int(a @ b) << 16 * (i + j) for i, a in enumerate(limbs) for j, b in enumerate(limbs))
-    return total, squares
+    values = d.tolist()
+    return sum(values), sum(v * v for v in values)
 
 
 def _empirical(n_plus: np.ndarray, n: int) -> dict:
@@ -324,8 +317,8 @@ def demo_paradox(samples: int, seed: int) -> dict:
     :func:`null_operator_contradiction` raises unless each x eigenstate is
     annihilated by the member built from it.
     """
-    zero_op, nonzero_op = null_operator_contradiction()
     rms, max_res = fixed_operator_infeasibility(samples, seed)
+    zero_op, nonzero_op = null_operator_contradiction()
     x_plus = eigenstate(X, SpinOutcome.PLUS)
     x_minus = eigenstate(X, SpinOutcome.MINUS)
     z_plus = eigenstate(Z, SpinOutcome.PLUS)

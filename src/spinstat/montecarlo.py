@@ -99,13 +99,14 @@ _BAND_BLOCK = 128
 
 
 class TotalSpinDistribution:
-    """Exact probability mass function of the ensemble total, half-quantum units."""
+    """Exact probability mass function of the ensemble total, half-quantum units.
+
+    :func:`exact_total_distribution` builds it from one mask over its window:
+    ``support`` int64 and ``probabilities`` float64, both 1-d and of equal
+    length. Only the total mass is checked here.
+    """
 
     def __init__(self, support: np.ndarray, probabilities: np.ndarray):
-        support = np.asarray(support, dtype=np.int64)
-        probabilities = np.asarray(probabilities, dtype=float)
-        if support.shape != probabilities.shape or support.ndim != 1:
-            raise ValueError("support and probabilities must be 1-d arrays of equal length")
         if abs(float(probabilities.sum()) - 1.0) > 1e-10:
             raise ValueError("probabilities must sum to 1")
         self.support = support

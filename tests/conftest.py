@@ -10,11 +10,11 @@ import bisect
 import cmath
 import itertools
 import math
+from collections.abc import Iterator
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
-from numpy.random import Generator, Philox
 
 from spinstat.ensemble import EnsembleComponent, EnsembleSpec
 from spinstat.spin import Axis, SpinOutcome, born_probability
@@ -282,20 +282,53 @@ def statistical_average_expectation(e: EnsembleSpec, axis: Axis, extensive: bool
     return total
 
 
+_PHILOX_MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_KEY_STEPS = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_WORD = (1 << 64) - 1
+
+
+def philox4x64_words(seed: int) -> Iterator[int]:
+    """The endless word stream of Philox4x64-10 under the key (seed mod 2**64, 0), in plain Python.
+
+    From the spec (Salmon, Moraes, Dror and Shaw, "Parallel random numbers:
+    as easy as 1, 2, 3", SC 2011), not from numpy: the 256-bit counter starts
+    at 0 and is incremented before each block, and each block is 10 rounds
+    over its four 64-bit words, the key stepped between rounds. A round
+    multiplies words 0 and 2 by the two multipliers into 128-bit products
+    (hi, lo) and gives (hi2 ^ w1 ^ k0, lo2, hi0 ^ w3 ^ k1, lo0). The block's
+    four words follow in order.
+    """
+    key, counter = seed % (1 << 64), 0
+    while True:
+        counter = (counter + 1) % (1 << 256)
+        w = [(counter >> 64 * i) & _WORD for i in range(4)]
+        k0, k1 = key, 0
+        for step in range(10):
+            if step:
+                k0, k1 = (k0 + _PHILOX_KEY_STEPS[0]) & _WORD, (k1 + _PHILOX_KEY_STEPS[1]) & _WORD
+            p0, p2 = _PHILOX_MULTIPLIERS[0] * w[0], _PHILOX_MULTIPLIERS[1] * w[2]
+            w = [(p2 >> 64) ^ w[1] ^ k0, p2 & _WORD, (p0 >> 64) ^ w[3] ^ k1, p0 & _WORD]
+        yield from w
+
+
+def philox_uniforms(seed: int) -> Iterator[float]:
+    """The doubles in [0, 1) of ``philox4x64_words(seed)``: each word's top 53 bits times 2**-53."""
+    return ((word >> 11) * 2.0**-53 for word in philox4x64_words(seed))
+
+
 def reference_counts(e: EnsembleSpec, axis: Axis, seed: int, trials: int, piece: int) -> list[int]:
     """Reference for ``run_trials``: each trial's + count, one piece at a time.
 
     Components with 0 < p+ < 1 and bit-equal p+ are merged, in order of first
     appearance, where a component of no particles does not appear. Their
     particles are listed one by one in that order and cut every ``piece``
-    particles, whatever component each belongs to. Every piece
-    of every trial, in trial order, takes the next scalar ``random()`` of one
-    ``Generator(Philox(key=seed % 2**64))`` and counts the entries of its CDF
-    at or below it with ``bisect_right``, capped at the last count with
-    nonzero probability. The CDF is the running sum of the dense convolution
-    of the piece's parts, each part's ``dense_binomial_count_pmf`` divided by
-    its exact sum. Components with p+ in {0, 1} add their + count and take no
-    uniform.
+    particles, whatever component each belongs to. Every piece of every
+    trial, in trial order, takes the next double of ``philox_uniforms(seed)``,
+    the spec's stream, and counts the entries of its CDF at or below it with
+    ``bisect_right``, capped at the last count with nonzero probability. The
+    CDF is the running sum of the dense convolution of the piece's parts,
+    each part's ``dense_binomial_count_pmf`` divided by its exact sum.
+    Components with p+ in {0, 1} add their + count and take no uniform.
 
     The dense and the trimmed convolution may round an entry differently in
     its last bits. Over 10**4 CDFs of 511-1024 particles, about 7 of the
@@ -326,9 +359,9 @@ def reference_counts(e: EnsembleSpec, axis: Axis, seed: int, trials: int, piece:
         if parts not in built:
             built[parts] = dense_cdf(parts)
         cdfs.append(built[parts])
-    stream = Generator(Philox(key=seed % 2**64))
+    stream = philox_uniforms(seed)
     return [
-        certain + sum(min(bisect.bisect_right(cdf, stream.random()), last) for cdf, last in cdfs)
+        certain + sum(min(bisect.bisect_right(cdf, next(stream)), last) for cdf, last in cdfs)
         for _ in range(trials)
     ]
 

@@ -39,3 +39,11 @@ def test_rejects_a_root_without_the_benchmark_before_any_run(tmp_path):
     with pytest.raises(SystemExit):
         bench.main(["--out", str(tmp_path / "b.json"), "--root", str(tmp_path / "nonexistent-checkout")])
     assert not (tmp_path / "b.json").exists()
+
+
+def test_src_lines_counts_a_checkout_with_this_checkout_tool(tmp_path):
+    package = tmp_path / "src" / "spinstat"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text('"""Doc."""\nx = 1\n\n# comment\ny = 2\n')
+    (package / "b.py").write_text("z = 3\n")
+    assert bench.src_lines(tmp_path) == 3

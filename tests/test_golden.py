@@ -9,7 +9,8 @@ import hashlib
 
 import pytest
 
-from spinstat import cli
+from conftest import reference_counts
+from spinstat import cli, montecarlo
 from spinstat.harness import ExperimentConfig, run_experiment
 
 TILTED_12 = {
@@ -107,18 +108,14 @@ GOLDEN = {
 }
 
 
-def run_hashes(tmp_path, name, workers):
+def golden_config(name, **extra):
     ensemble, axis, trials, seed = CONFIGS[name]
+    return ExperimentConfig.from_json_dict({"ensemble": ensemble, "axis": axis, "trials": trials, "seed": seed, **extra})
+
+
+def run_hashes(tmp_path, name, workers):
     report, totals = tmp_path / "report.json", tmp_path / "totals.csv"
-    cfg = ExperimentConfig.from_json_dict({
-        "ensemble": ensemble,
-        "axis": axis,
-        "trials": trials,
-        "seed": seed,
-        "workers": workers,
-        "outputs": {"report": str(report), "totals": str(totals)},
-    })
-    run_experiment(cfg)
+    run_experiment(golden_config(name, workers=workers, outputs={"report": str(report), "totals": str(totals)}))
     return tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (report, totals))
 
 
@@ -126,6 +123,18 @@ def run_hashes(tmp_path, name, workers):
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_output_bytes_are_pinned(tmp_path, name, workers):
     assert run_hashes(tmp_path, name, workers) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_counts_follow_the_philox_spec(name):
+    """Every golden config's + counts are those of the dense-CDF reference fed the spec's Philox stream.
+
+    So the pinned bytes rest on the published Philox4x64-10 algorithm, not on
+    numpy's ``Generator`` alone.
+    """
+    cfg = golden_config(name)
+    counts = montecarlo.run_trials(cfg.ensemble, cfg.axis, cfg.trials, cfg.seed)
+    assert counts.tolist() == reference_counts(cfg.ensemble, cfg.axis, cfg.seed, cfg.trials, montecarlo.PIECE)
 
 
 # SHA-256 of what `spinstat paradox --samples 1000 --seed 0` prints.

@@ -18,7 +18,7 @@ from numpy.testing import assert_allclose
 
 import spinstat
 from conftest import reference_empirical, reference_totals_csv
-from spinstat import cli, montecarlo
+from spinstat import cli, montecarlo, paradox
 from spinstat.harness import (
     _CSV_BLOCK,
     ConfigError,
@@ -669,11 +669,11 @@ def test_valid_configs_parse():
 
 
 def _rejected_paradox(monkeypatch, capsys, *flags) -> str:
-    """stderr of a ``paradox`` call that must exit 2 before the fit runs."""
-    def no_fit(*args):
-        raise AssertionError("ran the fit for rejected arguments")
+    """stderr of a ``paradox`` call that must exit 2 before the fit draws any state."""
+    def no_draw(*args):
+        raise AssertionError("drew states for rejected arguments")
 
-    monkeypatch.setattr(cli, "demo_paradox", no_fit)
+    monkeypatch.setattr(paradox, "_sphere_rows", no_draw)
     code = cli.main(["paradox", *flags])
     err = capsys.readouterr().err
     assert code == 2, err
@@ -681,9 +681,9 @@ def _rejected_paradox(monkeypatch, capsys, *flags) -> str:
     return err
 
 
-@pytest.mark.parametrize("samples", [10**12, 10**400])
+@pytest.mark.parametrize("samples", [99, 10**12, 10**400])
 def test_paradox_rejects_samples_beyond_bound(monkeypatch, capsys, samples):
-    """Too many samples exit 2 naming the field, before the fit allocates anything."""
+    """Too few or too many samples exit 2 naming the field, before the fit allocates anything."""
     err = _rejected_paradox(monkeypatch, capsys, "--samples", str(samples))
     assert "field 'samples' must be at least 100 and at most 10000000" in err
 

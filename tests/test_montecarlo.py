@@ -1,6 +1,7 @@
 """Unit tests for the simulated apparatus and exact distributions."""
 
 import hashlib
+import itertools
 import math
 import statistics
 import tracemalloc
@@ -18,6 +19,8 @@ from conftest import (
     enumerate_mean_variance,
     enumerate_totals,
     exact_binomial_count_pmf,
+    philox4x64_words,
+    philox_uniforms,
     random_axis,
     random_ensemble,
     reference_binomial_count_pmf,
@@ -36,6 +39,19 @@ from spinstat.ensemble import (
 )
 from spinstat.montecarlo import exact_total_distribution, preparation_aware_prediction, run_trials
 from spinstat.spin import Axis, ConfigError, SpinOutcome, X, Z, born_probability, eigenstate
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**64 - 3, -7])
+def test_numpy_philox_is_the_spec_stream(seed):
+    """numpy's Philox4x64-10 raw words and ``Generator.random()`` doubles are those of the spec.
+
+    4003 words cover many blocks and end partway into one; a negative seed is
+    taken mod 2**64, as ``run_trials`` takes it.
+    """
+    words = list(itertools.islice(philox4x64_words(seed), 4003))
+    assert np.random.Philox(key=seed % 2**64).random_raw(4003).tolist() == words
+    uniforms = np.random.Generator(np.random.Philox(key=seed % 2**64)).random(4003)
+    assert uniforms.tolist() == list(itertools.islice(philox_uniforms(seed), 4003))
 
 
 class TestRunTrials:

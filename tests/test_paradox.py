@@ -20,7 +20,7 @@ from spinstat.paradox import (
     null_operator_contradiction,
     variance_pseudo_operator,
 )
-from spinstat.spin import SpinOutcome, X, Y, Z, eigenstate, state_mean_and_variance
+from spinstat.spin import ConfigError, SpinOutcome, X, Y, Z, eigenstate, state_mean_and_variance
 
 RMS_LIMIT = math.sqrt(4.0 / 45.0)  # best-possible rms residual over the sphere
 MAX_LIMIT = 2.0 / 3.0
@@ -91,6 +91,19 @@ class TestFixedOperatorInfeasibility:
     def test_rejects_tiny_sample_counts(self):
         with pytest.raises(ValueError):
             fixed_operator_infeasibility(10, seed=0)
+
+    @pytest.mark.parametrize(
+        "samples, seed, field", [(paradox.MAX_PARADOX_SAMPLES + 1, 0, "samples"), (1000, -1, "seed")]
+    )
+    def test_rejects_bad_arguments_before_drawing(self, monkeypatch, samples, seed, field):
+        """A library caller gets the CLI's bounds: a ``ConfigError`` naming the field, before any state."""
+        def no_draw(*args):
+            raise AssertionError("drew states for rejected arguments")
+
+        monkeypatch.setattr(paradox, "_sphere_rows", no_draw)
+        with pytest.raises(ConfigError, match=f"field '{field}'") as info:
+            fixed_operator_infeasibility(samples, seed)
+        assert info.value.path == field
 
     @pytest.mark.parametrize("samples", [100, 1000, 10**5])
     @pytest.mark.parametrize("seed", range(5))

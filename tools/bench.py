@@ -13,10 +13,11 @@ metrics are those that ``BENCHMARK.json`` declares.
 
 The file holds every run; per side, workload and end-to-end metric, the median
 and quartiles over the seeds; with a parent, how many seeds read lower, higher
-or the same on the change; and nproc and the Python and numpy versions, which
-are those of the interpreter that runs this script and every benchmark run. A
-run that reads ``correct: false`` keeps its ``check failed`` lines, so a flaky
-check stays visible.
+or the same on the change; each side's ``src/spinstat`` code lines, counted
+by this checkout's ``tools/src_lines.py`` for both; and nproc and the Python
+and numpy versions, which are those of the interpreter that runs this script
+and every benchmark run. A run that reads ``correct: false`` keeps its
+``check failed`` lines, so a flaky check stays visible.
 """
 
 from __future__ import annotations
@@ -57,6 +58,15 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
         "metrics": {name: entry["value"] for name, entry in result["metrics"].items()},
         "problems": [line for line in done.stderr.splitlines() if line.startswith("check failed:")],
     }
+
+
+def src_lines(root: Path) -> int:
+    """The total that this checkout's ``tools/src_lines.py`` prints for ``root``'s ``src/spinstat``."""
+    done = subprocess.run(
+        [sys.executable, str(REPO / "tools" / "src_lines.py"), str(root / "src" / "spinstat")],
+        capture_output=True, text=True, check=True,
+    )
+    return int(done.stdout.split()[-2])
 
 
 def _spread(values: list[float]) -> dict:
@@ -120,6 +130,7 @@ def main(argv: list[str] | None = None) -> int:
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "src_lines": {name: src_lines(root) for name, root in roots.items()},
         "summary": spread,
         "change vs parent": pairs,
         "runs": runs,
