@@ -229,9 +229,11 @@ def _exact_sums(d: np.ndarray) -> tuple[int, int]:
     """Sum and sum of squares of the non-negative int64 array ``d``, exactly, as Python ints.
 
     When ``len(d) * max(d)**2`` fits int64, numpy sums in int64 directly.
-    Otherwise Python ints sum ``d.tolist()``. A run reaches that only with
-    about 41000 trials or fewer (``MAX_WORDS`` caps the spread of the +
-    counts) and a spread of thousands of standard deviations.
+    Otherwise Python ints sum ``d.tolist()``. ``MAX_WORDS`` keeps trials
+    times random particles below 6 * 10**14, as a word covers at most
+    999999 particles, and a + count's variance is at most a quarter of its
+    particles, so a run reaches that only with a spread of about 250
+    standard deviations or more.
     """
     top = int(d.max())
     if len(d) * top * top < 1 << 63:

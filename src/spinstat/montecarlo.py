@@ -9,13 +9,18 @@ precision.
 Every particle is an independent two-point variable, so only the law of a
 trial's total matters, not which component a particle belongs to.
 :func:`run_trials` merges the components with 0 < p+ < 1 whose p+ are
-bit-equal, lays out their particles in order of first appearance, and cuts
-them every :data:`PIECE` particles, across component boundaries. It draws each
-piece of each trial by inverting the piece's exact CDF at one uniform word:
-the binomial CDF of a piece within one component, or the CDF of the
-convolution of its parts' binomials where a piece spans components, built by
-:func:`_group_pmf` as the exact PMF is. So a trial takes ceil(random particles
-/ PIECE) words. Components with p+ in {0, 1} add a constant and take no words.
+bit-equal, in order of first appearance. A merged component of more than
+:data:`PIECE` particles is cut into the fewest parts of at most
+:data:`MAX_SUPPORT_POINTS` - 1 particles, their sizes differing by at most
+one, and each part takes one word per trial, inverting the CDF of its
+binomial built only over its window (:func:`_binomial_window`). The other merged components are laid out in
+order and cut every :data:`PIECE` particles, across component boundaries;
+each piece takes one word, inverting the binomial CDF of a piece within one
+component, or the CDF of the convolution of its parts' binomials where a
+piece spans components, built by :func:`_group_pmf` as the exact PMF is. So
+a trial takes one word per part of each large component, plus
+ceil(other random particles / PIECE). Components with p+ in {0, 1} add a
+constant and take no words.
 
 A word w in [0, 1) inverts to the number i of CDF entries at or below it,
 capped at the last index. Where a CDF inverts enough words in one run, a
@@ -28,9 +33,10 @@ the search for every word (the indexed search of Chen and Asau, 1974).
 
 Reproducibility contract: every word comes from one stream, numpy's
 ``Generator(Philox(key=s mod 2**64)).random()`` under seed ``s``, taken in
-trial order. With ``width`` pieces per trial, piece ``j`` of trial ``t``
-inverts word ``t * width + j``, so the + counts are a pure function of the
-ensemble, the axis, the trial count and the seed.
+trial order. With ``width`` words per trial, the large components' parts
+first, then the pieces, word ``j`` of trial ``t`` is word ``t * width + j``
+of the stream, so the + counts are a pure function of the ensemble, the
+axis, the trial count and the seed.
 """
 
 from __future__ import annotations
@@ -51,42 +57,49 @@ __all__ = [
 
 # Exact-PMF guard: refuse totals with more support points than this. Only the
 # window of nonzero probabilities is kept, about 75 sqrt(n p q) points wide. A
-# component's binomial costs O(count); each convolution across components
+# component's binomial costs O(window); each convolution across components
 # costs the output window times the band, about 22 sqrt(v1 v2 / (v1 + v2))
 # terms for windows of variances v1 and v2, plus 128 for the block. At the
-# edge, 999999 particles take 0.07-0.08 s in one component and 0.12-0.16 s in
+# edge, 999999 particles take 0.06-0.07 s in one component and 0.11-0.12 s in
 # three tilted ones, 0.33-0.38 s with whole-window convolutions (2-core x86
-# box, numpy 2.4).
+# box, numpy 2.4). The sampler cuts a large component into parts of at most
+# MAX_SUPPORT_POINTS - 1 particles, so each part's binomial is one that the
+# exact PMF admits, and its window, cut at _BAND_FLOOR, at most 10792 entries.
 MAX_SUPPORT_POINTS = 1_000_000
 
-# Particles per piece, and so per word. Building a piece's CDF by convolution
-# takes about 0.4 ms at 1024 particles, 5 ms at 4096 and 10 s at 10**7 at
-# p+ = 1/2 (2-core x86 box, numpy 2.4), while each trial takes one word per
-# piece. Pieces are cut across components, so a trial takes ceil(random
-# particles / PIECE) words however the particles split into components: 1 for
-# 12 particles in three components, 196 for 2 * 10**5 particles in two.
+# Particles per piece, and the most a merged component may hold and still
+# share words with others. Building a piece's CDF by convolution takes about
+# 0.4 ms at 1024 particles, 5 ms at 4096 and 10 s at 10**7 at p+ = 1/2 (2-core
+# x86 box, numpy 2.4), while each trial takes one word per piece. Pieces are
+# cut across components, so components of at most PIECE particles take
+# ceil(their particles / PIECE) words however they split: 1 for 12 particles
+# in three components. A larger one takes one word per part, whose CDF is
+# built over its window alone: 1 for 2 * 10**5 particles in two components at
+# one p+.
 PIECE = 1024
 
 # One draw takes at most this many words, 128 KiB of doubles: whole trials
 # when they fit, else one trial in column blocks, so memory stays flat however
 # large the ensemble. Inverting a run of columns makes a few temporaries of the
-# draw's size; at 2**15 words, a 2 * 10**5-particle ensemble at one p+ (one
-# 195-column run) raised the CLI's peak RSS by 0.4 MB, with no gain in speed.
+# draw's size; at 2**15 words, 200 trials of one 195-column run raised the
+# CLI's peak RSS by 0.4 MB, with no gain in speed.
 _BLOCK_WORDS = 1 << 14
 
-# Most words one run may draw: trials times ceil(random particles / PIECE),
-# read from the counts alone and checked before any layout or CDF. At the
-# edge, 4 trials of 1.5 * 10**8 words took 8-12 s and 10**7 trials of 60
-# words 9-11 s, at p+ = 1/2 (2-core x86 box, numpy 2.4; 51 and 58 s with a
-# binary search per word). Unbounded, one component of 2**53 particles at
-# p+ = 1/2 would take 2**43 words per trial.
+# Most words one run may draw: trials times width, read from the counts alone
+# and checked before any layout or CDF. At the edge, 4 trials of 1.5 * 10**8
+# words took 12.7-16.6 s and 10**7 trials of 60 words 14.0-15.3 s, each word
+# of 999999 particles at p+ = 1/2 (2-core x86 box, numpy 2.4). Unbounded, one
+# component of 2**53 particles at p+ = 1/2 would take 9007208262 words per
+# trial.
 MAX_WORDS = 6 * 10**8
 
 # An exact-PMF convolution above PIECE + 1 entries keeps, for each output,
 # the terms within this factor of its largest term (see _group_pmf for why no
 # kept bit moves). At the oracles p+ of 3 * 20000 particles the band does 30%
 # of the multiply-adds of the whole window product; a floor of 2**-64, which
-# needs a sharper tail bound to keep the output's bits, would do 27%.
+# needs a sharper tail bound to keep the output's bits, would do 27%. The
+# sampler's binomial of a large component's part stops at the same fraction
+# of its mode (see _word_cdf for why that moves no word).
 _BAND_FLOOR = 2.0**-84
 
 # Outputs per banded convolution call. Each call convolves over the union of
@@ -132,26 +145,29 @@ def _pieces(probs, trials: int) -> tuple[int, list[tuple[int, int, np.ndarray, i
     """Lay out one trial's words: ``(certain, runs, width)``.
 
     ``certain`` counts the particles with p+ = 1. Components with 0 < p+ < 1
-    whose p+ are bit-equal are merged, in order of first appearance, and
-    their particles are laid out in that order and cut every :data:`PIECE`
-    particles, whatever component each belongs to; each piece takes one
-    word, so ``width`` is ceil(random particles / PIECE), read from the
-    counts alone. The layout walks the merged components once: each fills
-    the open partial piece, then lays out its full pieces as one run, then
-    opens a new partial piece with its remainder.
+    whose p+ are bit-equal are merged, in order of first appearance. Each
+    merged component of more than :data:`PIECE` particles comes first, in
+    that order: it is cut into ceil(count / (MAX_SUPPORT_POINTS - 1)) parts,
+    the larger parts one particle above the smaller, and each part takes one
+    word, the larger parts' words first. The other merged components are laid
+    out in order and cut every :data:`PIECE` particles, whatever component
+    each belongs to; each piece takes one word. So ``width`` is the large
+    components' parts plus ceil(other random particles / PIECE), read from
+    the counts alone. Each of those components fills the open piece and, if
+    it closes it, opens the next with its remainder.
 
     ``runs`` lists ``(first, stop, cdf, offset, table)``: words
     ``first..stop-1`` each invert ``cdf``, whose entry ``i`` is the
-    probability of at most ``offset + i`` + outcomes in the piece, built by
-    :func:`_group_pmf` from the piece's ``(count, p)`` parts; the last entry,
-    about 1, is left off, since a word past every entry takes the last count
-    anyway. After the merge no two runs have the same parts, so each CDF is
-    built once. A CDF gets a bucket table (:func:`_guide`) of B buckets, the
-    power of two that is 4-8 times its full length, when it inverts at least
-    B words in ``trials`` trials, so the table's O(B) cost never exceeds that
-    of the lookups it serves; otherwise ``table`` is None and every word of
-    that CDF is searched. Raises ConfigError naming ``trials`` when
-    ``trials * width`` exceeds :data:`MAX_WORDS`, before any layout or CDF.
+    probability of at most ``offset + i`` + outcomes in the word's parts,
+    built by :func:`_word_cdf`. A component's parts share a run per size, so
+    it builds at most two CDFs, and after the merge no two runs have the
+    same parts, so each CDF is built once. A CDF gets a bucket table
+    (:func:`_guide`) of B buckets, the power of two that is 4-8 times its
+    full length, when it inverts at least B words in ``trials`` trials, so
+    the table's O(B) cost never exceeds that of the lookups it serves;
+    otherwise ``table`` is None and every word of that CDF is searched.
+    Raises ConfigError naming ``trials`` when ``trials * width`` exceeds
+    :data:`MAX_WORDS`, before any layout or CDF.
     """
     certain, merged = 0, {}
     for count, p in probs:
@@ -159,33 +175,64 @@ def _pieces(probs, trials: int) -> tuple[int, list[tuple[int, int, np.ndarray, i
             certain += count
         elif p > 0.0:
             merged[p] = merged.get(p, 0) + count
-    width = -(-sum(merged.values()) // PIECE)
+    split = {p: -(-count // (MAX_SUPPORT_POINTS - 1)) for p, count in merged.items() if count > PIECE}
+    width = sum(split.values()) + -(-sum(count for p, count in merged.items() if p not in split) // PIECE)
     if trials * width > MAX_WORDS:
         problem = f"is {trials}, and at {width} words per trial the run exceeds the budget of {MAX_WORDS} words"
         raise ConfigError(problem, "trials")
-    layout, parts, fill = [], [], 0
+    layout = []
+    for p, n in split.items():
+        size, extra = divmod(merged[p], n)
+        layout += [(words, ((count, p),)) for words, count in ((extra, size + 1), (n - extra, size)) if words]
+    piece, fill = [], 0
     for p, count in merged.items():
-        if fill:
-            take = min(count, PIECE - fill)
-            parts.append((take, p))
-            count, fill = count - take, fill + take
-            if fill == PIECE:
-                layout.append((1, tuple(parts)))
-                parts, fill = [], 0
-        full, rest = divmod(count, PIECE)
-        if full:
-            layout.append((full, ((PIECE, p),)))
-        if rest:
-            parts, fill = [(rest, p)], rest
+        if p in split:
+            continue
+        take = min(count, PIECE - fill)
+        piece.append((take, p))
+        fill += take
+        if fill == PIECE:
+            layout.append((1, tuple(piece)))
+            piece, fill = [], 0
+        if count > take:
+            piece, fill = [(count - take, p)], count - take
     if fill:
-        layout.append((1, tuple(parts)))
+        layout.append((1, tuple(piece)))
     runs, first = [], 0
-    for pieces, key in layout:
-        pmf, offset = _group_pmf(key)
-        cdf, buckets = np.cumsum(pmf)[:-1], 4 << len(pmf).bit_length()
-        runs.append((first, first + pieces, cdf, offset, _guide(cdf, buckets) if trials * pieces >= buckets else None))
-        first += pieces
+    for words, parts in layout:
+        cdf, offset = _word_cdf(parts)
+        buckets = 4 << (len(cdf) + 1).bit_length()
+        runs.append((first, first + words, cdf, offset, _guide(cdf, buckets) if trials * words >= buckets else None))
+        first += words
     return certain, runs, width
+
+
+def _word_cdf(parts) -> tuple[np.ndarray, int]:
+    """CDF of the + count of one word's ``parts``, its last entry, about 1, left off: ``(cdf, offset)``.
+
+    A word past every entry takes the last count anyway. A piece holds at
+    most :data:`PIECE` particles, and a large component's part more:
+    MAX_SUPPORT_POINTS - 1 exceeds 2 * PIECE, and a component cut in parts
+    leaves each more than half of that. A part has the ``cumsum`` of its
+    :func:`_binomial_window` cut at :data:`_BAND_FLOOR`, divided by the
+    sum's last entry: O(window), and the same on every platform, since
+    ``cumsum`` adds in order. Each side of the window ends before its first
+    entry at or below 2**-84 of the mode, d < 2**20 steps out. Binomial PMFs
+    are log-concave, so the ratios of successive entries fall moving out
+    from the mode: every ratio from there on is at most the geometric mean
+    of the first d, at most 2**(-84/d), and the dropped tail weighs at most
+    2**-84 / (1 - 2**(-84/d)) <= 2**-84 (1 + d / (84 ln 2)) < 2**-69.8 of the
+    mode. Both dropped tails together are below 2**-68 of the window's
+    total, so no CDF entry moves by as much as 2**-53, the spacing of the
+    words. A piece's CDF is the ``cumsum`` of its parts' :func:`_group_pmf`.
+    """
+    (count, p), *_ = parts
+    if count > PIECE:
+        window, offset = _binomial_window(count, p, _BAND_FLOOR)
+        cdf = np.cumsum(window)
+        return cdf[:-1] / cdf[-1], offset
+    pmf, offset = _group_pmf(parts)
+    return np.cumsum(pmf)[:-1], offset
 
 
 def _guide(cdf: np.ndarray, buckets: int) -> np.ndarray:
@@ -197,8 +244,9 @@ def _guide(cdf: np.ndarray, buckets: int) -> np.ndarray:
     ``cdf * buckets`` is exact, and an entry lies inside bucket ``j`` exactly
     when its scaled value is not an integer and rounds up to ``j + 1``. Built
     in O(len(cdf) + buckets) by counting the entries at each rounded-up
-    scaled value. A piece has at most :data:`PIECE` + 1 entries, so int16
-    holds every index.
+    scaled value. A piece's CDF has at most :data:`PIECE` entries, and a
+    large component's part at most 10791 (see :data:`MAX_SUPPORT_POINTS`),
+    so int16 holds every index.
     """
     scaled = cdf * buckets
     ceil = np.ceil(scaled).astype(np.intp)
@@ -268,6 +316,37 @@ def _trim(pmf: np.ndarray, offset: int) -> tuple[np.ndarray, int]:
     return pmf[nonzero[0] : nonzero[-1] + 1], offset + int(nonzero[0])
 
 
+def _binomial_window(count: int, p: float, floor: float) -> tuple[np.ndarray, int]:
+    """Binomial entries of ``count`` particles at + probability p around the mode, unnormalized: ``(window, offset)``.
+
+    ``window[i]`` is proportional to the probability of ``offset + i``
+    outcomes: 1 at the mode m = floor((count + 1) p), each entry above it
+    the last times ((count - k) p) / ((k + 1) q), each below it the next
+    times (k q) / ((count - k + 1) p), with q = 1 - p. Each side walks out
+    from the mode in chunks of :data:`PIECE` ratios, doubling, and ends
+    before its first entry at or below ``floor``, or at the end of the
+    support. A chunk's first ratio is multiplied by the side's last entry
+    and its ``cumprod`` gives its entries: ``cumprod`` multiplies in order,
+    so every entry has the bits of one ``cumprod`` over the whole side. The
+    work is O(window), not O(count).
+    """
+    q = 1.0 - p
+    mode = min(count, math.floor((count + 1) * p))
+    sides = []
+    for step, stop in ((-1, 0), (1, count)):
+        k, last, size, side = mode, 1.0, PIECE, [np.empty(0)]
+        while k != stop and last > floor:
+            ks = np.arange(k, k + step * min(size, abs(stop - k)), step, dtype=float)
+            ratios = ks * q / ((count - ks + 1) * p) if step < 0 else (count - ks) * p / ((ks + 1) * q)
+            ratios[0] *= last
+            side.append(np.cumprod(ratios, out=ratios))
+            k, last, size = k + step * len(ks), ratios[-1], 2 * size
+        side = np.concatenate(side)
+        sides.append(side[: np.argmax(side <= floor)] if last <= floor else side)
+    down, up = sides
+    return np.concatenate((down[::-1], [1.0], up)), mode - len(down)
+
+
 def _binomial_count_pmf(count: int, p: float) -> tuple[np.ndarray, int]:
     """PMF of the number of + outcomes among ``count`` particles with + probability p.
 
@@ -284,21 +363,18 @@ def _binomial_count_pmf(count: int, p: float) -> tuple[np.ndarray, int]:
     so its CDFs keep these bits.
 
     Above :data:`PIECE` particles, which only the exact PMF of a whole
-    component asks for, it is the ratio recurrence from the mode m =
-    floor((count + 1) p): 1 at m, each entry above it the last times
-    ((count - k) p) / ((k + 1) q), each below it the next times
-    (k q) / ((count - k + 1) p), with q = 1 - p. That is O(count) work where
-    the convolution's last squarings are O(window**2): 20000 particles at
-    p+ in [0.2, 0.8] take 1.1-1.2 ms instead of 22-24 ms (2-core x86 box,
-    numpy 2.4), and it is closer to the exact law of the doubles p and q:
-    within 1.3e-14 relative wherever that law is at least 1e-290, at
-    1025-20000 particles, where the convolution strays up to 2.5e-13. It is
-    not used up to :data:`PIECE`: its rounded ratios lose the exact
-    C(n, k) / 2**n of dyadic p. Its exact zeros are trimmed before the sum,
-    which then runs over the window alone, not over all count + 1 entries. A
-    tail started from 1 sticks at the least subnormal while the ratio stays
-    above 1/2; the division sends those entries to 0, and the last trim drops
-    them.
+    component asks for, it is :func:`_binomial_window` with a floor of 0:
+    the ratio recurrence from the mode, out to the first entry on each side
+    that is exactly 0. That is O(window) work where the convolution's last
+    squarings are O(window**2): 20000 particles at p+ in [0.2, 0.8] take
+    1.1-1.2 ms instead of 22-24 ms (2-core x86 box, numpy 2.4). It is closer
+    to the exact law of the doubles p and q: within 1.3e-14 relative
+    wherever that law is at least 1e-290, at 1025-20000 particles, where the
+    convolution strays up to 2.5e-13. It is not used up to :data:`PIECE`:
+    its rounded ratios lose the exact C(n, k) / 2**n of dyadic p. A tail
+    started from 1 sticks at the least subnormal while the ratio stays above
+    1/2; those entries are summed, the division sends them to 0, and the
+    last trim drops them.
 
     The sum is taken largest-first. ``math.fsum`` keeps a list of partial sums
     that do not overlap; in index order the PMF climbs from tails as small as
@@ -308,19 +384,11 @@ def _binomial_count_pmf(count: int, p: float) -> tuple[np.ndarray, int]:
     largest-first (2-core x86 box, numpy 2.4). ``fsum`` returns the correctly
     rounded sum whatever the order, so the order moves no bit.
     """
-    q = 1.0 - p
     if count > PIECE and 0.0 < p < 1.0:
-        mode = min(count, math.floor((count + 1) * p))
-        up = np.arange(mode, count, dtype=float)
-        down = np.arange(mode, 0, -1, dtype=float)
-        result, result_offset = _trim(np.concatenate((
-            np.cumprod(down * q / ((count - down + 1) * p))[::-1],
-            [1.0],
-            np.cumprod((count - up) * p / ((up + 1) * q)),
-        )), 0)
+        result, result_offset = _binomial_window(count, p, 0.0)
     else:
         result, result_offset = np.array([1.0]), 0
-        power, power_offset = _trim(np.array([q, p]), 0)
+        power, power_offset = _trim(np.array([1.0 - p, p]), 0)
         k = count
         while k:
             if k & 1:

@@ -17,6 +17,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from spinstat.ensemble import EnsembleComponent, EnsembleSpec
+from spinstat.montecarlo import MAX_SUPPORT_POINTS
 from spinstat.spin import Axis, SpinOutcome, born_probability
 
 
@@ -171,6 +172,27 @@ def reference_group_pmf(parts) -> tuple[np.ndarray, int]:
     return pmf, offset
 
 
+def full_recurrence_count_pmf(count: int, p: float) -> tuple[np.ndarray, int]:
+    """Reference for ``montecarlo._binomial_count_pmf`` above ``PIECE`` particles: the ratio recurrence over all ``count + 1`` entries.
+
+    1 at the mode m = floor((count + 1) p), then one ``cumprod`` of the ratios
+    ((count - k) p) / ((k + 1) q) for every k from m to count - 1 and one of
+    (k q) / ((count - k + 1) p) for every k from m down to 1, with
+    q = 1 - p: the exact zeros stripped from both ends, divided by the
+    largest-first ``math.fsum`` and stripped again. Returns ``(pmf, offset)``.
+    """
+    q = 1.0 - p
+    mode = min(count, math.floor((count + 1) * p))
+    up = np.arange(mode, count, dtype=float)
+    down = np.arange(mode, 0, -1, dtype=float)
+    result, offset = _trim(np.concatenate((
+        np.cumprod(down * q / ((count - down + 1) * p))[::-1],
+        [1.0],
+        np.cumprod((count - up) * p / ((up + 1) * q)),
+    )), 0)
+    return _trim(result / math.fsum(np.sort(result)[::-1]), offset)
+
+
 def _trim(pmf, offset):
     nonzero = np.flatnonzero(pmf)
     return pmf[nonzero[0] : nonzero[-1] + 1], offset + int(nonzero[0])
@@ -316,19 +338,56 @@ def philox_uniforms(seed: int) -> Iterator[float]:
     return ((word >> 11) * 2.0**-53 for word in philox4x64_words(seed))
 
 
-def reference_counts(e: EnsembleSpec, axis: Axis, seed: int, trials: int, piece: int) -> list[int]:
-    """Reference for ``run_trials``: each trial's + count, one piece at a time.
+def reference_window_cdf(count: int, p: float) -> tuple[list[float], int]:
+    """Reference for ``montecarlo._word_cdf`` of a large component's part, in plain Python floats.
+
+    Walks out from the mode m = floor((count + 1) p) one entry at a time, 1
+    at the mode, each entry above it the last times
+    ((count - k) p) / ((k + 1) q), each below it the next times
+    (k q) / ((count - k + 1) p), with q = 1 - p; each side ends before its
+    first entry at or below 2**-84, or at the end of the support. Returns
+    ``(cdf, offset)``: the running sums of the window in index order, each
+    divided by the last, and the count of the window's first entry.
+    """
+    q = 1.0 - p
+    mode = min(count, math.floor((count + 1) * p))
+    sides = []
+    for ks, ratio in (
+        (range(mode, 0, -1), lambda k: k * q / ((count - k + 1) * p)),
+        (range(mode, count), lambda k: (count - k) * p / ((k + 1) * q)),
+    ):
+        side, entry = [], 1.0
+        for k in ks:
+            entry *= ratio(k)
+            if entry <= 2.0**-84:
+                break
+            side.append(entry)
+        sides.append(side)
+    down, up = sides
+    sums = list(itertools.accumulate(down[::-1] + [1.0] + up))
+    return [total / sums[-1] for total in sums], mode - len(down)
+
+
+def reference_counts(
+    e: EnsembleSpec, axis: Axis, seed: int, trials: int, piece: int, part: int = MAX_SUPPORT_POINTS - 1
+) -> list[int]:
+    """Reference for ``run_trials``: each trial's + count, one word at a time.
 
     Components with 0 < p+ < 1 and bit-equal p+ are merged, in order of first
-    appearance, where a component of no particles does not appear. Their
-    particles are listed one by one in that order and cut every ``piece``
-    particles, whatever component each belongs to. Every piece of every
-    trial, in trial order, takes the next double of ``philox_uniforms(seed)``,
-    the spec's stream, and counts the entries of its CDF at or below it with
-    ``bisect_right``, capped at the last count with nonzero probability. The
-    CDF is the running sum of the dense convolution of the piece's parts,
-    each part's ``dense_binomial_count_pmf`` divided by its exact sum.
-    Components with p+ in {0, 1} add their + count and take no uniform.
+    appearance, where a component of no particles does not appear. Each
+    merged component of more than ``piece`` particles, in that order, is cut
+    into ceil(count / ``part``) parts whose sizes differ by at most one, the
+    larger first, and each part is one word, inverting its
+    ``reference_window_cdf``. The other merged components' particles follow,
+    listed one by one in order and cut every ``piece`` particles, whatever
+    component each belongs to, and each piece is one word. Every word of
+    every trial, in trial order, takes the next double of
+    ``philox_uniforms(seed)``, the spec's stream, and counts the entries of
+    its CDF at or below it with ``bisect_right``, capped at the last count
+    with nonzero probability. A piece's CDF is the running sum of the dense
+    convolution of its parts, each part's ``dense_binomial_count_pmf``
+    divided by its exact sum. Components with p+ in {0, 1} add their + count
+    and take no uniform.
 
     The dense and the trimmed convolution may round an entry differently in
     its last bits. Over 10**4 CDFs of 511-1024 particles, about 7 of the
@@ -341,7 +400,11 @@ def reference_counts(e: EnsembleSpec, axis: Axis, seed: int, trials: int, piece:
         for count, p_plus in parts:
             part = dense_binomial_count_pmf(count, p_plus)
             pmf = np.convolve(pmf, part / math.fsum(part))
-        return list(itertools.accumulate(pmf.tolist())), int(np.flatnonzero(pmf)[-1])
+        return list(itertools.accumulate(pmf.tolist())), 0, int(np.flatnonzero(pmf)[-1])
+
+    def window_cdf(count, p_plus):
+        cdf, offset = reference_window_cdf(count, p_plus)
+        return cdf, offset, len(cdf) - 1
 
     certain, merged = 0, {}
     for comp in e.components:
@@ -352,8 +415,15 @@ def reference_counts(e: EnsembleSpec, axis: Axis, seed: int, trials: int, piece:
             certain += comp.count
         elif p_plus > 0.0:
             merged[p_plus] = merged.get(p_plus, 0) + comp.count
-    particles = [p_plus for p_plus, count in merged.items() for _ in range(count)]
     cdfs, built = [], {}
+    for p_plus, count in merged.items():
+        if count > piece:
+            parts = -(-count // part)
+            for size in sorted((count + i) // parts for i in range(parts))[::-1]:
+                if (size, p_plus) not in built:
+                    built[size, p_plus] = window_cdf(size, p_plus)
+                cdfs.append(built[size, p_plus])
+    particles = [p_plus for p_plus, count in merged.items() if count <= piece for _ in range(count)]
     for lo in range(0, len(particles), piece):
         parts = tuple((len(list(run)), p_plus) for p_plus, run in itertools.groupby(particles[lo : lo + piece]))
         if parts not in built:
@@ -361,7 +431,7 @@ def reference_counts(e: EnsembleSpec, axis: Axis, seed: int, trials: int, piece:
         cdfs.append(built[parts])
     stream = philox_uniforms(seed)
     return [
-        certain + sum(min(bisect.bisect_right(cdf, next(stream)), last) for cdf, last in cdfs)
+        certain + sum(offset + min(bisect.bisect_right(cdf, next(stream)), last) for cdf, offset, last in cdfs)
         for _ in range(trials)
     ]
 

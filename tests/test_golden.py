@@ -22,8 +22,8 @@ TILTED_12 = {
     ],
 }
 
-# Three tilted components, 75000 particles: cut every 1024 particles across
-# the components, 74 pieces per trial, two of which mix two components.
+# Three tilted components, 75000 particles, each above PIECE: one word per
+# component, each inverting the CDF of its binomial's window.
 TILTED_75K = {
     "name": "tilted-75k",
     "components": [
@@ -102,8 +102,8 @@ GOLDEN = {
         "33fb2fd773ee40f2d8fa2131a670f6f86c3b482e6dd29f844b4a3b3f0c79edf4",
     ),
     "tilted-75k": (
-        "fb283d875ef5ecda2181b9f942fff025676ff33ab0baf9e7c404e4528bcbaff3",
-        "09e0c53d64518e934bb38f8d5ba4eb801c9d5b43f38140a74fbe9407aa332c32",
+        "bdc715820b4bcc1b07b97dcefb8423ec6e4f83be577fe0748af0526c235dea8f",
+        "f687030c3c4f3b7bd137f6694a739a52469ec12a2287a3b64d870ba082cce499",
     ),
 }
 
@@ -127,7 +127,7 @@ def test_output_bytes_are_pinned(tmp_path, name, workers):
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_counts_follow_the_philox_spec(name):
-    """Every golden config's + counts are those of the dense-CDF reference fed the spec's Philox stream.
+    """Every golden config's + counts are those of the plain reference sampler fed the spec's Philox stream.
 
     So the pinned bytes rest on the published Philox4x64-10 algorithm, not on
     numpy's ``Generator`` alone.

@@ -531,23 +531,24 @@ class TestMalformedConfigs:
         assert "field 'workers'" in self.run_config(tmp_path, capsys, data)
 
     def test_simulation_budget_is_checked_before_any_draw(self, tmp_path, capsys, monkeypatch):
-        # 2**53 particles at p+ = 1/2 take 2**43 words per trial, about 10**6 s.
+        # 2**53 particles at p+ = 1/2 take 9007208262 words per trial, one per
+        # part of at most 999999 particles.
         data = dict(_tilted_config(axis="z", count=2**53), trials=2)
         monkeypatch.setattr(np.random, "Philox", lambda **kwargs: pytest.fail("opened a stream past the budget"))
         start = time.perf_counter()
         err = self.run_config(tmp_path, capsys, data)
         assert time.perf_counter() - start < 1.0
-        assert "field 'trials'" in err and f"{2**43} words per trial" in err
+        assert "field 'trials'" in err and "9007208262 words per trial" in err
 
     def test_simulation_budget_is_checked_before_any_cdf_is_built(self, tmp_path, capsys, monkeypatch):
-        # 2000 components of 2047 particles, each at its own tilt, take
-        # ceil(2000 * 2047 / 1024) = 3999 words per trial and would build about
-        # 4000 CDFs before a single draw.
+        # 2000 components of 2047 particles, each at its own tilt and above
+        # PIECE, take one word each, 2000 words per trial, and would build
+        # 2000 CDFs before a single draw.
         components = [{"axis": {"theta": 0.5 + i * 1e-4, "phi": 0.0}, "sign": 1, "count": 2047} for i in range(2000)]
         data = {"ensemble": {"components": components}, "axis": "z", "trials": 10**6, "seed": 0}
-        monkeypatch.setattr(montecarlo, "_binomial_count_pmf", lambda *args: pytest.fail("built a CDF past the budget"))
+        monkeypatch.setattr(montecarlo, "_word_cdf", lambda *args: pytest.fail("built a CDF past the budget"))
         err = self.run_config(tmp_path, capsys, data)
-        assert "field 'trials'" in err and "3999 words per trial" in err
+        assert "field 'trials'" in err and "2000 words per trial" in err
 
     def test_boolean_hbar(self, tmp_path, capsys):
         data = dict(_tilted_config(), hbar=True)

@@ -19,6 +19,7 @@ from conftest import (
     enumerate_mean_variance,
     enumerate_totals,
     exact_binomial_count_pmf,
+    full_recurrence_count_pmf,
     philox4x64_words,
     philox_uniforms,
     random_axis,
@@ -56,8 +57,8 @@ def test_numpy_philox_is_the_spec_stream(seed):
 
 class TestRunTrials:
     def test_matches_per_trial_measurement(self):
-        # Two components of 1500 at different p+: a full piece of the first, a
-        # piece of its last 476 and the second's first 548, then the second's 952.
+        # Two components of 1500 at different p+, each above PIECE: one word
+        # each, inverting the CDF of its binomial's window.
         e = make_pair_ensemble(Axis(0.8, 2.0), 3000)
         n_plus = run_trials(e, X, 12, seed=55)
         assert n_plus.tolist() == reference_counts(e, X, 55, 12, montecarlo.PIECE)
@@ -304,6 +305,51 @@ def test_binomial_pmf_matches_the_exact_law(count, p):
     assert np.all(np.abs(got - exact)[large] <= 2e-14 * exact[large])
 
 
+@pytest.mark.parametrize("count, p", [
+    (10**6, 1e-5),
+    (10**6, 1 - 1e-5),
+    (5000, 0.001),
+    (200_000, 0.5),
+    (333_333, 0.2),
+    (montecarlo.PIECE + 1, 0.7),
+])
+def test_windowed_binomial_is_the_full_recurrence(count, p):
+    """Above ``PIECE`` particles, the walk out from the mode has every byte and the offset of the recurrence over all counts.
+
+    The skewed cases keep entries far past any Gaussian cut of the window:
+    up to 303 + outcomes at 10**6 particles and p+ = 1e-5, 250 at 5000 and
+    0.001.
+    """
+    pmf, offset = montecarlo._binomial_count_pmf(count, p)
+    reference, reference_offset = full_recurrence_count_pmf(count, p)
+    assert offset == reference_offset
+    assert pmf.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("count, p", [
+    (10**6, 1e-5),
+    (10**6, 1 - 1e-5),
+    (5000, 0.001),
+    (200_000, 0.5),
+    (333_333, 0.2),
+    (montecarlo.MAX_SUPPORT_POINTS - 1, 0.5),
+    (montecarlo.PIECE + 1, 0.7),
+])
+def test_sampler_floor_drops_less_than_a_word_spacing(count, p):
+    """The sampler's window is the exact one cut at ``_BAND_FLOOR``, and the tails it drops weigh below 2**-68 of it.
+
+    That is the bound ``_word_cdf`` proves, well below 2**-53, the spacing
+    of the words, so no CDF entry moves by a word.
+    """
+    full, full_offset = montecarlo._binomial_window(count, p, 0.0)
+    cut, offset = montecarlo._binomial_window(count, p, montecarlo._BAND_FLOOR)
+    start = offset - full_offset
+    assert cut.tobytes() == full[start : start + len(cut)].tobytes()
+    assert cut.min() > montecarlo._BAND_FLOOR
+    dropped = math.fsum(full[:start]) + math.fsum(full[start + len(cut) :])
+    assert dropped < 2.0**-68 * math.fsum(cut)
+
+
 @st.composite
 def piece_parts(draw):
     """One to four ``(count, p)`` parts of at most ``PIECE`` particles in all, as a sampler piece holds."""
@@ -407,27 +453,29 @@ SEEDS = st.one_of(st.integers(-(2**70), 2**70), st.integers(2**64 - 4, 2**64 + 4
     piece=st.integers(1, 7),
     block=st.integers(1, 256),
 )
-# 13 pieces of one particle against 4-word draws: each trial is drawn in four
-# column blocks, the last one word wide, and the first block ends inside the
-# 6-piece run of the first component.
+# Every component is above the one-particle piece: one word each, three a
+# trial against 4-word draws, so one trial per draw.
 @example(case=(_tilted((6, 4, 3)), Axis(0.8, 0.7)), trials=5, seed=3, piece=1, block=4)
-# 13 pieces against 32-word draws: two whole trials per draw, one in the last.
+# Three words a trial against 32-word draws: all five trials in one draw.
 @example(case=(_tilted((6, 4, 3)), Axis(0.8, 0.7)), trials=5, seed=5, piece=1, block=32)
-# At the real sizes: 3 particles open a piece that 1021 of the large
-# component fill, then 67 full pieces and a remainder of 371; 2**64 - 1 as
-# the key.
+# Two large components' words ahead of four one-particle pieces: each trial
+# is drawn in two column blocks, and the first ends inside the pieces.
+@example(case=(_tilted((6, 1, 1, 1, 1, 3)), Axis(0.8, 0.7)), trials=5, seed=3, piece=1, block=4)
+# At the real sizes: the large component's one word, then a piece of the 3
+# particles; 2**64 - 1 as the key.
 @example(case=(_tilted((3, 70_000)), Axis(1.1, 0.4)), trials=3, seed=2**64 - 1, piece=None, block=None)
 # n = 13 at the real sizes: one piece mixes all three components, one word a
 # trial, 5000 trials in one draw.
 @example(case=(_tilted((6, 4, 3)), Axis(0.8, 0.7)), trials=5000, seed=2**64 + 1, piece=None, block=None)
-# 3 particles and 1021 of the next fill a piece, leaving a remainder of 3, then 4.
+# PIECE particles share pieces: 3 and 1021 of the next fill one, 3 are left.
+# PIECE + 1 take a word of their own, ahead of the 3 particles' piece.
 @example(case=(_tilted((3, montecarlo.PIECE)), Axis(1.1, 0.4)), trials=3, seed=11, piece=None, block=None)
 @example(case=(_tilted((3, montecarlo.PIECE + 1)), Axis(1.1, 0.4)), trials=3, seed=11, piece=None, block=None)
 # Preset B along x: two components at p+ = 1/2, bit-equal, merged into one
-# of 10 particles, so three full pieces and a remainder of 1.
+# of 10 particles, above the 3-particle piece: one word a trial.
 @example(case=(make_ensemble_B(10), X), trials=7, seed=4, piece=3, block=None)
-# The first and third components share p+: merged into 8 particles ahead of
-# the second's 4, so a piece mixes the last 3 of the first with 2 of the second.
+# The first and third components share p+: merged into 8 particles, above
+# the 5-particle piece, so one word ahead of the second's 4-particle piece.
 @example(case=(_repeated(), Z), trials=9, seed=6, piece=5, block=3)
 # A component of no particles ahead of a later one with its p+: the merge
 # order starts at the first particle, so the -z particle is laid out first.
@@ -440,11 +488,12 @@ SEEDS = st.one_of(st.integers(-(2**70), 2**70), st.integers(2**64 - 4, 2**64 + 4
     trials=2, seed=0, piece=1, block=1,
 )
 def test_run_trials_matches_reference_sampler(case, trials, seed, piece, block):
-    """Trial by trial, ``run_trials`` counts what the dense-CDF reference counts.
+    """Trial by trial, ``run_trials`` counts what the plain reference sampler counts.
 
-    The piece and draw sizes are shrunk at random, so pieces, remainders,
-    draws and column blocks end at arbitrary places; the words must still be
-    taken from the one stream in trial order.
+    The piece and draw sizes are shrunk at random, so which components take
+    their own words, where pieces, remainders, draws and column blocks end
+    all vary; the words must still be taken from the one stream in trial
+    order.
     """
     e, axis = case
     piece = piece or montecarlo.PIECE
@@ -453,6 +502,38 @@ def test_run_trials_matches_reference_sampler(case, trials, seed, piece, block):
             n_plus = run_trials(e, axis, trials, seed)
         assert np.array_equal(n_plus, run_trials(e, axis, trials, seed))
     assert n_plus.tolist() == reference_counts(e, axis, seed, trials, piece)
+
+
+@pytest.mark.parametrize("counts, part, piece, block", [
+    # Parts of at most 5 particles: 11 makes 4, 4 and 3; 7 makes 4 and 3; the
+    # 2 and the 1 particles make a piece each. Each column is its own draw,
+    # so the two words of 11's 4-particle parts fall in two draws.
+    pytest.param((11, 2, 7, 1), 5, 2, 1, id="small"),
+    # 2.5 * 10**6 particles make 833334, 833333 and 833333, then 40 particles
+    # make a piece of their own.
+    pytest.param((2_500_000, 40), None, None, None, id="real"),
+])
+def test_large_component_takes_one_word_per_part(counts, part, piece, block):
+    """A component above ``PIECE`` is cut into parts of at most ``MAX_SUPPORT_POINTS`` - 1 particles, one word each.
+
+    The parts of one component have at most two sizes, so it builds at most
+    two CDFs, and every count is that of the plain reference sampler.
+    """
+    e, axis = _tilted(counts), Axis(1.1, 0.4)
+    part = part or montecarlo.MAX_SUPPORT_POINTS - 1
+    piece = piece or montecarlo.PIECE
+    with mock.patch.multiple(
+        montecarlo, MAX_SUPPORT_POINTS=part + 1, PIECE=piece, _BLOCK_WORDS=block or montecarlo._BLOCK_WORDS
+    ):
+        with mock.patch.object(montecarlo, "_word_cdf", wraps=montecarlo._word_cdf) as build:
+            n_plus = run_trials(e, axis, 40, seed=7)
+    sizes = []
+    for count in counts:
+        if count > piece:
+            parts = -(-count // part)
+            sizes += sorted({count // parts, -(-count // parts)}, reverse=True)
+    assert [call.args[0][0][0] for call in build.call_args_list[: len(sizes)]] == sizes
+    assert n_plus.tolist() == reference_counts(e, axis, 7, 40, piece, part)
 
 
 PROBABILITIES = st.one_of(st.sampled_from([1e-3, 0.5, 0.999]), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
@@ -487,23 +568,22 @@ def test_bucket_table_inverts_like_the_search(size, p, seed):
 
 @pytest.mark.parametrize("trials, tables", [
     (31, []),
-    (32, [(6, 32)]),
-    (2048, [(6, 32), (970, 4096)]),
+    (32, [(5, 32)]),
+    (2048, [(5, 32), (473, 2048)]),
 ])
 def test_tables_are_built_for_the_cdfs_that_invert_enough_words(trials, tables):
     """A CDF gets a bucket table when it inverts at least as many words in the run as the table has buckets.
 
-    Along z, PIECE particles at p+ = 0.39, 1 at p+ = 0.96, then PIECE + 5
+    Along z, PIECE particles at p+ = 0.39, 5 at p+ = 0.96, then PIECE + 5
     more at p+ = 0.39: the first and last components are merged into
-    2 * PIECE + 5 particles ahead of the single one. So two full pieces
-    share one 971-entry CDF (4096 buckets, two words a trial), and the last
-    piece mixes the 5 left with the single particle into a 7-entry CDF (32
-    buckets, one word a trial). So 31 trials build no table, 32 the small
-    one, and 2048 both. Both inversion paths must count as the reference
-    does.
+    2 * PIECE + 5 particles, which take one word, inverting the 474-entry
+    CDF of their binomial's window (2048 buckets). The 5 at p+ = 0.96 make
+    one piece with a 6-entry CDF (32 buckets, one word a trial). So 31
+    trials build no table, 32 the small one, and 2048 both. Both inversion
+    paths must count as the reference does.
     """
     states = [eigenstate(Axis(0.4 + 0.7 * i, 1.3 * i), SpinOutcome.PLUS) for i in (2, 0)]
-    counts = [(states[0], montecarlo.PIECE), (states[1], 1), (states[0], montecarlo.PIECE + 5)]
+    counts = [(states[0], montecarlo.PIECE), (states[1], 5), (states[0], montecarlo.PIECE + 5)]
     e = EnsembleSpec(tuple(EnsembleComponent(state, count) for state, count in counts))
     with mock.patch.object(montecarlo, "_guide", wraps=montecarlo._guide) as guide:
         n_plus = run_trials(e, Z, trials, seed=9)
@@ -514,7 +594,9 @@ def test_tables_are_built_for_the_cdfs_that_invert_enough_words(trials, tables):
 # Positive counts only, as ``_component_probabilities`` leaves out empty
 # components; six of 2**35 at 2 trials stay within the word budget.
 COUNTS = st.one_of(
-    st.integers(1, 3000), st.integers(1, 2**35), st.sampled_from([montecarlo.PIECE - 1, montecarlo.PIECE])
+    st.integers(1, 3000),
+    st.integers(1, 2**35),
+    st.sampled_from([montecarlo.PIECE - 1, montecarlo.PIECE, montecarlo.PIECE + 1, 2 * montecarlo.MAX_SUPPORT_POINTS]),
 )
 
 
@@ -524,36 +606,53 @@ COUNTS = st.one_of(
     min_size=1,
     max_size=6,
 ))
-# Two bit-equal p+ apart: merged, so 2 * PIECE particles make two full pieces, not four words.
+# Two bit-equal p+ apart: merged into 2 * PIECE particles, one word, not four.
 @example(probs=[(montecarlo.PIECE - 1, 0.5), (1, 0.25), (montecarlo.PIECE + 1, 0.5)])
-def test_width_is_the_random_particles_over_piece(probs):
-    """Every config takes ceil(random particles / PIECE) words a trial, cut across components.
+# Parts of 1000001 particles less one each, ahead of a piece shared by two
+# components of PIECE / 2.
+@example(probs=[(montecarlo.PIECE // 2, 0.3), (2 * montecarlo.MAX_SUPPORT_POINTS, 0.5), (montecarlo.PIECE // 2, 0.7)])
+def test_width_is_one_word_per_part_and_per_piece(probs):
+    """A trial takes one word per part of each large component, plus ceil(other random particles / PIECE).
 
-    Bit-equal p+ are merged in order of first appearance. Laid end to end, the
-    pieces' parts list every merged component's particles once, in that
-    order, and every piece but the last holds exactly PIECE particles.
+    Bit-equal p+ are merged in order of first appearance. Each merged
+    component above PIECE takes ceil(count / (MAX_SUPPORT_POINTS - 1))
+    words first, in that order, over at most two part sizes, the larger
+    first. Laid end to end, the pieces' parts then list the other merged
+    components' particles once, in order, and every piece but the last
+    holds exactly PIECE particles.
     """
     merged = {}
     for count, p in probs:
         if 0.0 < p < 1.0:
             merged[p] = merged.get(p, 0) + count
-    random_particles = sum(merged.values())
-    with mock.patch.object(montecarlo, "_group_pmf", wraps=montecarlo._group_pmf) as group:
+    large = {p: count for p, count in merged.items() if count > montecarlo.PIECE}
+    small = [(p, count) for p, count in merged.items() if p not in large]
+    part = montecarlo.MAX_SUPPORT_POINTS - 1
+    with mock.patch.object(montecarlo, "_word_cdf", wraps=montecarlo._word_cdf) as build:
         certain, runs, width = montecarlo._pieces(probs, 2)
-    assert width == -(-random_particles // montecarlo.PIECE)
+    words = {p: -(-count // part) for p, count in large.items()}
+    assert width == sum(words.values()) + -(-sum(count for _, count in small) // montecarlo.PIECE)
     assert certain == sum(count for count, p in probs if p == 1.0)
     bounds = [0] + [stop for _, stop, *_ in runs]
     assert [(first, stop) for first, stop, *_ in runs] == list(zip(bounds, bounds[1:]))
     assert bounds[-1] == width
-    totals = {}
-    for (first, stop, *_), call in zip(runs, group.call_args_list, strict=True):
-        parts = call.args[0]
-        assert sum(count for count, _ in parts) == montecarlo.PIECE or stop == width
-        assert stop - first == 1 or len(parts) == 1
-        for count, p in parts:
-            totals[p] = totals.get(p, 0) + count * (stop - first)
-    assert totals == merged
-    assert list(totals) == list(merged)
+    layout = [(stop - first, call.args[0]) for (first, stop, *_), call in zip(runs, build.call_args_list, strict=True)]
+    split = sum(1 if count % words[p] == 0 else 2 for p, count in large.items())
+    sizes = {}
+    for taken, ((count, p), *rest) in layout[:split]:
+        assert not rest and count <= part
+        sizes.setdefault(p, []).extend([count] * taken)
+    assert list(sizes) == list(large)
+    for p, counts in sizes.items():
+        assert len(counts) == words[p] and sum(counts) == large[p]
+        assert counts == sorted(counts, reverse=True) and counts[0] - counts[-1] <= 1
+    pieces = layout[split:]
+    assert all(taken == 1 for taken, _ in pieces)
+    assert all(sum(count for count, _ in parts) == montecarlo.PIECE for _, parts in pieces[:-1])
+    laid = [(p, sum(count for _, count in run)) for p, run in itertools.groupby(
+        ((p, count) for _, parts in pieces for count, p in parts), key=lambda item: item[0]
+    )]
+    assert laid == small
 
 
 def test_headline_b_along_x_draws_one_word_per_trial():
@@ -649,14 +748,17 @@ def test_mixed_piece_follows_the_exact_distribution(seed):
 
 
 def test_peak_memory_does_not_grow_with_the_ensemble():
-    """2**26 and 2**30 particles peak alike, at about 0.8 MiB.
+    """2**38 and 2**40 particles peak alike, at about 1.6 MiB.
 
-    A trial of 2**30 particles has 2**20 pieces, 32 times the words of one
-    draw, so it is drawn in column blocks; holding all its words at once
-    would take 8 MiB.
+    A trial of 2**40 particles in two components takes 1099514 words, one
+    per part of at most MAX_SUPPORT_POINTS - 1 particles, 67 times the words
+    of one draw, so it is drawn in column blocks; holding all its words at
+    once would take 8.4 MiB. Each component builds two CDFs of at most 10791
+    entries, and at both sizes all four invert enough words to get a bucket
+    table.
     """
     peaks = []
-    for k in (26, 30):
+    for k in (38, 40):
         tracemalloc.start()
         try:
             run_trials(_tilted((2 ** (k - 1), 2 ** (k - 1))), Z, 2, seed=1)
@@ -688,7 +790,7 @@ def test_certain_outcomes_draw_no_uniforms(monkeypatch):
 def test_largest_certain_ensemble_builds_nothing(monkeypatch):
     """2**53 particles with certain outcomes: no CDF and no stream, so it returns at once."""
     monkeypatch.setattr(np.random, "Philox", _no_work)
-    monkeypatch.setattr(montecarlo, "_binomial_count_pmf", _no_work)
+    monkeypatch.setattr(montecarlo, "_word_cdf", _no_work)
     e = EnsembleSpec((
         EnsembleComponent(eigenstate(Z, SpinOutcome.PLUS), 2**52 + 1),
         EnsembleComponent(eigenstate(Z, SpinOutcome.MINUS), 2**52 - 1),
