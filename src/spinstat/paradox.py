@@ -7,11 +7,13 @@ built from a z eigenstate is the identity. A state-independent observable with
 both behaviors cannot exist, and the least-squares fit below quantifies how
 far any fixed candidate must miss. It fits over states drawn uniformly on the
 Bloch sphere by Marsaglia's trig-free method, in chunks whose size does not
-change the states of a seed, and writes its residuals into the sample array's
-all-ones row once the normal equations are solved. An operator a I + b.sigma
-is the real pair ``(a, b)``; :func:`null_operator_contradiction` returns the
-two witness members as such pairs, and the harness evaluates them on their
-sources.
+change the states of a seed. It sums the normal equations, and then the
+residuals, over blocks of columns small enough that each BLAS call stays on
+one thread, making each block's targets as it goes, and writes the residuals
+into the sample array's all-ones row once the equations are solved. An
+operator a I + b.sigma is the real pair ``(a, b)``;
+:func:`null_operator_contradiction` returns the two witness members as such
+pairs, and the harness evaluates them on their sources.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ __all__ = [
 _ANNIHILATION_TOL = 1e-12
 
 # Most random states the fit may draw, checked before any work starts. Its
-# peak memory grows by about 38 bytes per sample: 74 MB at 10**6 and 417 MB
-# at 10**7, measured as the CLI's peak RSS.
+# peak memory grows by about 32 bytes per sample, the sample array's column:
+# 66 MB at 10**6 and 341 MB at 10**7, measured as the CLI's peak RSS.
 MAX_PARADOX_SAMPLES = 10**7
 
 # A 2x2 Hermitian operator a I + b.sigma, as the real pair (a, b).
@@ -91,23 +93,54 @@ def null_operator_contradiction() -> tuple[Operator, Operator]:
     return zero_op, nonzero_op
 
 
-def _best_affine_fit(rows: np.ndarray, targets: np.ndarray) -> tuple[float, float]:
-    """Least-squares residuals of the best fixed observable against targets.
+# Columns per BLAS call in _best_affine_fit. The fit does not depend on it
+# beyond the order of its sums; it keeps each call a 4 x 4 x 2**13 gemm, which
+# numpy's bundled OpenBLAS runs on one thread: CPU over wall time was 0.98-1.00
+# at 10**6 samples on a 2-core box, against 2.04 and 2.06 at 2**14 and 2**15,
+# where a second thread joins and spins after each call.
+_FIT_BLOCK = 1 << 13
+
+
+def _fit_blocks(rows: np.ndarray):
+    """Yield each ``_FIT_BLOCK``-column view of ``rows`` with its targets 1 - m_x^2.
+
+    The targets are made in one block-sized buffer, so each is valid only
+    until the next block is yielded.
+    """
+    buffer = np.empty(_FIT_BLOCK)
+    for start in range(0, rows.shape[1], _FIT_BLOCK):
+        block = rows[:, start : start + _FIT_BLOCK]
+        targets = np.square(block[1], out=buffer[: block.shape[1]])
+        yield block, np.subtract(1.0, targets, out=targets)
+
+
+def _best_affine_fit(rows: np.ndarray) -> tuple[float, float]:
+    """Least-squares residuals of the best fixed observable against the x-spin variance.
 
     The expectation of any 2x2 Hermitian O on a state with Bloch vector m is
     affine in m, so fitting over the rows [1, m_x, m_y, m_z] of the 4 x n
-    array ``rows`` searches all of them. The fit solves the 4x4 normal
-    equations: over points spread on the sphere their Gram matrix is near
-    n diag(1, 1/3, 1/3, 1/3), with condition number about 3, so they agree
-    with an SVD fit to a few ulps. The all-ones row 0 is not needed once they
-    are solved, so the residuals are written into it and no n-vector is made.
+    array ``rows`` searches all of them; the target of each state is
+    1 - m_x^2. The fit solves the 4x4 normal equations: over points spread on
+    the sphere their Gram matrix is near n diag(1, 1/3, 1/3, 1/3), with
+    condition number about 3, so they agree with an SVD fit to a few ulps.
+    Both passes walk the columns in blocks of ``_FIT_BLOCK`` and make each
+    block's targets anew, so no n-vector is made: the first sums the Gram
+    matrix and right-hand side, and the second, once the all-ones row 0 is no
+    longer needed, writes each block's residuals into it.
     """
-    coef = np.linalg.solve(rows @ rows.T, rows @ targets)
-    residuals = np.matmul(coef[1:], rows[1:], out=rows[0])
-    residuals += coef[0]
-    residuals -= targets
-    rms = math.sqrt(float(residuals @ residuals) / residuals.size)
-    return rms, max(float(residuals.max()), -float(residuals.min()))
+    gram, rhs = np.zeros((4, 4)), np.zeros(4)
+    for block, targets in _fit_blocks(rows):
+        gram += block @ block.T
+        rhs += block @ targets
+    coef = np.linalg.solve(gram, rhs)
+    squares, worst = 0.0, 0.0
+    for block, targets in _fit_blocks(rows):
+        residuals = np.matmul(coef[1:], block[1:], out=block[0])
+        residuals += coef[0]
+        residuals -= targets
+        squares += float(residuals @ residuals)
+        worst = max(worst, float(residuals.max()), -float(residuals.min()))
+    return math.sqrt(squares / rows.shape[1]), worst
 
 
 # Pairs of uniforms drawn per chunk by _sphere_rows. The states of a seed do
@@ -153,13 +186,12 @@ def fixed_operator_infeasibility(samples: int, seed: int) -> tuple[float, float]
     States are drawn uniformly on the Bloch sphere by :func:`_sphere_rows`;
     the target is each state's x-spin variance 1 - m_x^2. Returns
     (rms_residual, max_residual) of the optimal fit, which converge to
-    sqrt(4/45) and 2/3 as samples grow. Peak memory is the 4 x n sample array
-    and the targets, 40 bytes per sample: the residuals land in row 0.
+    sqrt(4/45) and 2/3 as samples grow. Peak memory is the 4 x n sample
+    array, 32 bytes per sample: the targets are made per block of columns
+    and the residuals land in row 0.
     ``samples`` must lie in [100, :data:`MAX_PARADOX_SAMPLES`] and ``seed``
     be non-negative, or a :class:`ConfigError` names the field.
     """
     check_int(samples, "samples", 100, MAX_PARADOX_SAMPLES)
     check_int(seed, "seed", 0)
-    rows = _sphere_rows(samples, seed)
-    targets = np.square(rows[1])
-    return _best_affine_fit(rows, np.subtract(1.0, targets, out=targets))
+    return _best_affine_fit(_sphere_rows(samples, seed))

@@ -718,12 +718,14 @@ def _chi_square(e, axis, trials, seed):
 def test_totals_follow_the_exact_distribution(seed):
     """Chi-square of 2*10**5 sampled totals against ``exact_total_distribution``.
 
-    Four tilted components of 1500, 1100, 700 and 2100 particles: full
-    pieces, and pieces that mix the end of one component with the start of
-    the next. The bins give 128 degrees of freedom and a threshold
-    of 219.2; both seeds together fail a correct sampler with probability
-    about 2e-6. The seeds are fixed, so the outcome does not change between
-    runs; seeds 1 and 2 give 139.7 and 111.7, and seeds 1-20 average 126.8.
+    Four tilted components of 1500, 1100, 700 and 2100 particles. The three
+    above ``PIECE`` each take one word per trial, inverted through their own
+    window CDFs, and the 700 fill a piece of their own, so no piece mixes
+    components. The bins give 128 degrees of
+    freedom and a threshold of 219.2; both seeds together fail a correct
+    sampler with probability about 2e-6. The seeds are fixed, so the outcome
+    does not change between runs; seeds 1 and 2 give 139.8 and 159.4, and
+    seeds 1-20 average 129.9.
     """
     chi2, df, threshold = _chi_square(_tilted((1500, 1100, 700, 2100)), Axis(0.8, 0.7), 200_000, seed)
     assert df >= 100

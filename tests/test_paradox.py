@@ -1,6 +1,7 @@
 """Unit tests for the variance-operator contradiction."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -105,24 +106,57 @@ class TestFixedOperatorInfeasibility:
             fixed_operator_infeasibility(samples, seed)
         assert info.value.path == field
 
-    @pytest.mark.parametrize("samples", [100, 1000, 10**5])
+    @pytest.mark.parametrize(
+        "samples", [100, 1000, paradox._FIT_BLOCK - 1, paradox._FIT_BLOCK, paradox._FIT_BLOCK + 1,
+                    3 * paradox._FIT_BLOCK + 5, 10**5]
+    )
     @pytest.mark.parametrize("seed", range(5))
     def test_normal_equations_match_the_svd_fit(self, samples, seed):
-        # float64 with a Gram condition number near 3: far inside 1e-13
+        # float64 with a Gram condition number near 3: far inside 1e-13, also
+        # when the last block of columns is short or holds a single column
         assert_allclose(fixed_operator_infeasibility(samples, seed), reference_affine_fit(samples, seed), rtol=1e-13)
+
+    @staticmethod
+    def _peak_bytes(samples):
+        tracemalloc.start()
+        try:
+            fixed_operator_infeasibility(samples, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
     def test_peak_memory_per_sample(self):
         samples = 10**5
         fixed_operator_infeasibility(samples, seed=1)  # warm-up: lazy numpy/LAPACK set-up
-        tracemalloc.start()
-        try:
-            fixed_operator_infeasibility(samples, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the 4 x n sample array and the target vector are 40 bytes per
-        # sample; the residuals land in the sample array's row 0
+        peak = self._peak_bytes(samples)
+        # the 4 x n sample array is 32 bytes per sample; the targets are made
+        # per block and the residuals land in the sample array's row 0
         assert peak <= 48 * samples, peak / samples
+        # each added sample costs its column and nothing more: an n-long
+        # targets vector would make the slope about 40 bytes
+        slope = (self._peak_bytes(4 * samples) - peak) / (3 * samples)
+        assert slope <= 34, slope
+
+    def test_fit_runs_on_one_core(self):
+        """The fit's BLAS calls are small enough that no second thread works or spins.
+
+        A BLAS call over all 10**6 columns runs on every core of the bundled
+        OpenBLAS, whose workers then busy-wait: CPU time reached about twice
+        the wall time on a 2-core box. The pool is woken first and given time
+        to fall idle, so spinning left by earlier calls does not count. The
+        first fit is not timed: on a pool that has fallen idle it ran near one
+        core even with calls over all columns, before its workers spun.
+        """
+        a = np.ones((4, 10**6))
+        a @ a.T
+        time.sleep(0.2)
+        fixed_operator_infeasibility(10**6, seed=0)
+        ratios = []
+        for _ in range(3):
+            cpu, wall = time.process_time(), time.perf_counter()
+            fixed_operator_infeasibility(10**6, seed=0)
+            ratios.append((time.process_time() - cpu) / (time.perf_counter() - wall))
+        assert min(ratios) <= 1.3, ratios
 
     def test_states_do_not_depend_on_the_chunk_size(self, monkeypatch):
         default = np.array(fixed_operator_infeasibility(5000, seed=2))
@@ -153,7 +187,7 @@ class TestFixedOperatorInfeasibility:
         corners = np.array([(0.0, a, b * g) for a in (1, -1) for b in (1, -1)])
         vertices = np.concatenate([np.roll(corners, k, axis=1) for k in range(3)]) / math.hypot(1, g)
         rows = np.vstack([np.ones(12), vertices.T])
-        rms, _ = _best_affine_fit(rows, 1.0 - vertices[:, 0] ** 2)
+        rms, _ = _best_affine_fit(rows)
         assert abs(rms - RMS_LIMIT) <= 1e-15
 
 
