@@ -4,8 +4,10 @@ An experiment takes one ensemble and one axis, computes the preparation-aware
 prediction and both density-formalism predictions, runs the Monte Carlo
 trials, and reports which predictors the data supports. The report is a plain
 dict with exactly the schema of ``report.json``, and each of its blocks is
-built once, in :func:`run_experiment`, from the predicted ``(mean, variance)``
-pairs and the per-trial + counts. It is written as canonical JSON (plus a CSV
+built once: the ``config`` block when :class:`ExperimentConfig` parses the
+config, the others in :func:`run_experiment`, from the predicted
+``(mean, variance)`` pairs and the per-trial + counts; each report takes its
+own copy of the ``config`` block. It is written as canonical JSON (plus a CSV
 of per-trial totals), byte-identical for identical configurations, and a
 saved report renders to the same text as a fresh one. :func:`demo_paradox`
 builds the paradox payload the same way, from the witness operators and the
@@ -21,13 +23,12 @@ import os
 import reprlib
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
 from .density import density_operator, entrywise_difference, expectation_tr, variance_tr
 from .ensemble import EnsembleSpec, ensemble_from_json, make_ensemble_A, make_ensemble_B
-from .montecarlo import preparation_aware_prediction, run_trials
+from .montecarlo import MAX_TRIALS, preparation_aware_prediction, run_trials
 from .paradox import Operator, annihilation_residual, expectation, fixed_operator_infeasibility, variance_pseudo_operator
 from .spin import Axis, ConfigError, SpinOutcome, X, Z, check_int, check_number, check_object, eigenstate
 
@@ -47,14 +48,6 @@ __all__ = [
 # match exactly.
 VERDICT_SIGMAS = 5.0
 
-# Most trials one experiment may request, checked before any work starts:
-# the run holds two arrays of 8 bytes per trial, and totals.csv is written
-# in blocks of _CSV_BLOCK rows. At 10**7 trials of demo B along x with n = 2,
-# the CLI run took 0.5-0.7 s, and 1.2-1.3 s with --totals (a 141 MB file),
-# at 188 MB peak RSS either way (three runs each, 2-core x86 box, Python
-# 3.11, numpy 2.4).
-MAX_TRIALS = 10**7
-
 # Rows of totals.csv formatted per block, and the most distinct counts a
 # block's presence table may span. At 2**16 rows the many-small benchmark's
 # peak RSS rose by 0.9 MB; at 2**13 it fell by 2.6 MB.
@@ -70,28 +63,19 @@ class OutputError(OSError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: an ensemble, an axis, and the sampling parameters.
+    """One experiment: its ``config`` block, the parsed ensemble and axis, and the output paths.
 
-    ``ensemble_json`` keeps the user's raw ensemble form so reports echo the
-    configuration as given.
+    ``config`` is the block that ``report.json`` holds under ``config``,
+    built once by :meth:`from_json_dict`: the user's raw ensemble form, so
+    reports echo the configuration as given, the normalized axis, and the
+    checked trials, seed and hbar.
     """
 
+    config: dict
     ensemble: EnsembleSpec
-    ensemble_json: Any
     axis: Axis
-    trials: int
-    seed: int
-    hbar: float = 1.0
     report_path: str | None = None
     totals_path: str | None = None
-
-    def __post_init__(self) -> None:
-        check_int(self.trials, "trials", 2, MAX_TRIALS)
-        check_int(self.seed, "seed")
-        hbar = check_number(self.hbar, "hbar")
-        if hbar <= 0:
-            raise ConfigError("must be positive", "hbar")
-        object.__setattr__(self, "hbar", hbar)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExperimentConfig":
@@ -109,26 +93,17 @@ class ExperimentConfig:
                 raise ConfigError(problem, f"outputs.{key}")
         if len(outputs) == 2 and os.path.realpath(outputs["report"]) == os.path.realpath(outputs["totals"]):
             raise ConfigError("must name a different file than outputs.report", "outputs.totals")
-        return cls(
-            ensemble=ensemble_from_json(data["ensemble"]),
-            ensemble_json=data["ensemble"],
-            axis=Axis.from_json(data["axis"]),
-            trials=data["trials"],
-            seed=data["seed"],
-            hbar=data.get("hbar", 1.0),
-            report_path=outputs.get("report"),
-            totals_path=outputs.get("totals"),
-        )
-
-    def echo_json(self) -> dict:
-        """Experiment-defining fields only, for embedding in reports."""
-        return {
-            "ensemble": self.ensemble_json,
-            "axis": self.axis.to_json(),
-            "trials": self.trials,
-            "seed": self.seed,
-            "hbar": self.hbar,
+        ensemble, axis = ensemble_from_json(data["ensemble"]), Axis.from_json(data["axis"])
+        config = {
+            "ensemble": data["ensemble"],
+            "axis": axis.to_json(),
+            "trials": check_int(data["trials"], "trials", 2, MAX_TRIALS),
+            "seed": check_int(data["seed"], "seed"),
+            "hbar": check_number(data.get("hbar", 1.0), "hbar"),
         }
+        if config["hbar"] <= 0:
+            raise ConfigError("must be positive", "hbar")
+        return cls(config, ensemble, axis, outputs.get("report"), outputs.get("totals"))
 
 
 def _judge(variance: float, empirical: dict) -> dict:
@@ -275,16 +250,16 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         for name, (m, v) in moments.items()
     }
 
-    n_plus = run_trials(cfg.ensemble, cfg.axis, cfg.trials, cfg.seed)
+    n_plus = run_trials(cfg.ensemble, cfg.axis, cfg.config["trials"], cfg.config["seed"])
     empirical = _empirical(n_plus, cfg.ensemble.total_count)
 
     report = {
-        "config": cfg.echo_json(),
+        "config": dict(cfg.config),
         "predictions": predictions,
         "empirical": empirical,
         "verdicts": {name: _judge(p["variance"], empirical) for name, p in predictions.items()},
         "density_check": _preset_density_check(cfg.ensemble.total_count),
-        "units": {"hbar": cfg.hbar},
+        "units": {"hbar": cfg.config["hbar"]},
     }
     if cfg.report_path is not None:
         write_output(cfg.report_path, [dump_json(report).encode()])

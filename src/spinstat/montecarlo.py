@@ -95,6 +95,15 @@ _BLOCK_WORDS = 1 << 14
 # trial.
 MAX_WORDS = 6 * 10**8
 
+# Most trials one run may request, checked when a config is parsed and again
+# here, where run_trials allocates: the run holds two arrays of 8 bytes per
+# trial whatever the ensemble's width, and totals.csv is written in blocks of
+# harness._CSV_BLOCK rows. At 10**7 trials of demo B along x with n = 2, the
+# CLI run took 0.5-0.7 s, and 1.2-1.3 s with --totals (a 141 MB file), at
+# 188 MB peak RSS either way (three runs each, 2-core x86 box, Python 3.11,
+# numpy 2.4).
+MAX_TRIALS = 10**7
+
 # An exact-PMF convolution above PIECE + 1 entries keeps, for each output,
 # the terms within this factor of its largest term (see _group_pmf for why no
 # kept bit moves). At the oracles p+ of 3 * 20000 particles the band does 30%
@@ -275,7 +284,7 @@ def _invert(words: np.ndarray, cdf: np.ndarray, table: np.ndarray | None) -> np.
 
 
 def run_trials(e: EnsembleSpec, axis: Axis, trials: int, seed: int) -> np.ndarray:
-    """Repeat the full-ensemble measurement ``trials`` times (at least 2).
+    """Repeat the full-ensemble measurement ``trials`` times (at least 2, at most :data:`MAX_TRIALS`).
 
     Deterministic for fixed (ensemble, axis, trials, seed). Returns the int64
     array ``n_plus``, where ``n_plus[t]`` is trial t's number of + outcomes;
@@ -286,7 +295,7 @@ def run_trials(e: EnsembleSpec, axis: Axis, trials: int, seed: int) -> np.ndarra
     the word's bucket holds an index, else found by binary search; both give
     the same ``i`` (see :func:`_invert`).
     """
-    trials = check_int(trials, "trials", 2)
+    trials = check_int(trials, "trials", 2, MAX_TRIALS)
     seed = check_int(seed, "seed") % (1 << 64)
     certain, runs, width = _pieces(_component_probabilities(e, axis), trials)
     n_plus = np.full(trials, certain, dtype=np.int64)
@@ -358,25 +367,26 @@ def _binomial_count_pmf(count: int, p: float) -> tuple[np.ndarray, int]:
     rounding that accumulates over many steps cannot leave the total away
     from 1, and trimmed of the zeros that the division leaves.
 
-    Up to :data:`PIECE` particles, and at p in {0, 1}, it is the binary-power
-    convolution of [1-p, p], trimmed after every step. For dyadic p and small
-    counts every value is an exact double and the sum is exactly 1; preset B's
-    variance is exactly n. Every piece the sampler inverts is built this way,
-    so its CDFs keep these bits.
+    Up to :data:`PIECE` particles it is the binary-power convolution of
+    [1-p, p], trimmed after every step. For dyadic p and small counts every
+    value is an exact double and the sum is exactly 1; preset B's variance is
+    exactly n. Every piece the sampler inverts is built this way, so its CDFs
+    keep these bits.
 
     Above :data:`PIECE` particles, which only the exact PMF of a whole
     component asks for, it is :func:`_binomial_window` with a floor of 0:
     the ratio recurrence from the mode, out to the first entry on each side
-    that is exactly 0. That is O(window) work where the convolution's last
-    squarings are O(window**2): 20000 particles at p+ in [0.2, 0.8] take
-    1.1-1.2 ms instead of 22-24 ms (2-core x86 box, numpy 2.4). It is closer
-    to the exact law of the doubles p and q: within 1.3e-14 relative
-    wherever that law is at least 1e-290, at 1025-20000 particles, where the
-    convolution strays up to 2.5e-13. It is not used up to :data:`PIECE`:
-    its rounded ratios lose the exact C(n, k) / 2**n of dyadic p. A tail
-    started from 1 sticks at the least subnormal while the ratio stays above
-    1/2; those entries are summed, the division sends them to 0, and the
-    last trim drops them.
+    that is exactly 0. At p in {0, 1} every ratio is 0 and none divides by
+    zero, so the window is ``[1.0]`` at 0 or at ``count`` + outcomes. That is
+    O(window) work where the convolution's last squarings are O(window**2):
+    20000 particles at p+ in [0.2, 0.8] take 1.1-1.2 ms instead of 22-24 ms
+    (2-core x86 box, numpy 2.4). It is closer to the exact law of the doubles
+    p and q: within 1.3e-14 relative wherever that law is at least 1e-290, at
+    1025-20000 particles, where the convolution strays up to 2.5e-13. It is
+    not used up to :data:`PIECE`: its rounded ratios lose the exact
+    C(n, k) / 2**n of dyadic p. A tail started from 1 sticks at the least
+    subnormal while the ratio stays above 1/2; those entries are summed, the
+    division sends them to 0, and the last trim drops them.
 
     The sum is taken largest-first. ``math.fsum`` keeps a list of partial sums
     that do not overlap; in index order the PMF climbs from tails as small as
@@ -386,7 +396,7 @@ def _binomial_count_pmf(count: int, p: float) -> tuple[np.ndarray, int]:
     largest-first (2-core x86 box, numpy 2.4). ``fsum`` returns the correctly
     rounded sum whatever the order, so the order moves no bit.
     """
-    if count > PIECE and 0.0 < p < 1.0:
+    if count > PIECE:
         result, result_offset = _binomial_window(count, p, 0.0)
     else:
         result, result_offset = np.array([1.0]), 0

@@ -133,8 +133,9 @@ def test_counts_follow_the_philox_spec(name):
     numpy's ``Generator`` alone.
     """
     cfg = golden_config(name)
-    counts = montecarlo.run_trials(cfg.ensemble, cfg.axis, cfg.trials, cfg.seed)
-    assert counts.tolist() == reference_counts(cfg.ensemble, cfg.axis, cfg.seed, cfg.trials, montecarlo.PIECE)
+    trials, seed = cfg.config["trials"], cfg.config["seed"]
+    counts = montecarlo.run_trials(cfg.ensemble, cfg.axis, trials, seed)
+    assert counts.tolist() == reference_counts(cfg.ensemble, cfg.axis, seed, trials, montecarlo.PIECE)
 
 
 # SHA-256 of what `spinstat paradox --samples 1000 --seed 0` prints.

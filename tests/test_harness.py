@@ -52,8 +52,8 @@ def make_config(tmp_path=None, preset="B", n=100, trials=200, seed=5, **override
 class TestExperimentConfig:
     def test_minimal_config(self):
         cfg = make_config()
-        assert cfg.trials == 200
-        assert cfg.hbar == 1.0
+        assert cfg.config["trials"] == 200
+        assert cfg.config["hbar"] == 1.0
         assert cfg.report_path is None
 
     def test_rejects_unknown_fields(self):
@@ -83,8 +83,30 @@ class TestExperimentConfig:
 
     def test_echo_excludes_execution_details(self):
         cfg = make_config(workers=6)
-        assert "workers" not in cfg.echo_json()
-        assert cfg.echo_json()["ensemble"] == {"preset": "B", "n": 100}
+        assert "workers" not in cfg.config
+        assert cfg.config["ensemble"] == {"preset": "B", "n": 100}
+
+    @pytest.mark.parametrize("field, given, echoed", [
+        ("axis", "X", "x"),
+        ("axis", {"theta": 1}, {"theta": 1.0, "phi": 0.0}),
+        ("hbar", 2, 2.0),
+    ])
+    def test_config_block_is_normalized(self, field, given, echoed):
+        config = run_experiment(make_config(trials=2, **{field: given}))["config"]
+        assert config[field] == echoed and type(config[field]) is type(echoed)
+
+    def test_config_block_keeps_the_ensemble_and_drops_execution_details(self, tmp_path):
+        ensemble = {"name": "tilted", "components": [{"axis": "y", "sign": 1, "count": 4}]}
+        config = run_experiment(make_config(tmp_path, trials=2, ensemble=ensemble, workers=3))["config"]
+        assert config == {"ensemble": ensemble, "axis": "x", "trials": 2, "seed": 5, "hbar": 1.0}
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"trials": 1, "hbar": 0}, "'trials'"),
+        ({"ensemble": 5, "trials": 1}, "'ensemble'"),
+    ])
+    def test_checks_fields_in_order(self, overrides, field):
+        with pytest.raises(ConfigError, match=f"^field {field}"):
+            make_config(**overrides)
 
 
 class TestRunExperiment:
@@ -95,7 +117,7 @@ class TestRunExperiment:
         assert saved == report
         lines = (tmp_path / "totals.csv").read_text().splitlines()
         assert lines[0] == "trial,total_half_quanta,n_plus,n_minus"
-        assert len(lines) == cfg.trials + 1
+        assert len(lines) == cfg.config["trials"] + 1
         first = lines[1].split(",")
         assert first[0] == "0"
         assert int(first[1]) == int(first[2]) - int(first[3])
@@ -163,7 +185,7 @@ def test_empirical_block_is_exact_at_large_totals(certain, trials):
     """
     cfg = _certain_plus_two_along_x(certain, trials)
     report = run_experiment(cfg)
-    n_plus = montecarlo.run_trials(cfg.ensemble, cfg.axis, trials, cfg.seed)
+    n_plus = montecarlo.run_trials(cfg.ensemble, cfg.axis, trials, cfg.config["seed"])
     assert report["empirical"] == reference_empirical(n_plus, certain + 2)
     assert report["empirical"]["min"] <= report["empirical"]["sample_mean"] <= report["empirical"]["max"]
     assert report["predictions"]["preparation_aware"]["variance"] == 2.0
@@ -453,6 +475,12 @@ class TestCli:
         assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
         assert (out_a / "totals.csv").read_bytes() == (out_b / "totals.csv").read_bytes()
 
+    def test_demo_rejects_trials_beyond_bound(self, monkeypatch, capsys):
+        monkeypatch.setattr(harness, "run_trials", lambda *args: pytest.fail("ran trials past the bound"))
+        assert cli.main(["demo", "--ensemble", "A", "--trials", "10000001"]) == 2
+        err = capsys.readouterr().err
+        assert "field 'trials' must be at least 2 and at most 10000000" in err and "Traceback" not in err
+
     def test_invalid_config_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"ensemble": {"preset": "A", "n": 3}, "axis": "x", "trials": 10, "seed": 0}))
@@ -673,7 +701,7 @@ def test_parser_returns_a_config_or_names_the_field(data):
 
 def test_valid_configs_parse():
     for data in VALID_CONFIGS:
-        assert ExperimentConfig.from_json_dict(data).echo_json()["ensemble"] == data["ensemble"]
+        assert ExperimentConfig.from_json_dict(data).config["ensemble"] == data["ensemble"]
 
 
 def _rejected_paradox(monkeypatch, capsys, *flags) -> str:

@@ -82,6 +82,12 @@ class TestRunTrials:
             with pytest.raises(ConfigError, match="field 'trials'"):
                 run_trials(e, X, trials, seed=0)
 
+    def test_rejects_trials_beyond_bound(self):
+        # A certain-only ensemble draws no word, so the word budget never
+        # fires; unchecked, this allocates 8 bytes per trial, 80 MB.
+        with pytest.raises(ConfigError, match="field 'trials' must be at least 2 and at most 10000000"):
+            run_trials(make_ensemble_A(2), X, montecarlo.MAX_TRIALS + 1, seed=0)
+
 
 class TestExactDistribution:
     def test_matches_slow_oracle_tiny(self):
@@ -324,6 +330,15 @@ def test_windowed_binomial_is_the_full_recurrence(count, p):
     reference, reference_offset = full_recurrence_count_pmf(count, p)
     assert offset == reference_offset
     assert pmf.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("count", [montecarlo.PIECE + 1, montecarlo.MAX_SUPPORT_POINTS - 1])
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_certain_binomial_above_piece_is_one_point(count, p):
+    """Above ``PIECE`` particles at p+ in {0, 1}, the window is the one certain count, and no ratio divides by zero."""
+    with np.errstate(all="raise"):
+        pmf, offset = montecarlo._binomial_count_pmf(count, p)
+    assert (pmf.tolist(), offset) == ([1.0], 0 if p == 0.0 else count)
 
 
 @pytest.mark.parametrize("count, p", [

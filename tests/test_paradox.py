@@ -129,8 +129,8 @@ class TestFixedOperatorInfeasibility:
         samples = 10**5
         fixed_operator_infeasibility(samples, seed=1)  # warm-up: lazy numpy/LAPACK set-up
         peak = self._peak_bytes(samples)
-        # the 4 x n sample array is 32 bytes per sample; the targets are made
-        # per block and the residuals land in the sample array's row 0
+        # the 4 x n sample array is 32 bytes per sample; the targets and the
+        # residuals are made per block, in block-sized temporaries
         assert peak <= 48 * samples, peak / samples
         # each added sample costs its column and nothing more: an n-long
         # targets vector would make the slope about 40 bytes

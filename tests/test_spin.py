@@ -146,7 +146,7 @@ class TestHbarScale:
         assert _physical(3.0, 1.0, 4.0, hbar=2.0) == ("3", "1", "4")
 
     def test_default_hbar_one(self):
-        assert ExperimentConfig.from_json_dict(self.CONFIG).hbar == 1.0
+        assert ExperimentConfig.from_json_dict(self.CONFIG).config["hbar"] == 1.0
         assert _physical(2.0, 2.0, 4.0, hbar=1.0) == ("1", "1", "1")
 
     def test_rejects_nonpositive(self):
