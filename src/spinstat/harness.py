@@ -56,6 +56,13 @@ _CSV_BLOCK = 1 << 13
 # A witness member annihilates its source when its residual is below this.
 _ANNIHILATION_TOL = 1e-12
 
+# Largest hbar a config may give. The text report prints variance * hbar *
+# hbar / 4, and the variances it prints reach about 2 * ensemble.MAX_COUNT**2
+# = 2**107 (a sample variance of totals in [-2**53, 2**53]), so any hbar
+# below sqrt(1.8e308 / 2**107), about 1e138, keeps every printed value
+# finite; 1e100 leaves a margin.
+MAX_HBAR = 1e100
+
 
 class OutputError(OSError):
     """An output path could not be written."""
@@ -101,8 +108,8 @@ class ExperimentConfig:
             "seed": check_int(data["seed"], "seed"),
             "hbar": check_number(data.get("hbar", 1.0), "hbar"),
         }
-        if config["hbar"] <= 0:
-            raise ConfigError("must be positive", "hbar")
+        if not 0 < config["hbar"] <= MAX_HBAR:
+            raise ConfigError("must be positive" if config["hbar"] <= 0 else f"must be at most {MAX_HBAR:g}", "hbar")
         return cls(config, ensemble, axis, outputs.get("report"), outputs.get("totals"))
 
 

@@ -1,10 +1,10 @@
 """Ideal Stern-Gerlach simulation: binomial sampling of each trial's + count,
 the preparation-aware prediction of the total's mean and variance, and the
 exact total-spin distribution: each component's binomial PMF, convolved
-across components. Where a window is longer than a piece's, each output of a
-convolution is summed over its band, the terms at least 2**-84 times its
-largest; the dropped ones together are below 2**-64 of it, past a double's
-precision.
+across components by :func:`_group_pmf`. Where a window is longer than a
+piece's, each output of a convolution is summed over its band, the terms at
+least 2**-84 times its largest; the dropped ones together are below 2**-64
+of it, past a double's precision.
 
 Every particle is an independent two-point variable, so only the law of a
 trial's total matters, not which component a particle belongs to.
@@ -12,15 +12,15 @@ trial's total matters, not which component a particle belongs to.
 bit-equal, in order of first appearance. A merged component of more than
 :data:`PIECE` particles is cut into the fewest parts of at most
 :data:`MAX_SUPPORT_POINTS` - 1 particles, their sizes differing by at most
-one, and each part takes one word per trial, inverting the CDF of its
-binomial built only over its window (:func:`_binomial_window`). The other merged components are laid out in
-order and cut every :data:`PIECE` particles, across component boundaries;
-each piece takes one word, inverting the binomial CDF of a piece within one
-component, or the CDF of the convolution of its parts' binomials where a
-piece spans components, built by :func:`_group_pmf` as the exact PMF is. So
-a trial takes one word per part of each large component, plus
-ceil(other random particles / PIECE). Components with p+ in {0, 1} add a
-constant and take no words.
+one, and each part takes one word per trial. The other merged components
+are laid out in order and cut every :data:`PIECE` particles, across
+component boundaries, and each piece takes one word. So a trial takes one
+word per part of each large component, plus ceil(other random particles /
+PIECE). Components with p+ in {0, 1} add a constant and take no words.
+Every word inverts a CDF built one way (:func:`_word_cdf`): each of its
+parts' binomials only over its window (:func:`_binomial_window`), the
+windows mixed by shift-and-add in a fixed order, so its bits rest on
+elementwise IEEE arithmetic alone, not on BLAS or the CPU.
 
 A word w in [0, 1) inverts to the number i of CDF entries at or below it,
 capped at the last index. Where a CDF inverts enough words in one run, a
@@ -68,14 +68,16 @@ __all__ = [
 MAX_SUPPORT_POINTS = 1_000_000
 
 # Particles per piece, and the most a merged component may hold and still
-# share words with others. Building a piece's CDF by convolution takes about
-# 0.4 ms at 1024 particles, 5 ms at 4096 and 10 s at 10**7 at p+ = 1/2 (2-core
-# x86 box, numpy 2.4), while each trial takes one word per piece. Pieces are
-# cut across components, so components of at most PIECE particles take
-# ceil(their particles / PIECE) words however they split: 1 for 12 particles
-# in three components. A larger one takes one word per part, whose CDF is
-# built over its window alone: 1 for 2 * 10**5 particles in two components at
-# one p+.
+# share words with others. A word's CDF of one part costs O(window): 0.04 ms
+# at 1024 particles and 0.05 ms at 4096, at p+ = 1/2. One that mixes parts
+# costs the product of their windows: 0.37 ms for 512 + 512 particles at p+
+# = 0.3 and 0.7, 0.54 ms for 400 + 300 + 324, 0.73 ms for 2048 + 2048 and
+# 38 ms for 2 * 500000 (2-core x86 box, numpy 2.4). Each trial takes one word
+# per piece. Pieces are cut across components, so components of at most
+# PIECE particles take ceil(their particles / PIECE) words however they
+# split: 1 for 12 particles in three components. A larger one takes one word
+# per part, whose CDF is built over its window alone: 1 for 2 * 10**5
+# particles in two components at one p+.
 PIECE = 1024
 
 # One draw takes at most this many words, 128 KiB of doubles: whole trials
@@ -109,8 +111,8 @@ MAX_TRIALS = 10**7
 # kept bit moves). At the oracles p+ of 3 * 20000 particles the band does 30%
 # of the multiply-adds of the whole window product; a floor of 2**-64, which
 # needs a sharper tail bound to keep the output's bits, would do 27%. The
-# sampler's binomial of a large component's part stops at the same fraction
-# of its mode (see _word_cdf for why that moves no word).
+# sampler's binomial of every part stops at the same fraction of its mode (see
+# _word_cdf for why that moves no word).
 _BAND_FLOOR = 2.0**-84
 
 # Outputs per banded convolution call. Each call convolves over the union of
@@ -221,29 +223,40 @@ def _pieces(probs, trials: int) -> tuple[int, list[tuple[int, int, np.ndarray, i
 def _word_cdf(parts) -> tuple[np.ndarray, int]:
     """CDF of the + count of one word's ``parts``, its last entry, about 1, left off: ``(cdf, offset)``.
 
-    A word past every entry takes the last count anyway. A piece holds at
-    most :data:`PIECE` particles, and a large component's part more:
-    MAX_SUPPORT_POINTS - 1 exceeds 2 * PIECE, and a component cut in parts
-    leaves each more than half of that. A part has the ``cumsum`` of its
-    :func:`_binomial_window` cut at :data:`_BAND_FLOOR`, divided by the
-    sum's last entry: O(window), and the same on every platform, since
-    ``cumsum`` adds in order. Each side of the window ends before its first
-    entry at or below 2**-84 of the mode, d < 2**20 steps out. Binomial PMFs
-    are log-concave, so the ratios of successive entries fall moving out
-    from the mode: every ratio from there on is at most the geometric mean
-    of the first d, at most 2**(-84/d), and the dropped tail weighs at most
-    2**-84 / (1 - 2**(-84/d)) <= 2**-84 (1 + d / (84 ln 2)) < 2**-69.8 of the
-    mode. Both dropped tails together are below 2**-68 of the window's
-    total, so no CDF entry moves by as much as 2**-53, the spacing of the
-    words. A piece's CDF is the ``cumsum`` of its parts' :func:`_group_pmf`.
+    A word past every entry takes the last count anyway. Every part, a
+    piece's or a large component's, takes its :func:`_binomial_window` cut
+    at :data:`_BAND_FLOOR`: O(window). Each side of a window ends before its
+    first entry at or below 2**-84 of the mode, d < 2**20 steps out.
+    Binomial PMFs are log-concave, so the ratios of successive entries fall
+    moving out from the mode: every ratio from there on is at most the
+    geometric mean of the first d, at most 2**(-84/d), and the dropped tail
+    weighs at most 2**-84 / (1 - 2**(-84/d)) <= 2**-84 (1 + d / (84 ln 2))
+    < 2**-69.8 of the mode. Both dropped tails together are below 2**-68 of
+    the window's total.
+
+    The windows are mixed in order into a running PMF that starts as [1.0],
+    by shift-and-add over the shorter of the two, the running PMF when
+    their lengths tie: ``out[i : i + len(long)] += w * long`` for entry
+    ``w`` of the shorter at index ``i``, ``i`` ascending. The ``cumsum`` of
+    the result is divided by its last entry. Every step is an elementwise
+    IEEE operation in a fixed order, with no BLAS call, so the bits do not
+    depend on the CPU; the first mix, with [1.0], is exact, so a one-part
+    word's CDF is its window's. A part that keeps 1 - e_j of its mass
+    leaves the mix at least prod(1 - e_j) >= 1 - sum(e_j) of it: the
+    dropped mass is at most the sum of the parts', each below 2**-68 of its
+    window, and a piece of at most PIECE = 2**10 parts drops below 2**-58
+    of its total. So no CDF entry moves by as much as 2**-53, the spacing
+    of the words.
     """
-    (count, p), *_ = parts
-    if count > PIECE:
-        window, offset = _binomial_window(count, p, _BAND_FLOOR)
-        cdf = np.cumsum(window)
-        return cdf[:-1] / cdf[-1], offset
-    pmf, offset = _group_pmf(parts)
-    return np.cumsum(pmf)[:-1], offset
+    pmf, offset = np.array([1.0]), 0
+    for count, p in parts:
+        window, shift = _binomial_window(count, p, _BAND_FLOOR)
+        short, long = (pmf, window) if len(pmf) <= len(window) else (window, pmf)
+        pmf, offset = np.zeros(len(pmf) + len(window) - 1), offset + shift
+        for i, w in enumerate(short.tolist()):
+            pmf[i : i + len(long)] += w * long
+    cdf = np.cumsum(pmf)
+    return cdf[:-1] / cdf[-1], offset
 
 
 def _guide(cdf: np.ndarray, buckets: int) -> np.ndarray:
@@ -365,21 +378,20 @@ def _binomial_count_pmf(count: int, p: float) -> tuple[np.ndarray, int]:
     outcomes, and every count outside that window has probability exactly 0.
     The PMF is built unnormalized, divided by its correctly rounded sum, so
     rounding that accumulates over many steps cannot leave the total away
-    from 1, and trimmed of the zeros that the division leaves.
+    from 1, and trimmed of the zeros that the division leaves. Only the
+    exact PMF calls it; the sampler's CDFs are built in :func:`_word_cdf`.
 
     Up to :data:`PIECE` particles it is the binary-power convolution of
     [1-p, p], trimmed after every step. For dyadic p and small counts every
     value is an exact double and the sum is exactly 1; preset B's variance is
-    exactly n. Every piece the sampler inverts is built this way, so its CDFs
-    keep these bits.
+    exactly n.
 
-    Above :data:`PIECE` particles, which only the exact PMF of a whole
-    component asks for, it is :func:`_binomial_window` with a floor of 0:
-    the ratio recurrence from the mode, out to the first entry on each side
-    that is exactly 0. At p in {0, 1} every ratio is 0 and none divides by
-    zero, so the window is ``[1.0]`` at 0 or at ``count`` + outcomes. That is
-    O(window) work where the convolution's last squarings are O(window**2):
-    20000 particles at p+ in [0.2, 0.8] take 1.1-1.2 ms instead of 22-24 ms
+    Above :data:`PIECE` particles it is :func:`_binomial_window` with a
+    floor of 0: the ratio recurrence from the mode, out to the first entry
+    on each side that is exactly 0. At p in {0, 1} every ratio is 0 and none
+    divides by zero, so the window is ``[1.0]`` at 0 or at ``count`` +
+    outcomes. That is O(window) work where the convolution's last squarings
+    are O(window**2): 20000 particles at p+ in [0.2, 0.8] take 1.1-1.2 ms instead of 22-24 ms
     (2-core x86 box, numpy 2.4). It is closer to the exact law of the doubles
     p and q: within 1.3e-14 relative wherever that law is at least 1e-290, at
     1025-20000 particles, where the convolution strays up to 2.5e-13. It is
@@ -478,10 +490,11 @@ def _group_pmf(parts) -> tuple[np.ndarray, int]:
     groups' binomial PMFs convolved in order, trimmed after every step. One
     group gives its binomial PMF with every bit unchanged.
 
-    Where both windows are at most :data:`PIECE` + 1 long, as in every piece
-    the sampler inverts, the step is the plain ``np.convolve``, so piece CDFs
-    keep their bits. Where either is longer, only an exact PMF asks for it,
-    and :func:`_band_convolve` sums each output over its band. Binomial PMFs
+    Only the exact PMF calls it; the sampler mixes its windows in
+    :func:`_word_cdf`. Where both windows are at most :data:`PIECE` + 1
+    long, the step is the plain ``np.convolve``, so small binomials keep
+    their exact dyadic bits. Where either is longer,
+    :func:`_band_convolve` sums each output over its band. Binomial PMFs
     are log-concave, and so is every convolution of them (Hoggar, 1974), so
     each output drops at most one term per entry of the shorter window, each
     below 2**-84 of its largest term. A window holds at most

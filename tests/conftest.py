@@ -338,16 +338,16 @@ def philox_uniforms(seed: int) -> Iterator[float]:
     return ((word >> 11) * 2.0**-53 for word in philox4x64_words(seed))
 
 
-def reference_window_cdf(count: int, p: float) -> tuple[list[float], int]:
-    """Reference for ``montecarlo._word_cdf`` of a large component's part, in plain Python floats.
+def reference_window(count: int, p: float) -> tuple[list[float], int]:
+    """Reference for ``montecarlo._binomial_window`` at the sampler's floor, in plain Python floats.
 
     Walks out from the mode m = floor((count + 1) p) one entry at a time, 1
     at the mode, each entry above it the last times
     ((count - k) p) / ((k + 1) q), each below it the next times
     (k q) / ((count - k + 1) p), with q = 1 - p; each side ends before its
     first entry at or below 2**-84, or at the end of the support. Returns
-    ``(cdf, offset)``: the running sums of the window in index order, each
-    divided by the last, and the count of the window's first entry.
+    ``(window, offset)``: the entries in index order, unnormalized, and the
+    count of the first.
     """
     q = 1.0 - p
     mode = min(count, math.floor((count + 1) * p))
@@ -364,8 +364,31 @@ def reference_window_cdf(count: int, p: float) -> tuple[list[float], int]:
             side.append(entry)
         sides.append(side)
     down, up = sides
-    sums = list(itertools.accumulate(down[::-1] + [1.0] + up))
-    return [total / sums[-1] for total in sums], mode - len(down)
+    return down[::-1] + [1.0] + up, mode - len(down)
+
+
+def reference_word_cdf(parts) -> tuple[list[float], int]:
+    """Reference for ``montecarlo._word_cdf``, in plain Python floats: the sampler's CDF of one word's parts.
+
+    Each ``(count, p)`` part's ``reference_window`` is mixed in order into a
+    running PMF that starts as [1.0]. For each entry w at index i of the
+    shorter of the two, the running PMF when their lengths tie, i ascending,
+    and each entry x at index j of the longer, out[i + j] += w * x: one
+    rounding for the product and one for the sum, as numpy's elementwise
+    operations round. Returns ``(cdf, offset)``: the running sums of the
+    mix in index order, each divided by the last, so the last entry is 1.0,
+    and the count of the first entry.
+    """
+    pmf, offset = [1.0], 0
+    for count, p in parts:
+        window, shift = reference_window(count, p)
+        short, long = (pmf, window) if len(pmf) <= len(window) else (window, pmf)
+        pmf, offset = [0.0] * (len(pmf) + len(window) - 1), offset + shift
+        for i, w in enumerate(short):
+            for j, x in enumerate(long):
+                pmf[i + j] += w * x
+    sums = list(itertools.accumulate(pmf))
+    return [total / sums[-1] for total in sums], offset
 
 
 def reference_counts(
@@ -377,35 +400,16 @@ def reference_counts(
     appearance, where a component of no particles does not appear. Each
     merged component of more than ``piece`` particles, in that order, is cut
     into ceil(count / ``part``) parts whose sizes differ by at most one, the
-    larger first, and each part is one word, inverting its
-    ``reference_window_cdf``. The other merged components' particles follow,
-    listed one by one in order and cut every ``piece`` particles, whatever
-    component each belongs to, and each piece is one word. Every word of
-    every trial, in trial order, takes the next double of
-    ``philox_uniforms(seed)``, the spec's stream, and counts the entries of
-    its CDF at or below it with ``bisect_right``, capped at the last count
-    with nonzero probability. A piece's CDF is the running sum of the dense
-    convolution of its parts, each part's ``dense_binomial_count_pmf``
-    divided by its exact sum. Components with p+ in {0, 1} add their + count
-    and take no uniform.
-
-    The dense and the trimmed convolution may round an entry differently in
-    its last bits. Over 10**4 CDFs of 511-1024 particles, about 7 of the
-    2**53 possible uniforms fell between the two CDFs per CDF, so a count
-    differs with probability below 1e-15 per uniform; up to 50 particles the
-    two CDFs were identical.
+    larger first, and each part is one word. The other merged components'
+    particles follow, listed one by one in order and cut every ``piece``
+    particles, whatever component each belongs to, and each piece is one
+    word. Every word inverts the ``reference_word_cdf`` of its parts: in
+    trial order, it takes the next double of ``philox_uniforms(seed)``, the
+    spec's stream, and counts the entries of its CDF at or below it with
+    ``bisect_right``. The CDF's last entry, 1.0, lies above every double in
+    [0, 1), so the count stops at the last count of the word's window.
+    Components with p+ in {0, 1} add their + count and take no uniform.
     """
-    def dense_cdf(parts):
-        pmf = np.array([1.0])
-        for count, p_plus in parts:
-            part = dense_binomial_count_pmf(count, p_plus)
-            pmf = np.convolve(pmf, part / math.fsum(part))
-        return list(itertools.accumulate(pmf.tolist())), 0, int(np.flatnonzero(pmf)[-1])
-
-    def window_cdf(count, p_plus):
-        cdf, offset = reference_window_cdf(count, p_plus)
-        return cdf, offset, len(cdf) - 1
-
     certain, merged = 0, {}
     for comp in e.components:
         if comp.count == 0:
@@ -415,23 +419,18 @@ def reference_counts(
             certain += comp.count
         elif p_plus > 0.0:
             merged[p_plus] = merged.get(p_plus, 0) + comp.count
-    cdfs, built = [], {}
+    layout = []
     for p_plus, count in merged.items():
         if count > piece:
             parts = -(-count // part)
-            for size in sorted((count + i) // parts for i in range(parts))[::-1]:
-                if (size, p_plus) not in built:
-                    built[size, p_plus] = window_cdf(size, p_plus)
-                cdfs.append(built[size, p_plus])
+            layout += [((size, p_plus),) for size in sorted((count + i) // parts for i in range(parts))[::-1]]
     particles = [p_plus for p_plus, count in merged.items() if count <= piece for _ in range(count)]
     for lo in range(0, len(particles), piece):
-        parts = tuple((len(list(run)), p_plus) for p_plus, run in itertools.groupby(particles[lo : lo + piece]))
-        if parts not in built:
-            built[parts] = dense_cdf(parts)
-        cdfs.append(built[parts])
+        layout.append(tuple((len(list(run)), p_plus) for p_plus, run in itertools.groupby(particles[lo : lo + piece])))
+    built = {parts: reference_word_cdf(parts) for parts in dict.fromkeys(layout)}
     stream = philox_uniforms(seed)
     return [
-        certain + sum(offset + min(bisect.bisect_right(cdf, next(stream)), last) for cdf, offset, last in cdfs)
+        certain + sum(built[parts][1] + bisect.bisect_right(built[parts][0], next(stream)) for parts in layout)
         for _ in range(trials)
     ]
 

@@ -6,7 +6,15 @@ that alters a single output byte fails here, at one worker and at two.
 """
 
 import hashlib
+import json
+import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import reference_counts
@@ -136,6 +144,75 @@ def test_counts_follow_the_philox_spec(name):
     trials, seed = cfg.config["trials"], cfg.config["seed"]
     counts = montecarlo.run_trials(cfg.ensemble, cfg.axis, trials, seed)
     assert counts.tolist() == reference_counts(cfg.ensemble, cfg.axis, seed, trials, montecarlo.PIECE)
+
+
+def _layout_digests(cases):
+    """SHA-256 of every CDF and offset that ``_pieces`` builds, one per ``(probs, trials)`` case."""
+    digests = []
+    for probs, trials in cases:
+        digest = hashlib.sha256()
+        for *_, cdf, offset, _ in montecarlo._pieces(probs, trials)[1]:
+            digest.update(cdf.tobytes() + str(offset).encode())
+        digests.append(digest.hexdigest())
+    return digests
+
+
+def _core_and_digests(cases, coretype=None):
+    """The OpenBLAS core a child interpreter loads, or None, and the ``_layout_digests`` it computes."""
+    env = dict(os.environ, OPENBLAS_VERBOSE="2")
+    env.pop("OPENBLAS_CORETYPE", None)
+    if coretype:
+        env["OPENBLAS_CORETYPE"] = coretype
+    src, tests = Path(montecarlo.__file__).resolve().parents[1], Path(__file__).resolve().parent
+    env["PYTHONPATH"] = f"{src}{os.pathsep}{tests}"
+    script = (
+        "import json, sys\nfrom test_golden import _layout_digests\n"
+        "print(json.dumps(_layout_digests(json.load(sys.stdin))))"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", script], input=json.dumps(cases), env=env, capture_output=True, text=True, check=True
+    )
+    core = re.search(r"^Core: (\S+)", child.stderr, re.MULTILINE)
+    return core and core.group(1), json.loads(child.stdout)
+
+
+def test_sampler_cdfs_do_not_depend_on_the_blas_kernel():
+    """Under forced Haswell and Prescott OpenBLAS kernels, every golden config's CDFs keep their bytes.
+
+    Child interpreters hash the CDFs that ``_pieces`` builds for each golden
+    config, under ``OPENBLAS_CORETYPE``, and must match this process. The
+    kernels sum dot products in their own orders, so a CDF built through
+    BLAS moves in its last bits. ``OPENBLAS_VERBOSE=2`` makes OpenBLAS print
+    the core it loaded; without that line, or when no forced kernel differs
+    from the default one, nothing would be tested, and the test skips.
+    """
+    cases = []
+    for name in sorted(CONFIGS):
+        cfg = golden_config(name)
+        cases.append((montecarlo._component_probabilities(cfg.ensemble, cfg.axis), cfg.config["trials"]))
+    default, _ = _core_and_digests([])
+    if default is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS that reports its core, so no kernel can be forced")
+    expected, cores = _layout_digests(cases), set()
+    for coretype in ("Haswell", "Prescott"):
+        core, digests = _core_and_digests(cases, coretype)
+        assert digests == expected, (coretype, core)
+        cores.add(core)
+    if not cores - {None, default}:
+        pytest.skip(f"no forced kernel differs from the default {default} core")
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_sampler_reaches_no_convolution(monkeypatch, name):
+    """``run_trials`` builds every golden config's CDFs without ``np.convolve``, the exact-PMF builders or ``fsum``."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sampler reached a convolution or a correctly rounded sum")
+
+    for module, attribute in ((np, "convolve"), (montecarlo, "_group_pmf"), (montecarlo, "_binomial_count_pmf"),
+                              (math, "fsum")):
+        monkeypatch.setattr(module, attribute, refuse)
+    cfg = golden_config(name)
+    montecarlo.run_trials(cfg.ensemble, cfg.axis, cfg.config["trials"], cfg.config["seed"])
 
 
 # SHA-256 of what `spinstat paradox --samples 1000 --seed 0` prints.

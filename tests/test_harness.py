@@ -350,6 +350,17 @@ class TestReportSerialization:
             2.0, "0 ± 31.62   (variance 1000 hbar²)", "0 ± 1   (variance 1 hbar²)"
         )
 
+    def test_largest_ensemble_renders_finite_at_the_hbar_bound(self, monkeypatch):
+        # 2**53 particles in z+ along z: certain outcomes, so no stream is
+        # opened. The unnormalized density predicts the variance n - n**2,
+        # about -2**106, printed times MAX_HBAR**2 / 4.
+        monkeypatch.setattr(np.random, "Philox", lambda **kwargs: pytest.fail("drew words for certain outcomes"))
+        ensemble = {"components": [{"axis": "z", "sign": 1, "count": 2**53}]}
+        config = {"ensemble": ensemble, "axis": "z", "trials": 2, "seed": 0, "hbar": harness.MAX_HBAR}
+        text = render_report(run_experiment(ExperimentConfig.from_json_dict(config)))
+        assert "inf" not in text and "nan" not in text
+        assert "(variance -2.028e+231 hbar²)" in text
+
     @pytest.mark.parametrize("preset", ["A", "B"])
     def test_saved_report_renders_like_the_fresh_one(self, tmp_path, preset):
         report = run_experiment(make_config(tmp_path, preset=preset, trials=300, hbar=2.0))
@@ -592,6 +603,7 @@ class TestMalformedConfigs:
     @pytest.mark.parametrize("data, fragments", [
         pytest.param(dict(_tilted_config(), hbar=0), ["field 'hbar'"], id="zero-hbar"),
         pytest.param(dict(_tilted_config(), hbar=10**400), ["field 'hbar'"], id="huge-hbar"),
+        pytest.param(dict(_tilted_config(), hbar=1e101), ["field 'hbar'", "at most 1e+100"], id="hbar-above-bound"),
         pytest.param(
             _tilted_config(axis={"theta": 10**400}), ["field 'ensemble.components[0].axis.theta'"], id="huge-theta"
         ),

@@ -28,6 +28,7 @@ from conftest import (
     reference_counts,
     reference_group_pmf,
     reference_guide,
+    reference_word_cdf,
     slow_enumerate_totals,
 )
 from spinstat import montecarlo
@@ -387,12 +388,39 @@ def piece_parts(draw):
 def test_group_pmf_of_a_piece_is_the_plain_convolution(parts):
     """Up to ``PIECE`` particles, the group PMF has every byte of the whole trimmed ``np.convolve`` loop.
 
-    Every piece the sampler inverts is built so, so no piece CDF moves.
+    Only the exact PMF takes these small steps: the binomials of components
+    of at most ``PIECE`` particles and the convolutions of such windows.
     """
     pmf, offset = montecarlo._group_pmf(parts)
     reference, reference_offset = reference_group_pmf(parts)
     assert offset == reference_offset
     assert pmf.tobytes() == reference.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(parts=piece_parts().filter(lambda parts: all(0.0 < p < 1.0 for _, p in parts)))
+@example(parts=[(montecarlo.PIECE // 2, 0.3), (montecarlo.PIECE // 2, 0.7)])
+@example(parts=[(1000, 0.5)])
+@example(parts=[(5, 0.3), (4, 0.6), (3, 0.8)])
+# A large component's part: one window, mixed once into [1.0].
+@example(parts=[(5000, 0.3)])
+def test_word_cdf_is_the_plain_python_mix(parts):
+    """Every word's CDF has the bytes of ``reference_word_cdf`` and is the group PMF's CDF to 1e-14.
+
+    The reference walks each window and mixes it one product and one sum at
+    a time, in the builder's order, so no entry depends on how numpy or BLAS
+    would order a sum. Aligned by offset, every entry also lies within 1e-14
+    of the ``cumsum`` of ``reference_group_pmf``, the convolved law of the
+    same parts with nothing cut.
+    """
+    cdf, offset = montecarlo._word_cdf(parts)
+    reference, reference_offset = reference_word_cdf(parts)
+    assert offset == reference_offset
+    assert cdf.tobytes() == np.array(reference[:-1]).tobytes()
+    pmf, pmf_offset = reference_group_pmf(parts)
+    start = offset - pmf_offset
+    assert start >= 0 and start + len(cdf) < len(pmf)
+    assert_allclose(cdf, np.cumsum(pmf)[start : start + len(cdf)], rtol=0.0, atol=1e-14)
 
 
 def test_band_does_at_most_half_the_window_products_work():
@@ -691,8 +719,8 @@ def test_exact_distribution_bytes_are_pinned(e, axis, digest):
     """``exact_total_distribution`` convolves every component in order, unmerged: its bytes are pinned.
 
     The B digest was taken before the sampler's pieces crossed component
-    boundaries, so sharing the group builder with the sampler moved no bit;
-    its two components of 500 are built by convolution, as every piece is.
+    boundaries; its two components of 500 are built by binary-power
+    convolution, which the sampler no longer calls.
     The tilted digest pins components above ``PIECE``, built by the ratio
     recurrence and convolved over each output's band.
     """
