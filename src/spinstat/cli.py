@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo_p.add_argument("--workers", type=int, default=1, help="accepted and checked; has no effect")
 
     paradox_p = sub.add_parser("paradox", help="emit the variance-operator contradiction report")
-    paradox_p.add_argument("--samples", type=int, default=100_000, help="random states for the fit")
+    paradox_p.add_argument("--samples", type=int, default=100_000, help="random states to measure the residuals over")
     paradox_p.add_argument("--seed", type=int, default=0, help="random seed for the sampled states")
     paradox_p.add_argument("--out", default=None, metavar="paradox.json", help="write JSON here instead of stdout")
     return parser

@@ -296,8 +296,9 @@ def demo_paradox(samples: int, seed: int) -> dict:
     The member built from each x eigenstate annihilates its source, so a fixed
     operator with those eigenstates would be the null operator, yet the member
     built from +z has expectation 1 there. ``annihilates_sx_eigenstates`` says
-    whether both x residuals are below ``_ANNIHILATION_TOL``. The fit runs
-    first, so bad arguments are refused before anything is computed.
+    whether both x residuals are below ``_ANNIHILATION_TOL``. The residuals of
+    (2/3) I over random states are measured first, so bad arguments are
+    refused before anything is computed.
     """
     rms, max_res = fixed_operator_infeasibility(samples, seed)
     x_plus = eigenstate(X, SpinOutcome.PLUS)

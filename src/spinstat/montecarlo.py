@@ -63,8 +63,8 @@ __all__ = [
 # edge, 999999 particles take 0.06-0.07 s in one component and 0.11-0.12 s in
 # three tilted ones, 0.33-0.38 s with whole-window convolutions (2-core x86
 # box, numpy 2.4). The sampler cuts a large component into parts of at most
-# MAX_SUPPORT_POINTS - 1 particles, so each part's binomial is one that the
-# exact PMF admits, and its window, cut at _BAND_FLOOR, at most 10792 entries.
+# MAX_SUPPORT_POINTS - 1 particles, so each part's window, cut at _BAND_FLOOR,
+# holds at most 10792 entries, an index range that _guide's int16 table holds.
 MAX_SUPPORT_POINTS = 1_000_000
 
 # Particles per piece, and the most a merged component may hold and still

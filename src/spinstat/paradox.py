@@ -4,12 +4,12 @@ The per-state construction (S_x - <S_x>)^2 reproduces each state's variance,
 but the operator it yields depends on the state it was built from: the members
 built from the two x eigenstates annihilate their sources, while the member
 built from a z eigenstate is the identity. A state-independent observable with
-both behaviors cannot exist, and the least-squares fit below quantifies how
-far any fixed candidate must miss. It fits over states drawn uniformly on the
-Bloch sphere by Marsaglia's trig-free method, in chunks whose size does not
-change the states of a seed. It sums the normal equations, and then the
-residuals, over blocks of columns small enough that each BLAS call stays on
-one thread, making each block's targets and residuals as it goes. An
+both behaviors cannot exist, and :func:`fixed_operator_infeasibility`
+measures how far the best fixed candidate must miss over random states. That
+candidate is (2/3) I: the least-squares normal equations over the sphere have
+moments of degree at most 4, which a spherical 5-design integrates exactly
+(Delsarte, Goethals and Seidel, Geom. Dedicata 6, 1977), and the fit over the
+12 icosahedron vertices gives it; the tests check this, so no run refits it. An
 operator a I + b.sigma is the real pair ``(a, b)``; the harness builds the two
 witness members with :func:`variance_pseudo_operator` and evaluates them on
 their sources.
@@ -29,9 +29,10 @@ __all__ = [
     "fixed_operator_infeasibility",
 ]
 
-# Most random states the fit may draw, checked before any work starts. Its
-# peak memory grows by about 32 bytes per sample, the sample array's column:
-# 66 MB at 10**6 and 341 MB at 10**7, measured as the CLI's peak RSS.
+# Most random states a run may draw, checked before any work starts. It bounds
+# the time, 58 ms in-process and 0.20-0.23 s at the CLI for 10**7 samples;
+# memory does not grow with the count, and the whole CLI run peaks at 35 MB
+# RSS (2-core x86 box, numpy 2.4).
 MAX_PARADOX_SAMPLES = 10**7
 
 # A 2x2 Hermitian operator a I + b.sigma, as the real pair (a, b).
@@ -64,93 +65,40 @@ def annihilation_residual(beta: Vector) -> float:
     return math.sqrt(max(a * a + dot(b, b) + 2.0 * a * dot(b, beta), 0.0))
 
 
-# Columns per BLAS call in _best_affine_fit. The fit does not depend on it
-# beyond the order of its sums; it keeps each call a 4 x 4 x 2**13 gemm, which
-# numpy's bundled OpenBLAS runs on one thread: CPU over wall time was 0.98-1.00
-# at 10**6 samples on a 2-core box, against 2.04 and 2.06 at 2**14 and 2**15,
-# where a second thread joins and spins after each call.
-_FIT_BLOCK = 1 << 13
-
-
-def _best_affine_fit(rows: np.ndarray) -> tuple[float, float]:
-    """Least-squares residuals of the best fixed observable against the x-spin variance.
-
-    The expectation of any 2x2 Hermitian O on a state with Bloch vector m is
-    affine in m, so fitting over the rows [1, m_x, m_y, m_z] of the 4 x n
-    array ``rows`` searches all of them; the target of each state is
-    1 - m_x^2. The fit solves the 4x4 normal equations: over points spread on
-    the sphere their Gram matrix is near n diag(1, 1/3, 1/3, 1/3), with
-    condition number about 3, so they agree with an SVD fit to a few ulps.
-    Both passes walk the columns in blocks of ``_FIT_BLOCK``, so no n-vector
-    is made: the first sums the Gram matrix and right-hand side, and the
-    second makes each block's residuals in a block-sized temporary.
-    """
-    blocks = [rows[:, start : start + _FIT_BLOCK] for start in range(0, rows.shape[1], _FIT_BLOCK)]
-    gram, rhs = np.zeros((4, 4)), np.zeros(4)
-    for block in blocks:
-        gram += block @ block.T
-        rhs += block @ (1.0 - np.square(block[1]))
-    coef = np.linalg.solve(gram, rhs)
-    squares, worst = 0.0, 0.0
-    for block in blocks:
-        # coef[0] is added after the product, not folded into it: the output's last bits rest on this order.
-        residuals = coef[1:] @ block[1:]
-        residuals += coef[0]
-        residuals -= 1.0 - np.square(block[1])
-        squares += float(residuals @ residuals)
-        worst = max(worst, float(residuals.max()), -float(residuals.min()))
-    return math.sqrt(squares / rows.shape[1]), worst
-
-
-# Pairs of uniforms drawn per chunk by _sphere_rows. The states of a seed do
-# not depend on it; it only bounds the chunk buffers, under 1 MB at 2**14.
-_PAIR_CHUNK = 1 << 14
-
-
-def _sphere_rows(samples: int, seed: int) -> np.ndarray:
-    """The 4 x samples array [1, m_x, m_y, m_z] of states uniform on the Bloch sphere.
-
-    Marsaglia's method (Ann. Math. Statist. 43, 645-646, 1972), with no sin or
-    cos: consecutive pairs (u, v) of ``default_rng(seed).random()``, scaled to
-    [-1, 1)^2, are kept when s = u^2 + v^2 < 1, and each kept pair gives
-    m = (2u sqrt(1 - s), 2v sqrt(1 - s), 1 - 2s). Pairs are drawn
-    ``_PAIR_CHUNK`` at a time and kept in stream order, so the states do not
-    depend on the chunk size, and the first n states of a larger run are the
-    states of n samples.
-    """
-    rng = np.random.default_rng(seed)
-    rows = np.empty((4, samples))
-    rows[0] = 1.0
-    pairs = np.empty((_PAIR_CHUNK, 2))
-    u, v = pairs.T
-    done = 0
-    while done < samples:
-        rng.random(out=pairs)
-        pairs *= 2.0
-        pairs -= 1.0
-        s = u * u + v * v
-        kept = np.flatnonzero(s < 1.0)[: samples - done]
-        end = done + kept.size
-        m = rows[1:, done:end]
-        m[0], m[1], m[2] = u[kept], v[kept], s[kept]
-        m[:2] *= 2.0 * np.sqrt(1.0 - m[2])
-        m[2] = 1.0 - 2.0 * m[2]
-        done = end
-    return rows
+# Uniforms drawn per chunk by fixed_operator_infeasibility, which keeps its
+# peak memory to a few chunk-sized buffers, 198 KB traced, at any sample
+# count. The states of a seed do not depend on it, but the residual sums are
+# grouped by chunk, so the last bit of the rms does: it is a constant. 10**6
+# samples took 5.4-5.9 ms at 2**13, 5.1-5.3 ms at 2**14 and 4.5-4.7 ms at
+# 2**16 (medians of 15, 2-core x86 box, numpy 2.4).
+_CHUNK = 1 << 13
 
 
 def fixed_operator_infeasibility(samples: int, seed: int) -> tuple[float, float]:
-    """How badly the best state-independent observable misses the variance.
+    """How badly the best state-independent observable, (2/3) I, misses the variance over random states.
 
-    States are drawn uniformly on the Bloch sphere by :func:`_sphere_rows`;
-    the target is each state's x-spin variance 1 - m_x^2. Returns
-    (rms_residual, max_residual) of the optimal fit, which converge to
-    sqrt(4/45) and 2/3 as samples grow. Peak memory is the 4 x n sample
-    array, 32 bytes per sample: the targets and residuals are made per block
-    of columns.
+    Returns (rms_residual, max_residual) of 2/3 against each state's x-spin
+    variance 1 - m_x^2 over ``samples`` states uniform on the Bloch sphere:
+    the residual m_x^2 - 1/3, which tends to sqrt(4/45) in rms and never
+    exceeds 2/3. By Archimedes' hat-box theorem m_x of such a state is
+    uniform on [-1, 1], so each state is the one draw 2u - 1, u from
+    ``default_rng(seed).random()`` in stream order, ``_CHUNK`` at a time.
+    Each residual is taken as (3 m_x^2 - 1) / 3, whose every step rounds
+    monotonically, so the max cannot round past 2/3. Each chunk's squared
+    residuals are summed by ``np.sum``, in a fixed pairwise order.
     ``samples`` must lie in [100, :data:`MAX_PARADOX_SAMPLES`] and ``seed``
     be non-negative, or a :class:`ConfigError` names the field.
     """
     check_int(samples, "samples", 100, MAX_PARADOX_SAMPLES)
     check_int(seed, "seed", 0)
-    return _best_affine_fit(_sphere_rows(samples, seed))
+    rng = np.random.default_rng(seed)
+    chunk = np.empty(min(samples, _CHUNK))
+    squares, worst = 0.0, 0.0
+    for start in range(0, samples, _CHUNK):
+        u = rng.random(out=chunk[: samples - start])
+        r = np.square(2.0 * u - 1.0, out=u)
+        r *= 3.0
+        r -= 1.0
+        worst = max(worst, float(r.max()), -float(r.min()))
+        squares += float(np.sum(np.square(r, out=r)))
+    return math.sqrt(squares / samples) / 3.0, worst / 3.0

@@ -478,15 +478,14 @@ def reference_empirical(n_plus, n: int) -> dict:
     }
 
 
-def reference_affine_fit(samples: int, seed: int) -> tuple[float, float]:
-    """Reference for ``fixed_operator_infeasibility``: the fit by SVD over an n x 4 design.
+def marsaglia_states(samples: int, seed: int) -> np.ndarray:
+    """``samples`` Bloch vectors uniform on the sphere, as rows, by Marsaglia's method (1972).
 
-    Draws the same states from ``default_rng(seed)`` in its own plain way:
-    pairs ``2 * random((1000, 2)) - 1`` at a time, kept by a mask on
-    s = u^2 + v^2 < 1, concatenated, the first ``samples`` taken, and
-    m = (2u sqrt(1 - s), 2v sqrt(1 - s), 1 - 2s) (Marsaglia, 1972). Stacks
-    the Bloch vectors as rows, fits ``[1, m]`` to 1 - m_x^2 with
-    ``np.linalg.lstsq`` and returns (rms, max) of the residuals.
+    Draws pairs ``2 * random((1000, 2)) - 1`` from ``default_rng(seed)`` at a
+    time, keeps those with s = u^2 + v^2 < 1, takes the first ``samples`` and
+    maps each to m = (2u sqrt(1 - s), 2v sqrt(1 - s), 1 - 2s): a sampler of
+    the whole state, independent of the m_x-only draws that
+    ``fixed_operator_infeasibility`` makes.
     """
     rng = np.random.default_rng(seed)
     kept, count = [], 0
@@ -498,9 +497,18 @@ def reference_affine_fit(samples: int, seed: int) -> tuple[float, float]:
     u, v = np.concatenate(kept)[:samples].T
     s = u * u + v * v
     root = 2.0 * np.sqrt(1.0 - s)
-    bloch = np.column_stack([u * root, v * root, 1.0 - 2.0 * s])
-    targets = 1.0 - bloch[:, 0] ** 2
-    design = np.column_stack([np.ones(samples), bloch])
-    coef, *_ = np.linalg.lstsq(design, targets, rcond=None)
-    residuals = design @ coef - targets
-    return float(np.sqrt(np.mean(residuals**2))), float(np.max(np.abs(residuals)))
+    return np.column_stack([u * root, v * root, 1.0 - 2.0 * s])
+
+
+def reference_residuals(samples: int, seed: int) -> tuple[float, float]:
+    """Reference for ``fixed_operator_infeasibility``, in plain Python floats.
+
+    Draws all ``samples`` uniforms u with one ``default_rng(seed).random(samples)``
+    call. Each state's m_x is 2u - 1 and its residual r = 3 m_x^2 - 1, three
+    times the residual of (2/3) I against 1 - m_x^2, one rounding per
+    operation as numpy's elementwise operations round. Returns
+    (sqrt(fsum(r^2) / samples) / 3, max |r| / 3).
+    """
+    uniforms = np.random.default_rng(seed).random(samples).tolist()
+    residuals = [3.0 * ((2.0 * u - 1.0) * (2.0 * u - 1.0)) - 1.0 for u in uniforms]
+    return math.sqrt(math.fsum(r * r for r in residuals) / samples) / 3.0, max(map(abs, residuals)) / 3.0

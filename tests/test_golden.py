@@ -19,7 +19,7 @@ import pytest
 
 from conftest import reference_counts
 from spinstat import cli, montecarlo
-from spinstat.harness import ExperimentConfig, run_experiment
+from spinstat.harness import ExperimentConfig, demo_paradox, dump_json, run_experiment
 
 TILTED_12 = {
     "name": "tilted-12",
@@ -157,8 +157,13 @@ def _layout_digests(cases):
     return digests
 
 
-def _core_and_digests(cases, coretype=None):
-    """The OpenBLAS core a child interpreter loads, or None, and the ``_layout_digests`` it computes."""
+def _paradox_digests(cases):
+    """SHA-256 of what ``spinstat paradox`` prints, one per ``(samples, seed)`` case."""
+    return [hashlib.sha256(dump_json(demo_paradox(samples, seed)).encode()).hexdigest() for samples, seed in cases]
+
+
+def _core_and_digests(digests, cases, coretype=None):
+    """The OpenBLAS core a child interpreter loads, or None, and what the test_golden function ``digests`` gives."""
     env = dict(os.environ, OPENBLAS_VERBOSE="2")
     env.pop("OPENBLAS_CORETYPE", None)
     if coretype:
@@ -166,8 +171,8 @@ def _core_and_digests(cases, coretype=None):
     src, tests = Path(montecarlo.__file__).resolve().parents[1], Path(__file__).resolve().parent
     env["PYTHONPATH"] = f"{src}{os.pathsep}{tests}"
     script = (
-        "import json, sys\nfrom test_golden import _layout_digests\n"
-        "print(json.dumps(_layout_digests(json.load(sys.stdin))))"
+        f"import json, sys\nfrom test_golden import {digests}\n"
+        f"print(json.dumps({digests}(json.load(sys.stdin))))"
     )
     child = subprocess.run(
         [sys.executable, "-c", script], input=json.dumps(cases), env=env, capture_output=True, text=True, check=True
@@ -190,12 +195,12 @@ def test_sampler_cdfs_do_not_depend_on_the_blas_kernel():
     for name in sorted(CONFIGS):
         cfg = golden_config(name)
         cases.append((montecarlo._component_probabilities(cfg.ensemble, cfg.axis), cfg.config["trials"]))
-    default, _ = _core_and_digests([])
+    default, _ = _core_and_digests("_layout_digests", [])
     if default is None:
         pytest.skip("numpy's BLAS is not an OpenBLAS that reports its core, so no kernel can be forced")
     expected, cores = _layout_digests(cases), set()
     for coretype in ("Haswell", "Prescott"):
-        core, digests = _core_and_digests(cases, coretype)
+        core, digests = _core_and_digests("_layout_digests", cases, coretype)
         assert digests == expected, (coretype, core)
         cores.add(core)
     if not cores - {None, default}:
@@ -216,18 +221,36 @@ def test_sampler_reaches_no_convolution(monkeypatch, name):
 
 
 # SHA-256 of what `spinstat paradox --samples 1000 --seed 0` prints.
-PARADOX_GOLDEN = "fe2a76b6b1429882e366913ed13cce779951760e4cd136f6c1c28a77cc16aff0"
+PARADOX_GOLDEN = "dbb066b3220a94db51d3285eecb350bcf3e9c0edfc8301d32c8508196ea05434"
+PARADOX_CASES = {
+    1000: PARADOX_GOLDEN,
+    # Two and three chunks of paradox._CHUNK states plus 5: the chunk sums and the short last chunk.
+    16389: "93ddef37dc9f5abcdfda019fb374e5a9a64b31e2ce99580ade67252c68a5b5ae",
+    24581: "9d60833172259a9d25b6331e1d28227f8375f00849ef4797e404a388a67b5853",
+}
 
 
-@pytest.mark.parametrize(
-    "samples, digest",
-    [
-        (1000, PARADOX_GOLDEN),
-        # Three blocks of paradox._FIT_BLOCK columns plus 5: the fit's block sums and the short last block.
-        (24581, "fb2c7dd7a40d1c44d2804d1437736478a70c8ca4eeee027312f3ec7cbf50e2a8"),
-    ],
-    ids=["1000", "24581"],
-)
+@pytest.mark.parametrize("samples, digest", PARADOX_CASES.items(), ids=[str(samples) for samples in PARADOX_CASES])
 def test_paradox_json_is_pinned(capsys, samples, digest):
     assert cli.main(["paradox", "--samples", str(samples), "--seed", "0"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+
+def test_paradox_json_does_not_depend_on_the_blas_kernel():
+    """Under forced Haswell and Prescott OpenBLAS kernels, the paradox JSON keeps its bytes.
+
+    Child interpreters hash what ``spinstat paradox`` prints for every pinned
+    case, at seed 0, and for 10**6 samples at seed 5, and must match this
+    process. It skips where its sibling for the sampler CDFs does.
+    """
+    cases = [(samples, 0) for samples in PARADOX_CASES] + [(10**6, 5)]
+    default, _ = _core_and_digests("_paradox_digests", [])
+    if default is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS that reports its core, so no kernel can be forced")
+    expected, cores = _paradox_digests(cases), set()
+    for coretype in ("Haswell", "Prescott"):
+        core, digests = _core_and_digests("_paradox_digests", cases, coretype)
+        assert digests == expected, (coretype, core)
+        cores.add(core)
+    if not cores - {None, default}:
+        pytest.skip(f"no forced kernel differs from the default {default} core")

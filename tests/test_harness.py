@@ -18,7 +18,7 @@ from numpy.testing import assert_allclose
 
 import spinstat
 from conftest import reference_empirical, reference_totals_csv
-from spinstat import cli, harness, montecarlo, paradox
+from spinstat import cli, harness, montecarlo
 from spinstat.harness import (
     _CSV_BLOCK,
     ConfigError,
@@ -717,11 +717,11 @@ def test_valid_configs_parse():
 
 
 def _rejected_paradox(monkeypatch, capsys, *flags) -> str:
-    """stderr of a ``paradox`` call that must exit 2 before the fit draws any state."""
+    """stderr of a ``paradox`` call that must exit 2 before any state is drawn."""
     def no_draw(*args):
         raise AssertionError("drew states for rejected arguments")
 
-    monkeypatch.setattr(paradox, "_sphere_rows", no_draw)
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
     code = cli.main(["paradox", *flags])
     err = capsys.readouterr().err
     assert code == 2, err

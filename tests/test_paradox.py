@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import matrix, quantum_expectation, reference_affine_fit, states
-from hypothesis import given
+from conftest import marsaglia_states, matrix, quantum_expectation, reference_residuals, states
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinstat import paradox
 from spinstat.paradox import (
-    _best_affine_fit,
-    _sphere_rows,
     annihilation_residual,
     expectation,
     fixed_operator_infeasibility,
@@ -24,6 +23,23 @@ from spinstat.spin import ConfigError, SpinOutcome, X, Y, Z, eigenstate, state_m
 
 RMS_LIMIT = math.sqrt(4.0 / 45.0)  # best-possible rms residual over the sphere
 MAX_LIMIT = 2.0 / 3.0
+# Variance of the squared residual (m_x^2 - 1/3)^2 for m_x uniform on [-1, 1]: 16/945 - (4/45)^2.
+SQUARE_VARIANCE = 16.0 / 945.0 - (4.0 / 45.0) ** 2
+
+
+def icosahedron() -> np.ndarray:
+    """The 12 unit vertices of the icosahedron, a spherical 5-design, as rows."""
+    g = (1 + math.sqrt(5)) / 2
+    corners = np.array([(0.0, a, b * g) for a in (1, -1) for b in (1, -1)])
+    return np.concatenate([np.roll(corners, k, axis=1) for k in range(3)]) / math.hypot(1, g)
+
+
+def affine_fit(bloch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The least-squares (SVD) fit of a + b.m to 1 - m_x^2 over the rows of ``bloch``: (coefficients, residuals)."""
+    design = np.column_stack([np.ones(len(bloch)), bloch])
+    targets = 1.0 - bloch[:, 0] ** 2
+    coef, *_ = np.linalg.lstsq(design, targets, rcond=None)
+    return coef, design @ coef - targets
 
 
 class TestVariancePseudoOperator:
@@ -101,20 +117,37 @@ class TestFixedOperatorInfeasibility:
         def no_draw(*args):
             raise AssertionError("drew states for rejected arguments")
 
-        monkeypatch.setattr(paradox, "_sphere_rows", no_draw)
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
         with pytest.raises(ConfigError, match=f"field '{field}'") as info:
             fixed_operator_infeasibility(samples, seed)
         assert info.value.path == field
 
     @pytest.mark.parametrize(
-        "samples", [100, 1000, paradox._FIT_BLOCK - 1, paradox._FIT_BLOCK, paradox._FIT_BLOCK + 1,
-                    3 * paradox._FIT_BLOCK + 5, 10**5]
+        "samples", [100, 1000, paradox._CHUNK - 1, paradox._CHUNK, paradox._CHUNK + 1, 3 * paradox._CHUNK + 5, 10**5]
     )
     @pytest.mark.parametrize("seed", range(5))
     def test_normal_equations_match_the_svd_fit(self, samples, seed):
-        # float64 with a Gram condition number near 3: far inside 1e-13, also
-        # when the last block of columns is short or holds a single column
-        assert_allclose(fixed_operator_infeasibility(samples, seed), reference_affine_fit(samples, seed), rtol=1e-13)
+        """(2/3) I solves the sphere's normal equations: the SVD fit over random states lands on it.
+
+        The SVD fit over ``marsaglia_states`` lies within 6 standard errors
+        of (2/3, 0, 0, 0); with residual r = m_x^2 - 1/3, the coefficients'
+        variances E[r^2] / n and 9 E[m_i^2 r^2] / n are at most 0.42 / n.
+        The function's residuals of (2/3) I are the plain-Python
+        reference's: the max bit for bit, the rms far inside 1e-13, also
+        when the last chunk is short or holds a single state.
+        """
+        coef, _ = affine_fit(marsaglia_states(samples, seed))
+        assert np.abs(coef - [MAX_LIMIT, 0.0, 0.0, 0.0]).max() <= 6 * 0.65 / math.sqrt(samples), coef
+        rms, max_res = fixed_operator_infeasibility(samples, seed)
+        ref_rms, ref_max = reference_residuals(samples, seed)
+        assert max_res == ref_max
+        assert_allclose(rms, ref_rms, rtol=1e-13)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(100, 4 * paradox._CHUNK), st.integers(0, 2**64 - 1))
+    def test_max_residual_never_exceeds_two_thirds(self, samples, seed):
+        # each rounding of (3 m_x^2 - 1) / 3 is monotone, and 3 m_x^2 - 1 is at most 2
+        assert fixed_operator_infeasibility(samples, seed)[1] <= MAX_LIMIT
 
     @staticmethod
     def _peak_bytes(samples):
@@ -126,16 +159,11 @@ class TestFixedOperatorInfeasibility:
             tracemalloc.stop()
 
     def test_peak_memory_per_sample(self):
-        samples = 10**5
-        fixed_operator_infeasibility(samples, seed=1)  # warm-up: lazy numpy/LAPACK set-up
-        peak = self._peak_bytes(samples)
-        # the 4 x n sample array is 32 bytes per sample; the targets and the
-        # residuals are made per block, in block-sized temporaries
-        assert peak <= 48 * samples, peak / samples
-        # each added sample costs its column and nothing more: an n-long
-        # targets vector would make the slope about 40 bytes
-        slope = (self._peak_bytes(4 * samples) - peak) / (3 * samples)
-        assert slope <= 34, slope
+        """Peak memory does not grow with the sample count: the states are drawn and reduced a chunk at a time."""
+        fixed_operator_infeasibility(10**6, seed=1)  # warm-up: lazy numpy set-up
+        peak = self._peak_bytes(10**6)
+        assert peak <= 4 * 8 * paradox._CHUNK, peak
+        assert peak <= self._peak_bytes(4 * 10**5), peak
 
     def test_fit_runs_on_one_core(self):
         """The fit's BLAS calls are small enough that no second thread works or spins.
@@ -159,36 +187,41 @@ class TestFixedOperatorInfeasibility:
         assert min(ratios) <= 1.3, ratios
 
     def test_states_do_not_depend_on_the_chunk_size(self, monkeypatch):
-        default = np.array(fixed_operator_infeasibility(5000, seed=2))
-        monkeypatch.setattr(paradox, "_PAIR_CHUNK", 7)
-        assert np.array(fixed_operator_infeasibility(5000, seed=2)).tobytes() == default.tobytes()
+        rms, max_res = fixed_operator_infeasibility(5000, seed=2)
+        monkeypatch.setattr(paradox, "_CHUNK", 7)
+        chunked_rms, chunked_max = fixed_operator_infeasibility(5000, seed=2)
+        # the chunk groups the sums, so only the rms may move, in its last bits
+        assert chunked_max == max_res
+        assert_allclose(chunked_rms, rms, rtol=1e-13)
 
     def test_states_of_n_samples_begin_the_states_of_more(self):
         n = 5000
-        assert np.array_equal(_sphere_rows(n, seed=3), _sphere_rows(n + 1000, seed=3)[:, :n])
-
-    def test_states_are_unit_vectors(self):
-        m = _sphere_rows(10**5, seed=5)[1:]
-        assert np.abs(np.sqrt(np.sum(m**2, axis=0)) - 1.0).max() <= 4 * np.finfo(float).eps
+        u = np.random.default_rng(3).random(n + 1000)
+        residuals = np.abs(3.0 * np.square(2.0 * u - 1.0) - 1.0) / 3.0
+        assert fixed_operator_infeasibility(n, seed=3)[1] == residuals[:n].max()
+        assert fixed_operator_infeasibility(n + 1000, seed=3)[1] == residuals.max()
 
     def test_states_are_uniform_on_the_sphere(self):
+        """Archimedes: m_x of a state uniform on the sphere is uniform on [-1, 1], as the function draws it.
+
+        The mean squared residual (m_x^2 - 1/3)^2 over Marsaglia's states,
+        which are unit vectors, and the function's squared rms both lie
+        within 6 standard errors of 4/45.
+        """
         n = 2 * 10**5
-        m = _sphere_rows(n, seed=6)[1:]
-        # uniform on the sphere: E[m_i] = 0 with variance 1/3, and
-        # E[m_i m_j] = delta_ij/3 with variance 4/45 on the diagonal, 1/15 off it
-        assert np.all(np.abs(m.mean(axis=1)) <= 6 * math.sqrt(1 / 3 / n))
-        se = np.sqrt(np.where(np.eye(3, dtype=bool), 4 / 45, 1 / 15) / n)
-        assert np.all(np.abs(m @ m.T / n - np.eye(3) / 3) <= 6 * se)
+        m = marsaglia_states(n, seed=6)
+        assert np.abs(np.sqrt(np.sum(m**2, axis=1)) - 1.0).max() <= 4 * np.finfo(float).eps
+        bound = 6 * math.sqrt(SQUARE_VARIANCE / n)
+        assert abs(np.mean((m[:, 0] ** 2 - 1.0 / 3.0) ** 2) - RMS_LIMIT**2) <= bound
+        assert abs(fixed_operator_infeasibility(n, seed=6)[0] ** 2 - RMS_LIMIT**2) <= bound
 
     def test_fit_is_exact_on_a_spherical_5_design(self):
         # the 12 icosahedron vertices integrate every polynomial of degree <= 5
-        # over the sphere exactly, and the fit's moments are of degree <= 4
-        g = (1 + math.sqrt(5)) / 2
-        corners = np.array([(0.0, a, b * g) for a in (1, -1) for b in (1, -1)])
-        vertices = np.concatenate([np.roll(corners, k, axis=1) for k in range(3)]) / math.hypot(1, g)
-        rows = np.vstack([np.ones(12), vertices.T])
-        rms, _ = _best_affine_fit(rows)
-        assert abs(rms - RMS_LIMIT) <= 1e-15
+        # over the sphere exactly, and the fit's moments are of degree <= 4, so
+        # its fit is the sphere's: (2/3) I with rms sqrt(4/45)
+        coef, residuals = affine_fit(icosahedron())
+        assert np.abs(coef - [MAX_LIMIT, 0.0, 0.0, 0.0]).max() <= 1e-15, coef
+        assert abs(math.sqrt(np.mean(residuals**2)) - RMS_LIMIT) <= 1e-15
 
 
 def test_direct_variance_check_numpy():
