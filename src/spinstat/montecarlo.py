@@ -24,12 +24,14 @@ elementwise IEEE arithmetic alone, not on BLAS or the CPU.
 
 A word w in [0, 1) inverts to the number i of CDF entries at or below it,
 capped at the last index. Where a CDF inverts enough words in one run, a
-table of B buckets (B a power of two, 4-8 per entry) does this with one
-lookup: bucket floor(w * B), exact since B is a power of two, holds i for
-every word in it unless an entry lies strictly inside the bucket. The CDF is
-monotone, so a bucket without an entry inside inverts all its words alike,
-and only words in the other buckets take a binary search: the result equals
-the search for every word (the indexed search of Chen and Asau, 1974).
+table of B buckets does this with one lookup: B is the largest power of two
+at most the words it inverts, capped at :data:`_MAX_BUCKETS`, and never
+below 4-8 per entry. Bucket floor(w * B), exact since B is a power of two,
+holds i for every word in it unless an entry lies strictly inside the
+bucket. The CDF is monotone, so a bucket without an entry inside inverts all
+its words alike, and only words in the other buckets take a binary search:
+the result equals the search for every word (the indexed search of Chen and
+Asau, 1974). The more buckets, the fewer words share a bucket with an entry.
 
 Reproducibility contract: every word comes from one stream, numpy's
 ``Generator(Philox(key=s mod 2**64)).random()`` under seed ``s``, taken in
@@ -123,6 +125,17 @@ _BAND_FLOOR = 2.0**-84
 # and 72 ms at 128, 256 and 512.
 _BAND_BLOCK = 128
 
+# Most buckets a bucket table grows to for the words its CDF inverts: 2**12
+# int16 entries, 8 KiB, which stay in L1. A CDF whose least table, 4-8
+# buckets per entry, is larger keeps that one. On the golden tilted-12 config
+# (one 12-entry CDF, one word a trial) 113 of 50000 words take the search,
+# against 5474 at 64 buckets. run_trials at 5 * 10**4 and 10**6 trials took
+# 0.59 / 10.5, 0.58 / 10.2, 0.58 / 10.1, 0.58 / 9.8, 0.60 / 9.9 and
+# 0.66 / 9.9 ms at caps of 2**10, 2**11, 2**12, 2**13, 2**14 and 2**16, where
+# building the larger tables costs more than they save at 5 * 10**4 (medians
+# of 31 and 7, 2-core x86 box, numpy 2.4).
+_MAX_BUCKETS = 1 << 12
+
 
 class TotalSpinDistribution:
     """Exact probability mass function of the ensemble total, half-quantum units.
@@ -174,11 +187,13 @@ def _pieces(probs, trials: int) -> tuple[int, list[tuple[int, int, np.ndarray, i
     probability of at most ``offset + i`` + outcomes in the word's parts,
     built by :func:`_word_cdf`. A component's parts share a run per size, so
     it builds at most two CDFs, and after the merge no two runs have the
-    same parts, so each CDF is built once. A CDF gets a bucket table
-    (:func:`_guide`) of B buckets, the power of two that is 4-8 times its
-    full length, when it inverts at least B words in ``trials`` trials, so
-    the table's O(B) cost never exceeds that of the lookups it serves;
-    otherwise ``table`` is None and every word of that CDF is searched.
+    same parts, so each CDF is built once. Let L be the power of two that
+    is 4-8 times a CDF's full length. A CDF that inverts at least L words in
+    ``trials`` trials gets a bucket table (:func:`_guide`) of B buckets: the
+    largest power of two at most the words it inverts, capped at
+    :data:`_MAX_BUCKETS`, but never below L. So the table's O(B) cost never
+    exceeds that of the lookups it serves; otherwise ``table`` is None and
+    every word of that CDF is searched.
     Raises ConfigError naming ``trials`` when ``trials * width`` exceeds
     :data:`MAX_WORDS`, before any layout or CDF.
     """
@@ -214,8 +229,9 @@ def _pieces(probs, trials: int) -> tuple[int, list[tuple[int, int, np.ndarray, i
     runs, first = [], 0
     for words, parts in layout:
         cdf, offset = _word_cdf(parts)
-        buckets = 4 << (len(cdf) + 1).bit_length()
-        runs.append((first, first + words, cdf, offset, _guide(cdf, buckets) if trials * words >= buckets else None))
+        least, inverted = 4 << (len(cdf) + 1).bit_length(), trials * words
+        buckets = max(least, min(_MAX_BUCKETS, 1 << (inverted.bit_length() - 1)))
+        runs.append((first, first + words, cdf, offset, _guide(cdf, buckets) if inverted >= least else None))
         first += words
     return certain, runs, width
 
@@ -306,12 +322,14 @@ def run_trials(e: EnsembleSpec, axis: Axis, trials: int, seed: int) -> np.ndarra
     number of its CDF entries at or below the piece's word, capped at the
     last index. ``i`` is read from the CDF's bucket table where it has one and
     the word's bucket holds an index, else found by binary search; both give
-    the same ``i`` (see :func:`_invert`).
+    the same ``i`` (see :func:`_invert`). Every trial starts from the
+    certain particles plus every word's ``offset``, and a run of one word a
+    trial adds its inverted column with no sum over words.
     """
     trials = check_int(trials, "trials", 2, MAX_TRIALS)
     seed = check_int(seed, "seed") % (1 << 64)
     certain, runs, width = _pieces(_component_probabilities(e, axis), trials)
-    n_plus = np.full(trials, certain, dtype=np.int64)
+    n_plus = np.full(trials, certain + sum(offset * (b - a) for a, b, _, offset, _ in runs), dtype=np.int64)
     if width:
         # Named here, not imported at the top: numpy 2 loads numpy.random on
         # first use, so its 10-13 ms import is not paid at every start-up.
@@ -322,11 +340,12 @@ def run_trials(e: EnsembleSpec, axis: Axis, trials: int, seed: int) -> np.ndarra
             for first in range(0, width, _BLOCK_WORDS):
                 last = min(first + _BLOCK_WORDS, width)
                 words = stream.random((hi - lo, last - first))
-                for a, b, cdf, offset, table in runs:
+                for a, b, cdf, _, table in runs:
                     a, b = max(a, first), min(b, last)
-                    if a < b:
-                        index = _invert(words[:, a - first : b - first], cdf, table)
-                        n_plus[lo:hi] += index.sum(axis=1) + offset * (b - a)
+                    if b - a == 1:
+                        n_plus[lo:hi] += _invert(words[:, a - first], cdf, table)
+                    elif a < b:
+                        n_plus[lo:hi] += _invert(words[:, a - first : b - first], cdf, table).sum(axis=1)
     return n_plus
 
 

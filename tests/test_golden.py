@@ -220,6 +220,26 @@ def test_sampler_reaches_no_convolution(monkeypatch, name):
     montecarlo.run_trials(cfg.ensemble, cfg.axis, cfg.config["trials"], cfg.config["seed"])
 
 
+def test_few_small_piece_words_take_the_search(monkeypatch):
+    """At most 1% of the golden tilted-12 config's words miss its bucket table and take the binary search.
+
+    Its one piece of 12 particles inverts a 12-entry CDF once a trial, 50000
+    words, so its table holds ``_MAX_BUCKETS`` buckets. A table of 4-8
+    buckets per entry sent 5474 of the words to the search.
+    """
+    searched, search = [], np.searchsorted
+
+    def counting(cdf, words, *args, **kwargs):
+        searched.append(np.size(words))
+        return search(cdf, words, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counting)
+    cfg = golden_config("tilted-12")
+    trials = cfg.config["trials"]
+    montecarlo.run_trials(cfg.ensemble, cfg.axis, trials, cfg.config["seed"])
+    assert searched and sum(searched) <= trials // 100, sum(searched)
+
+
 # SHA-256 of what `spinstat paradox --samples 1000 --seed 0` prints.
 PARADOX_GOLDEN = "dbb066b3220a94db51d3285eecb350bcf3e9c0edfc8301d32c8508196ea05434"
 PARADOX_CASES = {

@@ -589,41 +589,49 @@ PROBABILITIES = st.one_of(st.sampled_from([1e-3, 0.5, 0.999]), st.floats(0.0, 1.
 def test_bucket_table_inverts_like_the_search(size, p, seed):
     """Through its bucket table, a piece CDF inverts every word as the capped binary search does.
 
-    The words are every CDF entry and its neighbouring doubles, the first and
+    Each CDF gets two tables: the least that ``_pieces`` builds, 4-8 buckets
+    per entry, and one of ``_MAX_BUCKETS``, which for a small CDF holds
+    hundreds of buckets per entry, most of them with no entry at all. The
+    words are every CDF entry and its neighbouring doubles, the first and
     last ``random()`` word of every bucket, both ends of [0, 1) and random
     words; the counting table builder must equal the per-bucket search.
     """
     pmf, _ = montecarlo._binomial_count_pmf(size, p)
     cdf = np.cumsum(pmf)
-    buckets = 4 << len(cdf).bit_length()
-    table = montecarlo._guide(cdf[:-1], buckets)
-    assert np.array_equal(table, reference_guide(cdf[:-1], buckets))
-    starts = np.arange(buckets) / buckets
-    words = np.concatenate([
-        cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0), starts, starts + (1.0 / buckets - 2.0**-53),
-        [0.0, 1.0 - 2.0**-53], np.random.default_rng(seed).random(1000),
-    ])
-    words = words[(words >= 0.0) & (words < 1.0)]
-    expected = np.minimum(np.searchsorted(cdf, words, "right"), len(cdf) - 1)
-    assert np.array_equal(montecarlo._invert(words, cdf[:-1], table), expected)
-    assert np.array_equal(montecarlo._invert(words, cdf[:-1], None), expected)
+    for buckets in sorted({4 << len(cdf).bit_length(), montecarlo._MAX_BUCKETS}):
+        table = montecarlo._guide(cdf[:-1], buckets)
+        assert np.array_equal(table, reference_guide(cdf[:-1], buckets))
+        starts = np.arange(buckets) / buckets
+        words = np.concatenate([
+            cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0), starts, starts + (1.0 / buckets - 2.0**-53),
+            [0.0, 1.0 - 2.0**-53], np.random.default_rng(seed).random(1000),
+        ])
+        words = words[(words >= 0.0) & (words < 1.0)]
+        expected = np.minimum(np.searchsorted(cdf, words, "right"), len(cdf) - 1)
+        assert np.array_equal(montecarlo._invert(words, cdf[:-1], table), expected)
+        assert np.array_equal(montecarlo._invert(words, cdf[:-1], None), expected)
 
 
 @pytest.mark.parametrize("trials, tables", [
     (31, []),
     (32, [(5, 32)]),
-    (2048, [(5, 32), (473, 2048)]),
+    (2048, [(5, 2048), (473, 2048)]),
+    (5000, [(5, 4096), (473, 4096)]),
 ])
 def test_tables_are_built_for_the_cdfs_that_invert_enough_words(trials, tables):
-    """A CDF gets a bucket table when it inverts at least as many words in the run as the table has buckets.
+    """A CDF gets a bucket table when it inverts at least its least table's buckets in the run.
 
-    Along z, PIECE particles at p+ = 0.39, 5 at p+ = 0.96, then PIECE + 5
-    more at p+ = 0.39: the first and last components are merged into
-    2 * PIECE + 5 particles, which take one word, inverting the 474-entry
-    CDF of their binomial's window (2048 buckets). The 5 at p+ = 0.96 make
-    one piece with a 6-entry CDF (32 buckets, one word a trial). So 31
-    trials build no table, 32 the small one, and 2048 both. Both inversion
-    paths must count as the reference does.
+    The least table has the power of two that is 4-8 times the CDF's full
+    length. A built table has the largest power of two at most the words
+    the CDF inverts, capped at ``_MAX_BUCKETS`` = 4096, but never fewer
+    buckets than the least. Along z, PIECE particles at p+ = 0.39, 5 at
+    p+ = 0.96, then PIECE + 5 more at p+ = 0.39: the first and last
+    components are merged into 2 * PIECE + 5 particles, which take one
+    word, inverting the 474-entry CDF of their binomial's window (least
+    2048 buckets). The 5 at p+ = 0.96 make one piece with a 6-entry CDF
+    (least 32 buckets, one word a trial). So 31 trials build no table, 32
+    the small one at its least, 2048 both at 2048 buckets and 5000 both at
+    the cap. Both inversion paths must count as the reference does.
     """
     states = [eigenstate(Axis(0.4 + 0.7 * i, 1.3 * i), SpinOutcome.PLUS) for i in (2, 0)]
     counts = [(states[0], montecarlo.PIECE), (states[1], 5), (states[0], montecarlo.PIECE + 5)]
