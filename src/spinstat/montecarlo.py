@@ -25,13 +25,14 @@ elementwise IEEE arithmetic alone, not on BLAS or the CPU.
 A word w in [0, 1) inverts to the number i of CDF entries at or below it,
 capped at the last index. Where a CDF inverts enough words in one run, a
 table of B buckets does this with one lookup: B is the largest power of two
-at most the words it inverts, capped at :data:`_MAX_BUCKETS`, and never
-below 4-8 per entry. Bucket floor(w * B), exact since B is a power of two,
-holds i for every word in it unless an entry lies strictly inside the
-bucket. The CDF is monotone, so a bucket without an entry inside inverts all
-its words alike, and only words in the other buckets take a binary search:
-the result equals the search for every word (the indexed search of Chen and
-Asau, 1974). The more buckets, the fewer words share a bucket with an entry.
+at most the words it inverts, capped at :data:`_MAX_BUCKETS` and by the
+run's :data:`_SPARE_BUCKETS`, and never below 4-8 per entry. Bucket
+floor(w * B), exact since B is a power of two, holds i for every word in it
+unless an entry lies strictly inside the bucket. The CDF is monotone, so a
+bucket without an entry inside inverts all its words alike, and only words
+in the other buckets take a binary search: the result equals the search for
+every word (the indexed search of Chen and Asau, 1974). The more buckets,
+the fewer words share a bucket with an entry.
 
 Reproducibility contract: every word comes from one stream, numpy's
 ``Generator(Philox(key=s mod 2**64)).random()`` under seed ``s``, taken in
@@ -130,11 +131,20 @@ _BAND_BLOCK = 128
 # buckets per entry, is larger keeps that one. On the golden tilted-12 config
 # (one 12-entry CDF, one word a trial) 113 of 50000 words take the search,
 # against 5474 at 64 buckets. run_trials at 5 * 10**4 and 10**6 trials took
-# 0.59 / 10.5, 0.58 / 10.2, 0.58 / 10.1, 0.58 / 9.8, 0.60 / 9.9 and
-# 0.66 / 9.9 ms at caps of 2**10, 2**11, 2**12, 2**13, 2**14 and 2**16, where
-# building the larger tables costs more than they save at 5 * 10**4 (medians
-# of 31 and 7, 2-core x86 box, numpy 2.4).
+# 0.63 / 11.9, 0.65 / 11.9, 0.67 / 11.4, 0.64 / 11.0, 0.68 / 11.2 and
+# 0.76 / 11.6 ms at caps of 2**10, 2**11, 2**12, 2**13, 2**14 and 2**16, where
+# building the larger tables costs more than they save at 5 * 10**4 (least of
+# three medians of 31 and 7, 2-core x86 box, numpy 2.4).
 _MAX_BUCKETS = 1 << 12
+
+# Most buckets that the tables of one run hold beyond their least tables, all
+# together: 2**16 int16 entries, 128 KiB, the size of one draw of words. A
+# table grows, in layout order, only if its growth fits in what is left, so at
+# most 16 small CDFs reach _MAX_BUCKETS, and a run of many pieces, each
+# inverting a few-entry CDF, keeps the others at their least: the tables'
+# memory does not grow with the pieces. Without it, 146000 such pieces at 4096 trials (the MAX_WORDS edge)
+# would hold 8 KiB of table each, about 1.2 GB.
+_SPARE_BUCKETS = 1 << 16
 
 
 class TotalSpinDistribution:
@@ -193,7 +203,10 @@ def _pieces(probs, trials: int) -> tuple[int, list[tuple[int, int, np.ndarray, i
     largest power of two at most the words it inverts, capped at
     :data:`_MAX_BUCKETS`, but never below L. So the table's O(B) cost never
     exceeds that of the lookups it serves; otherwise ``table`` is None and
-    every word of that CDF is searched.
+    every word of that CDF is searched. A table keeps B = L when its
+    B - L, with those of the tables before it, would pass
+    :data:`_SPARE_BUCKETS`, so all tables together hold at most that many
+    buckets beyond their L.
     Raises ConfigError naming ``trials`` when ``trials * width`` exceeds
     :data:`MAX_WORDS`, before any layout or CDF.
     """
@@ -226,11 +239,13 @@ def _pieces(probs, trials: int) -> tuple[int, list[tuple[int, int, np.ndarray, i
             piece, fill = [(count - take, p)], count - take
     if fill:
         layout.append((1, tuple(piece)))
-    runs, first = [], 0
+    runs, first, spare = [], 0, _SPARE_BUCKETS
     for words, parts in layout:
         cdf, offset = _word_cdf(parts)
         least, inverted = 4 << (len(cdf) + 1).bit_length(), trials * words
-        buckets = max(least, min(_MAX_BUCKETS, 1 << (inverted.bit_length() - 1)))
+        grown = max(least, min(_MAX_BUCKETS, 1 << (inverted.bit_length() - 1)))
+        buckets = grown if grown - least <= spare else least
+        spare -= buckets - least
         runs.append((first, first + words, cdf, offset, _guide(cdf, buckets) if inverted >= least else None))
         first += words
     return certain, runs, width
@@ -323,8 +338,7 @@ def run_trials(e: EnsembleSpec, axis: Axis, trials: int, seed: int) -> np.ndarra
     last index. ``i`` is read from the CDF's bucket table where it has one and
     the word's bucket holds an index, else found by binary search; both give
     the same ``i`` (see :func:`_invert`). Every trial starts from the
-    certain particles plus every word's ``offset``, and a run of one word a
-    trial adds its inverted column with no sum over words.
+    certain particles plus every word's ``offset``.
     """
     trials = check_int(trials, "trials", 2, MAX_TRIALS)
     seed = check_int(seed, "seed") % (1 << 64)
@@ -342,9 +356,7 @@ def run_trials(e: EnsembleSpec, axis: Axis, trials: int, seed: int) -> np.ndarra
                 words = stream.random((hi - lo, last - first))
                 for a, b, cdf, _, table in runs:
                     a, b = max(a, first), min(b, last)
-                    if b - a == 1:
-                        n_plus[lo:hi] += _invert(words[:, a - first], cdf, table)
-                    elif a < b:
+                    if a < b:
                         n_plus[lo:hi] += _invert(words[:, a - first : b - first], cdf, table).sum(axis=1)
     return n_plus
 

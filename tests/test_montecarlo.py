@@ -822,6 +822,35 @@ def test_peak_memory_does_not_grow_with_the_ensemble():
     assert peaks[1] < 4 * 2**20
 
 
+def test_table_memory_does_not_grow_with_the_pieces():
+    """32 and 128 pieces of few-entry CDFs at 4096 trials peak within 128 KiB of each other, below 1 MiB.
+
+    Each piece holds PIECE particles at its own p+ within 1.3e-4 of 1, so
+    its CDF has 7-13 entries and inverts 4096 words, enough for a table at
+    ``_MAX_BUCKETS``. Only ``_SPARE_BUCKETS`` buckets beyond the least tables
+    are handed out, so the other pieces keep tables of 64 buckets; one
+    table of 4096 buckets per piece read 1.4 MiB at 128 pieces, against
+    0.5 MiB with the spare buckets and 0.4 MiB for tables of 64 buckets each.
+    """
+    def pieces(k):
+        return EnsembleSpec(tuple(_along_z(1.0 - 1e-6 * (i + 1), montecarlo.PIECE) for i in range(k)))
+
+    run_trials(pieces(2), Z, 4096, seed=1)
+    peaks = []
+    for k in (32, 128):
+        tracemalloc.start()
+        try:
+            run_trials(pieces(k), Z, 4096, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2**17, peaks
+    assert peaks[1] < 2**20, peaks
+    _, runs, _ = montecarlo._pieces(montecarlo._component_probabilities(pieces(128), Z), 4096)
+    spare = sum(len(table) - (4 << (len(cdf) + 1).bit_length()) for _, _, cdf, _, table in runs)
+    assert 0 < spare <= montecarlo._SPARE_BUCKETS
+
+
 def _no_work(*args, **kwargs):
     raise AssertionError("built a CDF or opened a random stream for outcomes that are certain")
 
