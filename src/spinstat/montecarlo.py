@@ -24,15 +24,13 @@ elementwise IEEE arithmetic alone, not on BLAS or the CPU.
 
 A word w in [0, 1) inverts to the number i of CDF entries at or below it,
 capped at the last index. Where a CDF inverts enough words in one run, a
-table of B buckets does this with one lookup: B is the largest power of two
-at most the words it inverts, capped at :data:`_MAX_BUCKETS` and by the
-run's :data:`_SPARE_BUCKETS`, and never below 4-8 per entry. Bucket
-floor(w * B), exact since B is a power of two, holds i for every word in it
-unless an entry lies strictly inside the bucket. The CDF is monotone, so a
-bucket without an entry inside inverts all its words alike, and only words
-in the other buckets take a binary search: the result equals the search for
-every word (the indexed search of Chen and Asau, 1974). The more buckets,
-the fewer words share a bucket with an entry.
+table of B buckets, sized in :func:`_pieces`, does this with one lookup.
+Bucket floor(w * B), exact since B is a power of two, holds i for every
+word in it unless an entry lies strictly inside the bucket. The CDF is
+monotone, so a bucket without an entry inside inverts all its words alike,
+and only words in the other buckets take a binary search: the result
+equals the search for every word (the indexed search of Chen and Asau,
+1974). The more buckets, the fewer words share a bucket with an entry.
 
 Reproducibility contract: every word comes from one stream, numpy's
 ``Generator(Philox(key=s mod 2**64)).random()`` under seed ``s``, taken in
@@ -126,26 +124,6 @@ _BAND_FLOOR = 2.0**-84
 # and 72 ms at 128, 256 and 512.
 _BAND_BLOCK = 128
 
-# Most buckets a bucket table grows to for the words its CDF inverts: 2**12
-# int16 entries, 8 KiB, which stay in L1. A CDF whose least table, 4-8
-# buckets per entry, is larger keeps that one. On the golden tilted-12 config
-# (one 12-entry CDF, one word a trial) 113 of 50000 words take the search,
-# against 5474 at 64 buckets. run_trials at 5 * 10**4 and 10**6 trials took
-# 0.63 / 11.9, 0.65 / 11.9, 0.67 / 11.4, 0.64 / 11.0, 0.68 / 11.2 and
-# 0.76 / 11.6 ms at caps of 2**10, 2**11, 2**12, 2**13, 2**14 and 2**16, where
-# building the larger tables costs more than they save at 5 * 10**4 (least of
-# three medians of 31 and 7, 2-core x86 box, numpy 2.4).
-_MAX_BUCKETS = 1 << 12
-
-# Most buckets that the tables of one run hold beyond their least tables, all
-# together: 2**16 int16 entries, 128 KiB, the size of one draw of words. A
-# table grows, in layout order, only if its growth fits in what is left, so at
-# most 16 small CDFs reach _MAX_BUCKETS, and a run of many pieces, each
-# inverting a few-entry CDF, keeps the others at their least: the tables'
-# memory does not grow with the pieces. Without it, 146000 such pieces at 4096 trials (the MAX_WORDS edge)
-# would hold 8 KiB of table each, about 1.2 GB.
-_SPARE_BUCKETS = 1 << 16
-
 
 class TotalSpinDistribution:
     """Exact probability mass function of the ensemble total, half-quantum units.
@@ -177,8 +155,8 @@ def _component_probabilities(e: EnsembleSpec, axis: Axis) -> list[tuple[int, flo
     ]
 
 
-def _pieces(probs, trials: int) -> tuple[int, list[tuple[int, int, np.ndarray, int, np.ndarray | None]], int]:
-    """Lay out one trial's words: ``(certain, runs, width)``.
+def _pieces(probs, trials: int) -> tuple[int, list[tuple[int, int, np.ndarray, int, np.ndarray | None]], int, int]:
+    """Lay out one trial's words: ``(certain, runs, width, rows)``.
 
     ``certain`` counts the particles with p+ = 1. Components with 0 < p+ < 1
     whose p+ are bit-equal are merged, in order of first appearance. Each
@@ -197,16 +175,19 @@ def _pieces(probs, trials: int) -> tuple[int, list[tuple[int, int, np.ndarray, i
     probability of at most ``offset + i`` + outcomes in the word's parts,
     built by :func:`_word_cdf`. A component's parts share a run per size, so
     it builds at most two CDFs, and after the merge no two runs have the
-    same parts, so each CDF is built once. Let L be the power of two that
-    is 4-8 times a CDF's full length. A CDF that inverts at least L words in
-    ``trials`` trials gets a bucket table (:func:`_guide`) of B buckets: the
-    largest power of two at most the words it inverts, capped at
-    :data:`_MAX_BUCKETS`, but never below L. So the table's O(B) cost never
-    exceeds that of the lookups it serves; otherwise ``table`` is None and
-    every word of that CDF is searched. A table keeps B = L when its
-    B - L, with those of the tables before it, would pass
-    :data:`_SPARE_BUCKETS`, so all tables together hold at most that many
-    buckets beyond their L.
+    same parts, so each CDF is built once.
+
+    ``rows`` is the number of whole trials one draw holds, ``min(trials,
+    _BLOCK_WORDS // width)``, and 0 when one trial spans column blocks. Let
+    L be the power of two that is 4-8 times a CDF's full length. A CDF that
+    inverts at least L words in ``trials`` trials gets a bucket table
+    (:func:`_guide`) of B buckets: the larger of L and the largest power of
+    two at most ``rows * words``, the words it inverts in one draw. So the
+    table's O(B) cost never exceeds that of the lookups it serves;
+    otherwise ``table`` is None and every word of that CDF is searched. The
+    runs' words add up to ``width``, so all tables together hold at most
+    :data:`_BLOCK_WORDS` buckets beyond their L, however many pieces a
+    trial has.
     Raises ConfigError naming ``trials`` when ``trials * width`` exceeds
     :data:`MAX_WORDS`, before any layout or CDF.
     """
@@ -239,16 +220,14 @@ def _pieces(probs, trials: int) -> tuple[int, list[tuple[int, int, np.ndarray, i
             piece, fill = [(count - take, p)], count - take
     if fill:
         layout.append((1, tuple(piece)))
-    runs, first, spare = [], 0, _SPARE_BUCKETS
+    runs, first, rows = [], 0, min(trials, _BLOCK_WORDS // max(width, 1))
     for words, parts in layout:
         cdf, offset = _word_cdf(parts)
-        least, inverted = 4 << (len(cdf) + 1).bit_length(), trials * words
-        grown = max(least, min(_MAX_BUCKETS, 1 << (inverted.bit_length() - 1)))
-        buckets = grown if grown - least <= spare else least
-        spare -= buckets - least
-        runs.append((first, first + words, cdf, offset, _guide(cdf, buckets) if inverted >= least else None))
+        least = 4 << (len(cdf) + 1).bit_length()
+        buckets = max(least, 1 << (rows * words).bit_length() >> 1)
+        runs.append((first, first + words, cdf, offset, _guide(cdf, buckets) if trials * words >= least else None))
         first += words
-    return certain, runs, width
+    return certain, runs, width, rows
 
 
 def _word_cdf(parts) -> tuple[np.ndarray, int]:
@@ -342,15 +321,14 @@ def run_trials(e: EnsembleSpec, axis: Axis, trials: int, seed: int) -> np.ndarra
     """
     trials = check_int(trials, "trials", 2, MAX_TRIALS)
     seed = check_int(seed, "seed") % (1 << 64)
-    certain, runs, width = _pieces(_component_probabilities(e, axis), trials)
+    certain, runs, width, rows = _pieces(_component_probabilities(e, axis), trials)
     n_plus = np.full(trials, certain + sum(offset * (b - a) for a, b, _, offset, _ in runs), dtype=np.int64)
     if width:
         # Named here, not imported at the top: numpy 2 loads numpy.random on
         # first use, so its 10-13 ms import is not paid at every start-up.
         stream = np.random.Generator(np.random.Philox(key=seed))
-        rows = max(1, _BLOCK_WORDS // width)
-        for lo in range(0, trials, rows):
-            hi = min(lo + rows, trials)
+        for lo in range(0, trials, max(rows, 1)):
+            hi = min(lo + max(rows, 1), trials)
             for first in range(0, width, _BLOCK_WORDS):
                 last = min(first + _BLOCK_WORDS, width)
                 words = stream.random((hi - lo, last - first))

@@ -224,8 +224,9 @@ def test_few_small_piece_words_take_the_search(monkeypatch):
     """At most 1% of the golden tilted-12 config's words miss its bucket table and take the binary search.
 
     Its one piece of 12 particles inverts a 12-entry CDF once a trial, 50000
-    words, so its table holds ``_MAX_BUCKETS`` buckets. A table of 4-8
-    buckets per entry sent 5474 of the words to the search.
+    words, 16384 of them in each full draw, so its table holds 16384
+    buckets and sends 31 of the words to the search. One of 4096 buckets
+    sent 113, and one of 4-8 buckets per entry 5474.
     """
     searched, search = [], np.searchsorted
 

@@ -590,15 +590,16 @@ def test_bucket_table_inverts_like_the_search(size, p, seed):
     """Through its bucket table, a piece CDF inverts every word as the capped binary search does.
 
     Each CDF gets two tables: the least that ``_pieces`` builds, 4-8 buckets
-    per entry, and one of ``_MAX_BUCKETS``, which for a small CDF holds
-    hundreds of buckets per entry, most of them with no entry at all. The
-    words are every CDF entry and its neighbouring doubles, the first and
-    last ``random()`` word of every bucket, both ends of [0, 1) and random
-    words; the counting table builder must equal the per-bucket search.
+    per entry, and one of ``_BLOCK_WORDS``, the most a small CDF's table
+    can grow to, which for a small CDF holds thousands of buckets per
+    entry, most of them with no entry at all. The words are every CDF entry
+    and its neighbouring doubles, the first and last ``random()`` word of
+    every bucket, both ends of [0, 1) and random words; the counting table
+    builder must equal the per-bucket search.
     """
     pmf, _ = montecarlo._binomial_count_pmf(size, p)
     cdf = np.cumsum(pmf)
-    for buckets in sorted({4 << len(cdf).bit_length(), montecarlo._MAX_BUCKETS}):
+    for buckets in sorted({4 << len(cdf).bit_length(), montecarlo._BLOCK_WORDS}):
         table = montecarlo._guide(cdf[:-1], buckets)
         assert np.array_equal(table, reference_guide(cdf[:-1], buckets))
         starts = np.arange(buckets) / buckets
@@ -612,32 +613,39 @@ def test_bucket_table_inverts_like_the_search(size, p, seed):
         assert np.array_equal(montecarlo._invert(words, cdf[:-1], None), expected)
 
 
-@pytest.mark.parametrize("trials, tables", [
-    (31, []),
-    (32, [(5, 32)]),
-    (2048, [(5, 2048), (473, 2048)]),
-    (5000, [(5, 4096), (473, 4096)]),
+@pytest.mark.parametrize("trials, tables, block", [
+    pytest.param(31, [], None, id="31-tables0"),
+    pytest.param(32, [(5, 32)], None, id="32-tables1"),
+    pytest.param(2048, [(5, 2048), (473, 2048)], None, id="2048-tables2"),
+    pytest.param(5000, [(5, 4096), (473, 4096)], None, id="5000-tables3"),
+    pytest.param(10_000, [(5, 8192), (473, 8192)], None, id="10000-tables4"),
+    # Draws of one word: a trial spans two column blocks.
+    pytest.param(5000, [(5, 32), (473, 2048)], 1, id="5000-column-blocks"),
 ])
-def test_tables_are_built_for_the_cdfs_that_invert_enough_words(trials, tables):
+def test_tables_are_built_for_the_cdfs_that_invert_enough_words(trials, tables, block):
     """A CDF gets a bucket table when it inverts at least its least table's buckets in the run.
 
     The least table has the power of two that is 4-8 times the CDF's full
     length. A built table has the largest power of two at most the words
-    the CDF inverts, capped at ``_MAX_BUCKETS`` = 4096, but never fewer
-    buckets than the least. Along z, PIECE particles at p+ = 0.39, 5 at
-    p+ = 0.96, then PIECE + 5 more at p+ = 0.39: the first and last
-    components are merged into 2 * PIECE + 5 particles, which take one
-    word, inverting the 474-entry CDF of their binomial's window (least
-    2048 buckets). The 5 at p+ = 0.96 make one piece with a 6-entry CDF
-    (least 32 buckets, one word a trial). So 31 trials build no table, 32
-    the small one at its least, 2048 both at 2048 buckets and 5000 both at
-    the cap. Both inversion paths must count as the reference does.
+    the CDF inverts in one draw, but never fewer buckets than the least.
+    Along z, PIECE particles at p+ = 0.39, 5 at p+ = 0.96, then PIECE + 5
+    more at p+ = 0.39: the first and last components are merged into
+    2 * PIECE + 5 particles, which take one word, inverting the 474-entry
+    CDF of their binomial's window (least 2048 buckets). The 5 at p+ = 0.96
+    make one piece with a 6-entry CDF (least 32 buckets, one word a trial).
+    A draw of ``_BLOCK_WORDS`` = 16384 words holds 8192 of these two-word
+    trials. So 31 trials build no table, 32 the small one at its least,
+    2048 and 5000 both at the words they invert, and 10000 both at the 8192
+    words of one draw. With draws of one word, a trial spans two column
+    blocks and both tables stay at their least. Both inversion paths must
+    count as the reference does.
     """
     states = [eigenstate(Axis(0.4 + 0.7 * i, 1.3 * i), SpinOutcome.PLUS) for i in (2, 0)]
     counts = [(states[0], montecarlo.PIECE), (states[1], 5), (states[0], montecarlo.PIECE + 5)]
     e = EnsembleSpec(tuple(EnsembleComponent(state, count) for state, count in counts))
     with mock.patch.object(montecarlo, "_guide", wraps=montecarlo._guide) as guide:
-        n_plus = run_trials(e, Z, trials, seed=9)
+        with mock.patch.object(montecarlo, "_BLOCK_WORDS", block or montecarlo._BLOCK_WORDS):
+            n_plus = run_trials(e, Z, trials, seed=9)
     assert sorted((len(call.args[0]), call.args[1]) for call in guide.call_args_list) == tables
     assert n_plus.tolist() == reference_counts(e, Z, 9, trials, montecarlo.PIECE)
 
@@ -680,7 +688,7 @@ def test_width_is_one_word_per_part_and_per_piece(probs):
     small = [(p, count) for p, count in merged.items() if p not in large]
     part = montecarlo.MAX_SUPPORT_POINTS - 1
     with mock.patch.object(montecarlo, "_word_cdf", wraps=montecarlo._word_cdf) as build:
-        certain, runs, width = montecarlo._pieces(probs, 2)
+        certain, runs, width, _ = montecarlo._pieces(probs, 2)
     words = {p: -(-count // part) for p, count in large.items()}
     assert width == sum(words.values()) + -(-sum(count for _, count in small) // montecarlo.PIECE)
     assert certain == sum(count for count, p in probs if p == 1.0)
@@ -709,7 +717,7 @@ def test_width_is_one_word_per_part_and_per_piece(probs):
 def test_headline_b_along_x_draws_one_word_per_trial():
     """Preset B's two 500-particle halves share p+ = 1/2 along x: one 1000-particle piece, one word a trial."""
     e = make_ensemble_B(1000)
-    certain, runs, width = montecarlo._pieces(montecarlo._component_probabilities(e, X), 10_000)
+    certain, runs, width, _ = montecarlo._pieces(montecarlo._component_probabilities(e, X), 10_000)
     assert (certain, width, [(first, stop) for first, stop, *_ in runs]) == (0, 1, [(0, 1)])
     assert run_trials(e, X, 300, seed=8).tolist() == reference_counts(e, X, 8, 300, montecarlo.PIECE)
 
@@ -826,11 +834,13 @@ def test_table_memory_does_not_grow_with_the_pieces():
     """32 and 128 pieces of few-entry CDFs at 4096 trials peak within 128 KiB of each other, below 1 MiB.
 
     Each piece holds PIECE particles at its own p+ within 1.3e-4 of 1, so
-    its CDF has 7-13 entries and inverts 4096 words, enough for a table at
-    ``_MAX_BUCKETS``. Only ``_SPARE_BUCKETS`` buckets beyond the least tables
-    are handed out, so the other pieces keep tables of 64 buckets; one
-    table of 4096 buckets per piece read 1.4 MiB at 128 pieces, against
-    0.5 MiB with the spare buckets and 0.4 MiB for tables of 64 buckets each.
+    its CDF has 7-13 entries (least table 64 buckets) and inverts 4096
+    words. A table grows only to the words its CDF inverts in one draw of
+    ``_BLOCK_WORDS`` = 16384 words: 512 buckets at 32 pieces, 128 at 128, so
+    the tables of a run hold at most ``_BLOCK_WORDS`` buckets beyond their
+    least, 16384 buckets in all at either count. The peaks read about 360
+    and 450 KiB; one table of 4096 buckets per piece read 1.4 MiB at 128
+    pieces.
     """
     def pieces(k):
         return EnsembleSpec(tuple(_along_z(1.0 - 1e-6 * (i + 1), montecarlo.PIECE) for i in range(k)))
@@ -846,9 +856,9 @@ def test_table_memory_does_not_grow_with_the_pieces():
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 2**17, peaks
     assert peaks[1] < 2**20, peaks
-    _, runs, _ = montecarlo._pieces(montecarlo._component_probabilities(pieces(128), Z), 4096)
-    spare = sum(len(table) - (4 << (len(cdf) + 1).bit_length()) for _, _, cdf, _, table in runs)
-    assert 0 < spare <= montecarlo._SPARE_BUCKETS
+    _, runs, *_ = montecarlo._pieces(montecarlo._component_probabilities(pieces(128), Z), 4096)
+    grown = sum(len(table) - (4 << (len(cdf) + 1).bit_length()) for _, _, cdf, _, table in runs)
+    assert 0 < grown <= montecarlo._BLOCK_WORDS
 
 
 def _no_work(*args, **kwargs):
