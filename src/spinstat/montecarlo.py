@@ -23,8 +23,8 @@ windows mixed by shift-and-add in a fixed order, so its bits rest on
 elementwise IEEE arithmetic alone, not on BLAS or the CPU.
 
 A word w in [0, 1) inverts to the number i of CDF entries at or below it,
-capped at the last index. Where a CDF inverts enough words in one run, a
-table of B buckets, sized in :func:`_pieces`, does this with one lookup.
+capped at the last index. Where a CDF inverts enough words in its run, a
+table of B buckets, sized in :func:`run_trials`, does this with one lookup.
 Bucket floor(w * B), exact since B is a power of two, holds i for every
 word in it unless an entry lies strictly inside the bucket. The CDF is
 monotone, so a bucket without an entry inside inverts all its words alike,
@@ -33,11 +33,15 @@ equals the search for every word (the indexed search of Chen and Asau,
 1974). The more buckets, the fewer words share a bucket with an entry.
 
 Reproducibility contract: every word comes from one stream, numpy's
-``Generator(Philox(key=s mod 2**64)).random()`` under seed ``s``, taken in
-trial order. With ``width`` words per trial, the large components' parts
-first, then the pieces, word ``j`` of trial ``t`` is word ``t * width + j``
-of the stream, so the + counts are a pure function of the ensemble, the
-axis, the trial count and the seed.
+``Generator(Philox(key=s mod 2**64)).random()`` under seed ``s``. A run is
+the consecutive words of a trial that invert one CDF: the parts of one size
+of a large component, or one piece. The runs take the stream in layout
+order, the large components' parts first, then the pieces, and each takes
+its ``trials * words`` words trial by trial: word ``j`` of a run of
+``words`` words in trial ``t`` is word ``start + t * words + j`` of the
+stream, where ``start`` counts the words of the earlier runs in all trials.
+So the + counts are a pure function of the ensemble, the axis, the trial
+count and the seed.
 """
 
 from __future__ import annotations
@@ -81,16 +85,16 @@ MAX_SUPPORT_POINTS = 1_000_000
 # particles in two components at one p+.
 PIECE = 1024
 
-# One draw takes at most this many words, 128 KiB of doubles: whole trials
-# when they fit, else one trial in column blocks, so memory stays flat however
-# large the ensemble. Inverting a run of columns makes a few temporaries of the
-# draw's size; at 2**15 words, 20 trials of demo B with 10**12 particles along
-# y (1000002 words a trial, so one trial in column blocks) raised the CLI's
-# peak RSS by 0.3-0.4 MB, to 36.3-36.4 MB, with no gain in speed (0.6-0.8 s
-# either way; five runs each, 2-core x86 box, numpy 2.4).
+# One draw takes at most this many words, 128 KiB of doubles: whole trials of
+# one run when they fit, else one trial of the run in column blocks, so memory
+# stays flat however large the ensemble. Inverting a draw makes a few
+# temporaries of its size; at 2**15 words, 20 trials of demo B with 10**12
+# particles along y (1000002 words a trial, so one trial in column blocks)
+# raised the CLI's peak RSS by 0.3-0.4 MB, to 36.3-36.4 MB, with no gain in
+# speed (0.6-0.8 s either way; five runs each, 2-core x86 box, numpy 2.4).
 _BLOCK_WORDS = 1 << 14
 
-# Most words one run may draw: trials times width, read from the counts alone
+# Most words one call may draw: trials times width, read from the counts alone
 # and checked before any layout or CDF. At the edge, 4 trials of 1.5 * 10**8
 # words took 12.7-16.6 s and 10**7 trials of 60 words 14.0-15.3 s, each word
 # of 999999 particles at p+ = 1/2 (2-core x86 box, numpy 2.4). Unbounded, one
@@ -98,8 +102,8 @@ _BLOCK_WORDS = 1 << 14
 # trial.
 MAX_WORDS = 6 * 10**8
 
-# Most trials one run may request, checked when a config is parsed and again
-# here, where run_trials allocates: the run holds two arrays of 8 bytes per
+# Most trials one call may request, checked when a config is parsed and again
+# here, where run_trials allocates: the call holds two arrays of 8 bytes per
 # trial whatever the ensemble's width, and totals.csv is written in blocks of
 # harness._CSV_BLOCK rows. At 10**7 trials of demo B along x with n = 2, the
 # CLI run took 0.5-0.7 s, and 1.2-1.3 s with --totals (a 141 MB file), at
@@ -155,8 +159,8 @@ def _component_probabilities(e: EnsembleSpec, axis: Axis) -> list[tuple[int, flo
     ]
 
 
-def _pieces(probs, trials: int) -> tuple[int, list[tuple[int, int, np.ndarray, int, np.ndarray | None]], int, int]:
-    """Lay out one trial's words: ``(certain, runs, width, rows)``.
+def _pieces(probs, trials: int) -> tuple[int, list[tuple[int, tuple[tuple[int, float], ...]]]]:
+    """Lay out one trial's words: ``(certain, layout)``. Builds no CDF and no table.
 
     ``certain`` counts the particles with p+ = 1. Components with 0 < p+ < 1
     whose p+ are bit-equal are merged, in order of first appearance. Each
@@ -165,31 +169,18 @@ def _pieces(probs, trials: int) -> tuple[int, list[tuple[int, int, np.ndarray, i
     the larger parts one particle above the smaller, and each part takes one
     word, the larger parts' words first. The other merged components are laid
     out in order and cut every :data:`PIECE` particles, whatever component
-    each belongs to; each piece takes one word. So ``width`` is the large
-    components' parts plus ceil(other random particles / PIECE), read from
-    the counts alone. Each of those components fills the open piece and, if
-    it closes it, opens the next with its remainder.
+    each belongs to; each piece takes one word. Each of those components
+    fills the open piece and, if it closes it, opens the next with its
+    remainder.
 
-    ``runs`` lists ``(first, stop, cdf, offset, table)``: words
-    ``first..stop-1`` each invert ``cdf``, whose entry ``i`` is the
-    probability of at most ``offset + i`` + outcomes in the word's parts,
-    built by :func:`_word_cdf`. A component's parts share a run per size, so
-    it builds at most two CDFs, and after the merge no two runs have the
-    same parts, so each CDF is built once.
-
-    ``rows`` is the number of whole trials one draw holds, ``min(trials,
-    _BLOCK_WORDS // width)``, and 0 when one trial spans column blocks. Let
-    L be the power of two that is 4-8 times a CDF's full length. A CDF that
-    inverts at least L words in ``trials`` trials gets a bucket table
-    (:func:`_guide`) of B buckets: the larger of L and the largest power of
-    two at most ``rows * words``, the words it inverts in one draw. So the
-    table's O(B) cost never exceeds that of the lookups it serves;
-    otherwise ``table`` is None and every word of that CDF is searched. The
-    runs' words add up to ``width``, so all tables together hold at most
-    :data:`_BLOCK_WORDS` buckets beyond their L, however many pieces a
-    trial has.
-    Raises ConfigError naming ``trials`` when ``trials * width`` exceeds
-    :data:`MAX_WORDS`, before any layout or CDF.
+    ``layout`` lists the runs ``(words, parts)`` in stream order: ``words``
+    consecutive words of a trial, each the + count of ``parts``, a tuple of
+    ``(count, p)``. A component's parts form one run per size, so it has at
+    most two runs, and after the merge no two runs have the same parts. The
+    runs' words add up to the width, the large components' parts plus
+    ceil(other random particles / PIECE), read from the counts alone.
+    Raises ConfigError naming ``trials`` when ``trials`` times the width
+    exceeds :data:`MAX_WORDS`, before any layout.
     """
     certain, merged = 0, {}
     for count, p in probs:
@@ -220,14 +211,7 @@ def _pieces(probs, trials: int) -> tuple[int, list[tuple[int, int, np.ndarray, i
             piece, fill = [(count - take, p)], count - take
     if fill:
         layout.append((1, tuple(piece)))
-    runs, first, rows = [], 0, min(trials, _BLOCK_WORDS // max(width, 1))
-    for words, parts in layout:
-        cdf, offset = _word_cdf(parts)
-        least = 4 << (len(cdf) + 1).bit_length()
-        buckets = max(least, 1 << (rows * words).bit_length() >> 1)
-        runs.append((first, first + words, cdf, offset, _guide(cdf, buckets) if trials * words >= least else None))
-        first += words
-    return certain, runs, width, rows
+    return certain, layout
 
 
 def _word_cdf(parts) -> tuple[np.ndarray, int]:
@@ -311,31 +295,49 @@ def run_trials(e: EnsembleSpec, axis: Axis, trials: int, seed: int) -> np.ndarra
 
     Deterministic for fixed (ensemble, axis, trials, seed). Returns the int64
     array ``n_plus``, where ``n_plus[t]`` is trial t's number of + outcomes;
-    its total spin is ``2 * n_plus[t] - e.total_count`` half quanta. Piece
-    ``j`` of trial ``t`` has ``offset + i`` + outcomes, where ``i`` is the
-    number of its CDF entries at or below the piece's word, capped at the
-    last index. ``i`` is read from the CDF's bucket table where it has one and
-    the word's bucket holds an index, else found by binary search; both give
-    the same ``i`` (see :func:`_invert`). Every trial starts from the
-    certain particles plus every word's ``offset``.
+    its total spin is ``2 * n_plus[t] - e.total_count`` half quanta.
+
+    The runs of :func:`_pieces`' layout are drawn one at a time, in layout
+    order. Each builds its CDF (:func:`_word_cdf`), whose entry ``i`` is the
+    probability of at most ``offset + i`` + outcomes in the run's parts, and
+    takes its ``trials * words`` words from the stream trial by trial. A
+    draw holds ``rows = min(trials, _BLOCK_WORDS // words)`` whole trials of
+    the run, or, when ``rows`` is 0, one trial's words in column blocks of
+    :data:`_BLOCK_WORDS`, and is inverted by one :func:`_invert` call. A word
+    adds ``offset + i`` to its trial, ``i`` the number of CDF entries at or
+    below it, capped at the last index; every offset is folded into the
+    certain count, added once at the end.
+
+    Let L be the power of two that is 4-8 times a CDF's full length. A CDF
+    that inverts at least L words in its run gets a bucket table
+    (:func:`_guide`) of B buckets: the larger of L and the largest power of
+    two at most ``rows * words``, the words of one draw. So the table's O(B)
+    cost never exceeds that of the lookups it serves; otherwise every word of
+    the run is searched. A run's CDF and table are dropped when the next run
+    builds its own, so a table holds at most max(L, :data:`_BLOCK_WORDS`)
+    buckets and at most two are alive at once, however many pieces a trial
+    has.
     """
     trials = check_int(trials, "trials", 2, MAX_TRIALS)
     seed = check_int(seed, "seed") % (1 << 64)
-    certain, runs, width, rows = _pieces(_component_probabilities(e, axis), trials)
-    n_plus = np.full(trials, certain + sum(offset * (b - a) for a, b, _, offset, _ in runs), dtype=np.int64)
-    if width:
+    certain, layout = _pieces(_component_probabilities(e, axis), trials)
+    n_plus = np.zeros(trials, dtype=np.int64)
+    if layout:
         # Named here, not imported at the top: numpy 2 loads numpy.random on
         # first use, so its 10-13 ms import is not paid at every start-up.
         stream = np.random.Generator(np.random.Philox(key=seed))
-        for lo in range(0, trials, max(rows, 1)):
-            hi = min(lo + max(rows, 1), trials)
-            for first in range(0, width, _BLOCK_WORDS):
-                last = min(first + _BLOCK_WORDS, width)
-                words = stream.random((hi - lo, last - first))
-                for a, b, cdf, _, table in runs:
-                    a, b = max(a, first), min(b, last)
-                    if a < b:
-                        n_plus[lo:hi] += _invert(words[:, a - first : b - first], cdf, table).sum(axis=1)
+        for words, parts in layout:
+            cdf, offset = _word_cdf(parts)
+            certain += offset * words
+            rows = min(trials, _BLOCK_WORDS // words)
+            least = 4 << (len(cdf) + 1).bit_length()
+            table = _guide(cdf, max(least, 1 << (rows * words).bit_length() >> 1)) if trials * words >= least else None
+            for lo in range(0, trials, max(rows, 1)):
+                hi = min(lo + max(rows, 1), trials)
+                for first in range(0, words, _BLOCK_WORDS):
+                    draw = stream.random((hi - lo, min(words - first, _BLOCK_WORDS)))
+                    n_plus[lo:hi] += _invert(draw, cdf, table).sum(axis=1)
+    n_plus += certain
     return n_plus
 
 

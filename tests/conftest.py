@@ -403,9 +403,10 @@ def reference_counts(
     larger first, and each part is one word. The other merged components'
     particles follow, listed one by one in order and cut every ``piece``
     particles, whatever component each belongs to, and each piece is one
-    word. Every word inverts the ``reference_word_cdf`` of its parts: in
-    trial order, it takes the next double of ``philox_uniforms(seed)``, the
-    spec's stream, and counts the entries of its CDF at or below it with
+    word. Consecutive words with equal parts form a run. Run by run, in that
+    order, the run's words in every trial, trial by trial, each take the next
+    double of ``philox_uniforms(seed)``, the spec's stream, and count the
+    entries of the ``reference_word_cdf`` of their parts at or below it with
     ``bisect_right``. The CDF's last entry, 1.0, lies above every double in
     [0, 1), so the count stops at the last count of the word's window.
     Components with p+ in {0, 1} add their + count and take no uniform.
@@ -427,12 +428,14 @@ def reference_counts(
     particles = [p_plus for p_plus, count in merged.items() if count <= piece for _ in range(count)]
     for lo in range(0, len(particles), piece):
         layout.append(tuple((len(list(run)), p_plus) for p_plus, run in itertools.groupby(particles[lo : lo + piece])))
-    built = {parts: reference_word_cdf(parts) for parts in dict.fromkeys(layout)}
     stream = philox_uniforms(seed)
-    return [
-        certain + sum(built[parts][1] + bisect.bisect_right(built[parts][0], next(stream)) for parts in layout)
-        for _ in range(trials)
-    ]
+    counts = [certain] * trials
+    for parts, run in itertools.groupby(layout):
+        cdf, offset = reference_word_cdf(parts)
+        words = len(list(run))
+        for t in range(trials):
+            counts[t] += sum(offset + bisect.bisect_right(cdf, next(stream)) for _ in range(words))
+    return counts
 
 
 def reference_guide(cdf: np.ndarray, buckets: int) -> np.ndarray:

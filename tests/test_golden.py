@@ -31,7 +31,9 @@ TILTED_12 = {
 }
 
 # Three tilted components, 75000 particles, each above PIECE: one word per
-# component, each inverting the CDF of its binomial's window.
+# component, each inverting the CDF of its binomial's window. Each word is a
+# run of its own, so the first component's 16 words come first in the
+# stream, then the second's, then the third's.
 TILTED_75K = {
     "name": "tilted-75k",
     "components": [
@@ -110,8 +112,8 @@ GOLDEN = {
         "33fb2fd773ee40f2d8fa2131a670f6f86c3b482e6dd29f844b4a3b3f0c79edf4",
     ),
     "tilted-75k": (
-        "bdc715820b4bcc1b07b97dcefb8423ec6e4f83be577fe0748af0526c235dea8f",
-        "f687030c3c4f3b7bd137f6694a739a52469ec12a2287a3b64d870ba082cce499",
+        "169194ae43b8d2570813381809e078d1c3afb64cef2a4eb94a8b15c7008605f3",
+        "2f2af88c0cd01de408f6e6f6e95045f19fe094b23cfd4544e61e5658d47707cc",
     ),
 }
 
@@ -147,11 +149,12 @@ def test_counts_follow_the_philox_spec(name):
 
 
 def _layout_digests(cases):
-    """SHA-256 of every CDF and offset that ``_pieces`` builds, one per ``(probs, trials)`` case."""
+    """SHA-256 of the CDF and offset of every run that ``_pieces`` lays out, one per ``(probs, trials)`` case."""
     digests = []
     for probs, trials in cases:
         digest = hashlib.sha256()
-        for *_, cdf, offset, _ in montecarlo._pieces(probs, trials)[1]:
+        for _, parts in montecarlo._pieces(probs, trials)[1]:
+            cdf, offset = montecarlo._word_cdf(parts)
             digest.update(cdf.tobytes() + str(offset).encode())
         digests.append(digest.hexdigest())
     return digests
@@ -184,8 +187,8 @@ def _core_and_digests(digests, cases, coretype=None):
 def test_sampler_cdfs_do_not_depend_on_the_blas_kernel():
     """Under forced Haswell and Prescott OpenBLAS kernels, every golden config's CDFs keep their bytes.
 
-    Child interpreters hash the CDFs that ``_pieces`` builds for each golden
-    config, under ``OPENBLAS_CORETYPE``, and must match this process. The
+    Child interpreters hash the CDF of every run of each golden config's
+    layout, under ``OPENBLAS_CORETYPE``, and must match this process. The
     kernels sum dot products in their own orders, so a CDF built through
     BLAS moves in its last bits. ``OPENBLAS_VERBOSE=2`` makes OpenBLAS print
     the core it loaded; without that line, or when no forced kernel differs

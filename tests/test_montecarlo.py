@@ -5,6 +5,7 @@ import itertools
 import math
 import statistics
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -469,10 +470,11 @@ def sampled_ensembles(draw):
     """An ensemble and a measurement axis for the sampler cross-check.
 
     Up to three components of 0-90 particles, so with a piece of 1-7
-    particles a trial has up to 270 pieces, more than the smallest draw
-    holds. A component is an eigenstate either of the measurement axis
-    (p+ exactly 0 or 1, so it takes no uniform) or of a random axis, so some
-    ensembles draw nothing and some mix certain and random outcomes.
+    particles a trial has up to 270 one-word runs, and a run's trials may
+    fill several draws. A component is an eigenstate either of the
+    measurement axis (p+ exactly 0 or 1, so it takes no uniform) or of a
+    random axis, so some ensembles draw nothing and some mix certain and
+    random outcomes.
     """
     axis = draw(axes())
     components = []
@@ -496,13 +498,13 @@ SEEDS = st.one_of(st.integers(-(2**70), 2**70), st.integers(2**64 - 4, 2**64 + 4
     piece=st.integers(1, 7),
     block=st.integers(1, 256),
 )
-# Every component is above the one-particle piece: one word each, three a
-# trial against 4-word draws, so one trial per draw.
+# Every component is above the one-particle piece: three one-word runs, each
+# drawn as four trials and then one against 4-word draws.
 @example(case=(_tilted((6, 4, 3)), Axis(0.8, 0.7)), trials=5, seed=3, piece=1, block=4)
-# Three words a trial against 32-word draws: all five trials in one draw.
+# Three one-word runs against 32-word draws: each run's five trials in one draw.
 @example(case=(_tilted((6, 4, 3)), Axis(0.8, 0.7)), trials=5, seed=5, piece=1, block=32)
-# Two large components' words ahead of four one-particle pieces: each trial
-# is drawn in two column blocks, and the first ends inside the pieces.
+# Two large components' one-word runs ahead of four one-particle pieces: six
+# runs, each drawn as four trials and then one.
 @example(case=(_tilted((6, 1, 1, 1, 1, 3)), Axis(0.8, 0.7)), trials=5, seed=3, piece=1, block=4)
 # At the real sizes: the large component's one word, then a piece of the 3
 # particles; 2**64 - 1 as the key.
@@ -534,9 +536,9 @@ def test_run_trials_matches_reference_sampler(case, trials, seed, piece, block):
     """Trial by trial, ``run_trials`` counts what the plain reference sampler counts.
 
     The piece and draw sizes are shrunk at random, so which components take
-    their own words, where pieces, remainders, draws and column blocks end
-    all vary; the words must still be taken from the one stream in trial
-    order.
+    their own words, where pieces, remainders and draws end all vary; the
+    words must still be taken from the one stream run by run, in layout
+    order, and trial by trial within a run.
     """
     e, axis = case
     piece = piece or montecarlo.PIECE
@@ -589,7 +591,7 @@ PROBABILITIES = st.one_of(st.sampled_from([1e-3, 0.5, 0.999]), st.floats(0.0, 1.
 def test_bucket_table_inverts_like_the_search(size, p, seed):
     """Through its bucket table, a piece CDF inverts every word as the capped binary search does.
 
-    Each CDF gets two tables: the least that ``_pieces`` builds, 4-8 buckets
+    Each CDF gets two tables: the least that ``run_trials`` builds, 4-8 buckets
     per entry, and one of ``_BLOCK_WORDS``, the most a small CDF's table
     can grow to, which for a small CDF holds thousands of buckets per
     entry, most of them with no entry at all. The words are every CDF entry
@@ -613,17 +615,18 @@ def test_bucket_table_inverts_like_the_search(size, p, seed):
         assert np.array_equal(montecarlo._invert(words, cdf[:-1], None), expected)
 
 
-@pytest.mark.parametrize("trials, tables, block", [
-    pytest.param(31, [], None, id="31-tables0"),
-    pytest.param(32, [(5, 32)], None, id="32-tables1"),
-    pytest.param(2048, [(5, 2048), (473, 2048)], None, id="2048-tables2"),
-    pytest.param(5000, [(5, 4096), (473, 4096)], None, id="5000-tables3"),
-    pytest.param(10_000, [(5, 8192), (473, 8192)], None, id="10000-tables4"),
-    # Draws of one word: a trial spans two column blocks.
-    pytest.param(5000, [(5, 32), (473, 2048)], 1, id="5000-column-blocks"),
+@pytest.mark.parametrize("trials, tables, block, part", [
+    pytest.param(31, [], None, None, id="31-tables0"),
+    pytest.param(32, [(5, 32)], None, None, id="32-tables1"),
+    pytest.param(2048, [(5, 2048), (473, 2048)], None, None, id="2048-tables2"),
+    pytest.param(5000, [(5, 4096), (473, 4096)], None, None, id="5000-tables3"),
+    pytest.param(10_000, [(5, 8192), (473, 8192)], None, None, id="10000-tables4"),
+    # Parts of at most 514 particles and draws of two words: the merged
+    # component's run of three 513-particle words spans two column blocks.
+    pytest.param(5000, [(5, 32), (232, 1024), (233, 1024)], 2, 514, id="5000-column-blocks"),
 ])
-def test_tables_are_built_for_the_cdfs_that_invert_enough_words(trials, tables, block):
-    """A CDF gets a bucket table when it inverts at least its least table's buckets in the run.
+def test_tables_are_built_for_the_cdfs_that_invert_enough_words(trials, tables, block, part):
+    """A CDF gets a bucket table when it inverts at least its least table's buckets in its run.
 
     The least table has the power of two that is 4-8 times the CDF's full
     length. A built table has the largest power of two at most the words
@@ -633,21 +636,28 @@ def test_tables_are_built_for_the_cdfs_that_invert_enough_words(trials, tables, 
     2 * PIECE + 5 particles, which take one word, inverting the 474-entry
     CDF of their binomial's window (least 2048 buckets). The 5 at p+ = 0.96
     make one piece with a 6-entry CDF (least 32 buckets, one word a trial).
-    A draw of ``_BLOCK_WORDS`` = 16384 words holds 8192 of these two-word
-    trials. So 31 trials build no table, 32 the small one at its least,
-    2048 and 5000 both at the words they invert, and 10000 both at the 8192
-    words of one draw. With draws of one word, a trial spans two column
-    blocks and both tables stay at their least. Both inversion paths must
-    count as the reference does.
+    Each is a one-word run, drawn alone, and a draw of ``_BLOCK_WORDS`` =
+    16384 words holds all its trials here. So 31 trials build no table, 32
+    the small one at its least, 2048 both at 2048 buckets, 5000 at 4096 and
+    10000 at 8192, the largest powers of two at most the words they invert.
+
+    Cut into parts of at most 514 particles, the merged component takes a
+    word of 514 particles and three of 513 (least 1024 buckets each). With
+    draws of two words, the three-word run's trials each span two column
+    blocks, so its table stays at its least, not at the 15000 words it
+    inverts in all. Both inversion paths must count as the reference does.
     """
     states = [eigenstate(Axis(0.4 + 0.7 * i, 1.3 * i), SpinOutcome.PLUS) for i in (2, 0)]
     counts = [(states[0], montecarlo.PIECE), (states[1], 5), (states[0], montecarlo.PIECE + 5)]
     e = EnsembleSpec(tuple(EnsembleComponent(state, count) for state, count in counts))
+    part = part or montecarlo.MAX_SUPPORT_POINTS - 1
     with mock.patch.object(montecarlo, "_guide", wraps=montecarlo._guide) as guide:
-        with mock.patch.object(montecarlo, "_BLOCK_WORDS", block or montecarlo._BLOCK_WORDS):
+        with mock.patch.multiple(
+            montecarlo, MAX_SUPPORT_POINTS=part + 1, _BLOCK_WORDS=block or montecarlo._BLOCK_WORDS
+        ):
             n_plus = run_trials(e, Z, trials, seed=9)
     assert sorted((len(call.args[0]), call.args[1]) for call in guide.call_args_list) == tables
-    assert n_plus.tolist() == reference_counts(e, Z, 9, trials, montecarlo.PIECE)
+    assert n_plus.tolist() == reference_counts(e, Z, 9, trials, montecarlo.PIECE, part)
 
 
 # Positive counts only, as ``_component_probabilities`` leaves out empty
@@ -678,7 +688,7 @@ def test_width_is_one_word_per_part_and_per_piece(probs):
     words first, in that order, over at most two part sizes, the larger
     first. Laid end to end, the pieces' parts then list the other merged
     components' particles once, in order, and every piece but the last
-    holds exactly PIECE particles.
+    holds exactly PIECE particles. No two runs have the same parts.
     """
     merged = {}
     for count, p in probs:
@@ -687,15 +697,12 @@ def test_width_is_one_word_per_part_and_per_piece(probs):
     large = {p: count for p, count in merged.items() if count > montecarlo.PIECE}
     small = [(p, count) for p, count in merged.items() if p not in large]
     part = montecarlo.MAX_SUPPORT_POINTS - 1
-    with mock.patch.object(montecarlo, "_word_cdf", wraps=montecarlo._word_cdf) as build:
-        certain, runs, width, _ = montecarlo._pieces(probs, 2)
+    certain, layout = montecarlo._pieces(probs, 2)
     words = {p: -(-count // part) for p, count in large.items()}
-    assert width == sum(words.values()) + -(-sum(count for _, count in small) // montecarlo.PIECE)
+    width = sum(words.values()) + -(-sum(count for _, count in small) // montecarlo.PIECE)
+    assert sum(taken for taken, _ in layout) == width
     assert certain == sum(count for count, p in probs if p == 1.0)
-    bounds = [0] + [stop for _, stop, *_ in runs]
-    assert [(first, stop) for first, stop, *_ in runs] == list(zip(bounds, bounds[1:]))
-    assert bounds[-1] == width
-    layout = [(stop - first, call.args[0]) for (first, stop, *_), call in zip(runs, build.call_args_list, strict=True)]
+    assert len({parts for _, parts in layout}) == len(layout)
     split = sum(1 if count % words[p] == 0 else 2 for p, count in large.items())
     sizes = {}
     for taken, ((count, p), *rest) in layout[:split]:
@@ -717,8 +724,8 @@ def test_width_is_one_word_per_part_and_per_piece(probs):
 def test_headline_b_along_x_draws_one_word_per_trial():
     """Preset B's two 500-particle halves share p+ = 1/2 along x: one 1000-particle piece, one word a trial."""
     e = make_ensemble_B(1000)
-    certain, runs, width, _ = montecarlo._pieces(montecarlo._component_probabilities(e, X), 10_000)
-    assert (certain, width, [(first, stop) for first, stop, *_ in runs]) == (0, 1, [(0, 1)])
+    certain, layout = montecarlo._pieces(montecarlo._component_probabilities(e, X), 10_000)
+    assert (certain, [words for words, _ in layout]) == (0, [1])
     assert run_trials(e, X, 300, seed=8).tolist() == reference_counts(e, X, 8, 300, montecarlo.PIECE)
 
 
@@ -802,7 +809,7 @@ def test_mixed_piece_follows_the_exact_distribution(seed):
     seeds 1-20 average 107.3.
     """
     e, axis = _tilted((400, 300, montecarlo.PIECE - 700)), Axis(2.0, 1.0)
-    assert montecarlo._pieces(montecarlo._component_probabilities(e, axis), 2)[2] == 1
+    assert [words for words, _ in montecarlo._pieces(montecarlo._component_probabilities(e, axis), 2)[1]] == [1]
     chi2, df, threshold = _chi_square(e, axis, 200_000, seed)
     assert df >= 100
     assert chi2 <= threshold, (chi2, df, threshold)
@@ -834,13 +841,13 @@ def test_table_memory_does_not_grow_with_the_pieces():
     """32 and 128 pieces of few-entry CDFs at 4096 trials peak within 128 KiB of each other, below 1 MiB.
 
     Each piece holds PIECE particles at its own p+ within 1.3e-4 of 1, so
-    its CDF has 7-13 entries (least table 64 buckets) and inverts 4096
-    words. A table grows only to the words its CDF inverts in one draw of
-    ``_BLOCK_WORDS`` = 16384 words: 512 buckets at 32 pieces, 128 at 128, so
-    the tables of a run hold at most ``_BLOCK_WORDS`` buckets beyond their
-    least, 16384 buckets in all at either count. The peaks read about 360
-    and 450 KiB; one table of 4096 buckets per piece read 1.4 MiB at 128
-    pieces.
+    its CDF has 7-13 entries (least table 64 buckets) and is a one-word run
+    that inverts 4096 words in one draw, through a table of 4096 buckets.
+    Each run's table is dropped when the next run builds its own, so when a
+    table is built at most one earlier table is still alive, and no table
+    holds more than ``_BLOCK_WORDS`` = 16384 buckets or its least, however
+    many pieces a trial has. The peaks read 160-175 and 190-210 KiB;
+    holding all 128 tables of 4096 buckets at once read 1.4 MiB.
     """
     def pieces(k):
         return EnsembleSpec(tuple(_along_z(1.0 - 1e-6 * (i + 1), montecarlo.PIECE) for i in range(k)))
@@ -856,9 +863,36 @@ def test_table_memory_does_not_grow_with_the_pieces():
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 2**17, peaks
     assert peaks[1] < 2**20, peaks
-    _, runs, *_ = montecarlo._pieces(montecarlo._component_probabilities(pieces(128), Z), 4096)
-    grown = sum(len(table) - (4 << (len(cdf) + 1).bit_length()) for _, _, cdf, _, table in runs)
-    assert 0 < grown <= montecarlo._BLOCK_WORDS
+
+    built, build = [], montecarlo._guide
+
+    def guide(cdf, buckets):
+        assert sum(table() is not None for table in built) <= 1
+        table = build(cdf, buckets)
+        assert len(table) <= max(4 << (len(cdf) + 1).bit_length(), montecarlo._BLOCK_WORDS)
+        built.append(weakref.ref(table))
+        return table
+
+    with mock.patch.object(montecarlo, "_guide", guide):
+        run_trials(pieces(128), Z, 4096, seed=1)
+    assert len(built) == 128
+
+
+def test_each_run_is_inverted_in_one_call_per_draw(monkeypatch):
+    """128 one-word pieces at 4096 trials: each run's 4096 words are one draw, so 128 ``_invert`` calls in all.
+
+    ``_pieces`` only lays the runs out: with ``_word_cdf`` and ``_guide``
+    patched to raise, it still returns one ``(1, parts)`` run per piece.
+    """
+    e = EnsembleSpec(tuple(_along_z(1.0 - 1e-6 * (i + 1), montecarlo.PIECE) for i in range(128)))
+    with mock.patch.object(montecarlo, "_invert", wraps=montecarlo._invert) as invert:
+        run_trials(e, Z, 4096, seed=1)
+    assert invert.call_count == 128
+    assert all(call.args[0].shape == (4096, 1) for call in invert.call_args_list)
+    for name in ("_word_cdf", "_guide"):
+        monkeypatch.setattr(montecarlo, name, lambda *args: pytest.fail("_pieces built a CDF or a table"))
+    certain, layout = montecarlo._pieces(montecarlo._component_probabilities(e, Z), 4096)
+    assert (certain, [words for words, _ in layout]) == (0, [1] * 128)
 
 
 def _no_work(*args, **kwargs):
