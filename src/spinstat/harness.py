@@ -56,11 +56,13 @@ _CSV_BLOCK = 1 << 13
 # A witness member annihilates its source when its residual is below this.
 _ANNIHILATION_TOL = 1e-12
 
-# Largest hbar a config may give. The text report prints variance * hbar *
-# hbar / 4, and the variances it prints reach about 2 * ensemble.MAX_COUNT**2
-# = 2**107 (a sample variance of totals in [-2**53, 2**53]), so any hbar
-# below sqrt(1.8e308 / 2**107), about 1e138, keeps every printed value
-# finite; 1e100 leaves a margin.
+# Largest hbar a config may give; the smallest is 1 / MAX_HBAR. The text
+# report prints variance * hbar * hbar / 4, and the variances it prints reach
+# about 2 * ensemble.MAX_COUNT**2 = 2**107 (a sample variance of totals in
+# [-2**53, 2**53]), so any hbar below sqrt(1.8e308 / 2**107), about 1e138,
+# keeps every printed value finite; 1e100 leaves a margin. Below, hbar**2
+# stays at least 1e-200, a normal double; a smaller hbar lets it underflow,
+# toward 0, and a variance would print as "0 hbar²".
 MAX_HBAR = 1e100
 
 
@@ -108,8 +110,9 @@ class ExperimentConfig:
             "seed": check_int(data["seed"], "seed"),
             "hbar": check_number(data.get("hbar", 1.0), "hbar"),
         }
-        if not 0 < config["hbar"] <= MAX_HBAR:
-            raise ConfigError("must be positive" if config["hbar"] <= 0 else f"must be at most {MAX_HBAR:g}", "hbar")
+        if not 1 / MAX_HBAR <= config["hbar"] <= MAX_HBAR:
+            bound = f"least {1 / MAX_HBAR:g}" if config["hbar"] < 1 else f"most {MAX_HBAR:g}"
+            raise ConfigError(f"must be at {bound}", "hbar")
         return cls(config, ensemble, axis, outputs.get("report"), outputs.get("totals"))
 
 

@@ -1,10 +1,11 @@
 """Ideal Stern-Gerlach simulation: binomial sampling of each trial's + count,
 the preparation-aware prediction of the total's mean and variance, and the
 exact total-spin distribution: each component's binomial PMF, convolved
-across components by :func:`_group_pmf`. Where a window is longer than a
-piece's, each output of a convolution is summed over its band, the terms at
-least 2**-84 times its largest; the dropped ones together are below 2**-64
-of it, past a double's precision.
+across components by :func:`_group_pmf`. Windows of at most a piece's length
+are mixed by :func:`_mix`, the fixed-order shift-and-add that builds the
+sampler's CDFs. Where a window is longer, each output of a convolution is
+summed over its band, the terms at least 2**-84 times its largest; the
+dropped ones together are below 2**-64 of it, past a double's precision.
 
 Every particle is an independent two-point variable, so only the law of a
 trial's total matters, not which component a particle belongs to.
@@ -19,8 +20,8 @@ word per part of each large component, plus ceil(other random particles /
 PIECE). Components with p+ in {0, 1} add a constant and take no words.
 Every word inverts a CDF built one way (:func:`_word_cdf`): each of its
 parts' binomials only over its window (:func:`_binomial_window`), the
-windows mixed by shift-and-add in a fixed order, so its bits rest on
-elementwise IEEE arithmetic alone, not on BLAS or the CPU.
+windows mixed in order by :func:`_mix`, so its bits rest on elementwise
+IEEE arithmetic alone, not on BLAS or the CPU.
 
 A word w in [0, 1) inverts to the number i of CDF entries at or below it,
 capped at the last index. Where a CDF inverts enough words in its run, a
@@ -228,29 +229,37 @@ def _word_cdf(parts) -> tuple[np.ndarray, int]:
     < 2**-69.8 of the mode. Both dropped tails together are below 2**-68 of
     the window's total.
 
-    The windows are mixed in order into a running PMF that starts as [1.0],
-    by shift-and-add over the shorter of the two, the running PMF when
-    their lengths tie: ``out[i : i + len(long)] += w * long`` for entry
-    ``w`` of the shorter at index ``i``, ``i`` ascending. The ``cumsum`` of
-    the result is divided by its last entry. Every step is an elementwise
-    IEEE operation in a fixed order, with no BLAS call, so the bits do not
-    depend on the CPU; the first mix, with [1.0], is exact, so a one-part
-    word's CDF is its window's. A part that keeps 1 - e_j of its mass
-    leaves the mix at least prod(1 - e_j) >= 1 - sum(e_j) of it: the
-    dropped mass is at most the sum of the parts', each below 2**-68 of its
-    window, and a piece of at most PIECE = 2**10 parts drops below 2**-58
-    of its total. So no CDF entry moves by as much as 2**-53, the spacing
-    of the words.
+    The windows are mixed in order by :func:`_mix` into a running PMF that
+    starts as [1.0], and the ``cumsum`` of the result is divided by its last
+    entry, so the bits do not depend on the CPU; the first mix, with [1.0],
+    is exact, so a one-part word's CDF is its window's. A part that keeps
+    1 - e_j of its mass leaves the mix at least prod(1 - e_j) >= 1 - sum(e_j)
+    of it: the dropped mass is at most the sum of the parts', each below
+    2**-68 of its window, and a piece of at most PIECE = 2**10 parts drops
+    below 2**-58 of its total. So no CDF entry moves by as much as 2**-53,
+    the spacing of the words.
     """
     pmf, offset = np.array([1.0]), 0
     for count, p in parts:
         window, shift = _binomial_window(count, p, _BAND_FLOOR)
-        short, long = (pmf, window) if len(pmf) <= len(window) else (window, pmf)
-        pmf, offset = np.zeros(len(pmf) + len(window) - 1), offset + shift
-        for i, w in enumerate(short.tolist()):
-            pmf[i : i + len(long)] += w * long
+        pmf, offset = _mix(pmf, window), offset + shift
     cdf = np.cumsum(pmf)
     return cdf[:-1] / cdf[-1], offset
+
+
+def _mix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The full convolution of ``a`` and ``b``, by shift-and-add over the shorter, ``a`` when their lengths tie.
+
+    ``out[i : i + len(long)] += w * long`` for entry ``w`` of the shorter at
+    index ``i``, ``i`` ascending: one rounded product and one rounded sum
+    per term, in a fixed order, with no BLAS call, so the bits do not
+    depend on the CPU. It costs one Python step per entry of the shorter.
+    """
+    # sorted is stable, so on a tie ``a`` stays first, as the shorter.
+    (short, long), out = sorted((a, b), key=len), np.zeros(len(a) + len(b) - 1)
+    for i, w in enumerate(short.tolist()):
+        out[i : i + len(long)] += w * long
+    return out
 
 
 def _guide(cdf: np.ndarray, buckets: int) -> np.ndarray:
@@ -393,9 +402,9 @@ def _binomial_count_pmf(count: int, p: float) -> tuple[np.ndarray, int]:
     exact PMF calls it; the sampler's CDFs are built in :func:`_word_cdf`.
 
     Up to :data:`PIECE` particles it is the binary-power convolution of
-    [1-p, p], trimmed after every step. For dyadic p and small counts every
-    value is an exact double and the sum is exactly 1; preset B's variance is
-    exactly n.
+    [1-p, p], each step a :func:`_mix`, trimmed. For dyadic p and small
+    counts every value is an exact double and the sum is exactly 1; preset
+    B's variance is exactly n.
 
     Above :data:`PIECE` particles it is :func:`_binomial_window` with a
     floor of 0: the ratio recurrence from the mode, out to the first entry
@@ -427,10 +436,10 @@ def _binomial_count_pmf(count: int, p: float) -> tuple[np.ndarray, int]:
         k = count
         while k:
             if k & 1:
-                result, result_offset = _trim(np.convolve(result, power), result_offset + power_offset)
+                result, result_offset = _trim(_mix(result, power), result_offset + power_offset)
             k >>= 1
             if k:
-                power, power_offset = _trim(np.convolve(power, power), 2 * power_offset)
+                power, power_offset = _trim(_mix(power, power), 2 * power_offset)
     return _trim(result / math.fsum(np.sort(result)[::-1]), result_offset)
 
 
@@ -501,14 +510,12 @@ def _group_pmf(parts) -> tuple[np.ndarray, int]:
     groups' binomial PMFs convolved in order, trimmed after every step. One
     group gives its binomial PMF with every bit unchanged.
 
-    Only the exact PMF calls it; the sampler mixes its windows in
-    :func:`_word_cdf`. Where both windows are at most :data:`PIECE` + 1
-    long, the step is the plain ``np.convolve``, so small binomials keep
-    their exact dyadic bits. Where either is longer,
-    :func:`_band_convolve` sums each output over its band. Binomial PMFs
-    are log-concave, and so is every convolution of them (Hoggar, 1974), so
-    each output drops at most one term per entry of the shorter window, each
-    below 2**-84 of its largest term. A window holds at most
+    Only the exact PMF calls it. Where both windows are at most
+    :data:`PIECE` + 1 long, the step is :func:`_mix`. Where either is
+    longer, :func:`_band_convolve` sums each output over its band. Binomial
+    PMFs are log-concave, and so is every convolution of them (Hoggar,
+    1974), so each output drops at most one term per entry of the shorter
+    window, each below 2**-84 of its largest term. A window holds at most
     :data:`MAX_SUPPORT_POINTS` < 2**20 entries, so the dropped terms together
     stay below 2**-64 of the output: no bit that a double of it can hold.
     The searches compare logarithms, which round; the 5% that 2**20 leaves
@@ -519,7 +526,7 @@ def _group_pmf(parts) -> tuple[np.ndarray, int]:
     pmf, offset = np.array([1.0]), 0
     for count, p in parts:
         binomial, shift = _binomial_count_pmf(count, p)
-        convolve = _band_convolve if max(len(pmf), len(binomial)) > PIECE + 1 else np.convolve
+        convolve = _band_convolve if max(len(pmf), len(binomial)) > PIECE + 1 else _mix
         pmf, offset = _trim(convolve(pmf, binomial), offset + shift)
     return pmf, offset
 

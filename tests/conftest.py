@@ -138,37 +138,58 @@ def dense_binomial_count_pmf(count: int, p: float) -> np.ndarray:
     return result
 
 
-def reference_binomial_count_pmf(count: int, p: float) -> tuple[np.ndarray, int]:
-    """Reference for ``montecarlo._binomial_count_pmf``: the same builder, summed in index order.
+def reference_mix(a: list[float], b: list[float]) -> list[float]:
+    """Reference for ``montecarlo._mix``, in plain Python floats: the full convolution of ``a`` and ``b``.
 
-    Binary-power convolution of [1-p, p] with the exact zeros stripped from
-    both ends after every step, divided by ``math.fsum`` of the PMF taken
-    from its first entry to its last. Returns ``(pmf, offset)``, ``pmf[i]``
-    being the probability of ``offset + i`` outcomes.
+    For each entry w at index i of the shorter, ``a`` when their lengths tie,
+    i ascending, and each entry x at index j of the longer,
+    out[i + j] += w * x: one rounding for the product and one for the sum,
+    as numpy's elementwise operations round.
+    """
+    short, long = (a, b) if len(a) <= len(b) else (b, a)
+    out = [0.0] * (len(a) + len(b) - 1)
+    for i, w in enumerate(short):
+        for j, x in enumerate(long):
+            out[i + j] += w * x
+    return out
+
+
+def _trimmed_mix(a, a_offset, b, b_offset):
+    """``reference_mix`` of two windows, stripped of its exact zeros at both ends: ``(pmf, offset)``."""
+    return _trim(np.array(reference_mix(a.tolist(), b.tolist())), a_offset + b_offset)
+
+
+def reference_binomial_count_pmf(count: int, p: float) -> tuple[np.ndarray, int]:
+    """Reference for ``montecarlo._binomial_count_pmf`` up to ``PIECE`` particles, summed in index order.
+
+    Binary-power convolution of [1-p, p], each step a ``reference_mix`` with
+    the exact zeros stripped from both ends, divided by ``math.fsum`` of the
+    PMF taken from its first entry to its last. Returns ``(pmf, offset)``,
+    ``pmf[i]`` being the probability of ``offset + i`` outcomes.
     """
     result, result_offset = np.array([1.0]), 0
     power, power_offset = _trim(np.array([1.0 - p, p]), 0)
     k = count
     while k:
         if k & 1:
-            result, result_offset = _trim(np.convolve(result, power), result_offset + power_offset)
+            result, result_offset = _trimmed_mix(result, result_offset, power, power_offset)
         k >>= 1
         if k:
-            power, power_offset = _trim(np.convolve(power, power), 2 * power_offset)
+            power, power_offset = _trimmed_mix(power, power_offset, power, power_offset)
     return result / math.fsum(result), result_offset
 
 
 def reference_group_pmf(parts) -> tuple[np.ndarray, int]:
-    """Reference for ``montecarlo._group_pmf`` up to ``PIECE`` particles: the plain trimmed convolution loop.
+    """Reference for ``montecarlo._group_pmf`` up to ``PIECE`` particles: the trimmed plain-Python mix loop.
 
-    Each ``(count, p)`` part's ``reference_binomial_count_pmf`` is convolved
-    into the running PMF by the whole ``np.convolve``, the exact zeros
-    stripped from both ends after every step. Returns ``(pmf, offset)``.
+    Each ``(count, p)`` part's ``reference_binomial_count_pmf`` is mixed
+    into the running PMF by ``reference_mix``, the exact zeros stripped from
+    both ends after every step. Returns ``(pmf, offset)``.
     """
     pmf, offset = np.array([1.0]), 0
     for count, p in parts:
         binomial, shift = reference_binomial_count_pmf(count, p)
-        pmf, offset = _trim(np.convolve(pmf, binomial), offset + shift)
+        pmf, offset = _trimmed_mix(pmf, offset, binomial, shift)
     return pmf, offset
 
 
@@ -370,23 +391,16 @@ def reference_window(count: int, p: float) -> tuple[list[float], int]:
 def reference_word_cdf(parts) -> tuple[list[float], int]:
     """Reference for ``montecarlo._word_cdf``, in plain Python floats: the sampler's CDF of one word's parts.
 
-    Each ``(count, p)`` part's ``reference_window`` is mixed in order into a
-    running PMF that starts as [1.0]. For each entry w at index i of the
-    shorter of the two, the running PMF when their lengths tie, i ascending,
-    and each entry x at index j of the longer, out[i + j] += w * x: one
-    rounding for the product and one for the sum, as numpy's elementwise
-    operations round. Returns ``(cdf, offset)``: the running sums of the
-    mix in index order, each divided by the last, so the last entry is 1.0,
-    and the count of the first entry.
+    Each ``(count, p)`` part's ``reference_window`` is mixed in order by
+    ``reference_mix`` into a running PMF that starts as [1.0]. Returns
+    ``(cdf, offset)``: the running sums of the mix in index order, each
+    divided by the last, so the last entry is 1.0, and the count of the
+    first entry.
     """
     pmf, offset = [1.0], 0
     for count, p in parts:
         window, shift = reference_window(count, p)
-        short, long = (pmf, window) if len(pmf) <= len(window) else (window, pmf)
-        pmf, offset = [0.0] * (len(pmf) + len(window) - 1), offset + shift
-        for i, w in enumerate(short):
-            for j, x in enumerate(long):
-                pmf[i + j] += w * x
+        pmf, offset = reference_mix(pmf, window), offset + shift
     sums = list(itertools.accumulate(pmf))
     return [total / sums[-1] for total in sums], offset
 

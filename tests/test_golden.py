@@ -19,7 +19,9 @@ import pytest
 
 from conftest import reference_counts
 from spinstat import cli, montecarlo
+from spinstat.ensemble import ensemble_from_json
 from spinstat.harness import ExperimentConfig, demo_paradox, dump_json, run_experiment
+from spinstat.spin import Axis
 
 TILTED_12 = {
     "name": "tilted-12",
@@ -160,6 +162,15 @@ def _layout_digests(cases):
     return digests
 
 
+def _exact_digests(cases):
+    """SHA-256 of ``exact_total_distribution``'s probabilities, one per ``(ensemble JSON, axis JSON)`` case."""
+    digests = []
+    for ensemble, axis in cases:
+        dist = montecarlo.exact_total_distribution(ensemble_from_json(ensemble), Axis.from_json(axis))
+        digests.append(hashlib.sha256(dist.probabilities.tobytes()).hexdigest())
+    return digests
+
+
 def _paradox_digests(cases):
     """SHA-256 of what ``spinstat paradox`` prints, one per ``(samples, seed)`` case."""
     return [hashlib.sha256(dump_json(demo_paradox(samples, seed)).encode()).hexdigest() for samples, seed in cases]
@@ -204,6 +215,32 @@ def test_sampler_cdfs_do_not_depend_on_the_blas_kernel():
     expected, cores = _layout_digests(cases), set()
     for coretype in ("Haswell", "Prescott"):
         core, digests = _core_and_digests("_layout_digests", cases, coretype)
+        assert digests == expected, (coretype, core)
+        cores.add(core)
+    if not cores - {None, default}:
+        pytest.skip(f"no forced kernel differs from the default {default} core")
+
+
+def test_short_exact_pmf_windows_do_not_depend_on_the_blas_kernel():
+    """Under forced Haswell and Prescott OpenBLAS kernels, exact PMFs built from short windows keep their bytes.
+
+    Child interpreters hash ``exact_total_distribution`` of preset B with
+    n = 1000 along x, two components of 500, and of 400 + 300 + 324 tilted
+    particles that fill one piece, and must match this process. Every
+    window there is at most ``PIECE`` + 1 entries long, so each step is a
+    ``_mix``. It skips where its sibling for the sampler CDFs does.
+    """
+    tilted = [
+        {"axis": {"theta": 0.4 + 0.7 * i, "phi": 1.3 * i}, "sign": 1 - 2 * (i % 2), "count": count}
+        for i, count in enumerate((400, 300, montecarlo.PIECE - 700))
+    ]
+    cases = [({"preset": "B", "n": 1000}, "x"), ({"components": tilted}, {"theta": 2.0, "phi": 1.0})]
+    default, _ = _core_and_digests("_exact_digests", [])
+    if default is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS that reports its core, so no kernel can be forced")
+    expected, cores = _exact_digests(cases), set()
+    for coretype in ("Haswell", "Prescott"):
+        core, digests = _core_and_digests("_exact_digests", cases, coretype)
         assert digests == expected, (coretype, core)
         cores.add(core)
     if not cores - {None, default}:

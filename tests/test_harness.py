@@ -604,6 +604,7 @@ class TestMalformedConfigs:
         pytest.param(dict(_tilted_config(), hbar=0), ["field 'hbar'"], id="zero-hbar"),
         pytest.param(dict(_tilted_config(), hbar=10**400), ["field 'hbar'"], id="huge-hbar"),
         pytest.param(dict(_tilted_config(), hbar=1e101), ["field 'hbar'", "at most 1e+100"], id="hbar-above-bound"),
+        pytest.param(dict(_tilted_config(), hbar=1e-101), ["field 'hbar'", "at least 1e-100"], id="hbar-below-bound"),
         pytest.param(
             _tilted_config(axis={"theta": 10**400}), ["field 'ensemble.components[0].axis.theta'"], id="huge-theta"
         ),

@@ -387,10 +387,12 @@ def piece_parts(draw):
 @example(parts=[(1, 0.5), (montecarlo.PIECE - 1, 0.5)])
 @example(parts=[(montecarlo.PIECE, 0.5)])
 def test_group_pmf_of_a_piece_is_the_plain_convolution(parts):
-    """Up to ``PIECE`` particles, the group PMF has every byte of the whole trimmed ``np.convolve`` loop.
+    """Up to ``PIECE`` particles, the group PMF has every byte of the trimmed plain-Python mix loop.
 
     Only the exact PMF takes these small steps: the binomials of components
-    of at most ``PIECE`` particles and the convolutions of such windows.
+    of at most ``PIECE`` particles and the convolutions of such windows. The
+    reference mixes one product and one sum at a time, in ``_mix``'s order,
+    so no byte depends on how numpy or BLAS would order a sum.
     """
     pmf, offset = montecarlo._group_pmf(parts)
     reference, reference_offset = reference_group_pmf(parts)
@@ -469,12 +471,14 @@ def _repeated():
 def sampled_ensembles(draw):
     """An ensemble and a measurement axis for the sampler cross-check.
 
-    Up to three components of 0-90 particles, so with a piece of 1-7
-    particles a trial has up to 270 one-word runs, and a run's trials may
-    fill several draws. A component is an eigenstate either of the
-    measurement axis (p+ exactly 0 or 1, so it takes no uniform) or of a
-    random axis, so some ensembles draw nothing and some mix certain and
-    random outcomes.
+    Up to three components of 0-90 particles. With a piece of 1-7
+    particles, a component above the piece is a large one, cut into parts
+    of at most the drawn part size, so a run may take up to 90 words a
+    trial; the others share pieces, one word each. A run's trials may fill
+    several draws, or one trial several column blocks. A component is an
+    eigenstate either of the measurement axis (p+ exactly 0 or 1, so it
+    takes no uniform) or of a random axis, so some ensembles draw nothing
+    and some mix certain and random outcomes.
     """
     axis = draw(axes())
     components = []
@@ -496,32 +500,33 @@ SEEDS = st.one_of(st.integers(-(2**70), 2**70), st.integers(2**64 - 4, 2**64 + 4
     trials=st.integers(2, 200),
     seed=SEEDS,
     piece=st.integers(1, 7),
+    part=st.one_of(st.none(), st.integers(1, 8)),
     block=st.integers(1, 256),
 )
 # Every component is above the one-particle piece: three one-word runs, each
 # drawn as four trials and then one against 4-word draws.
-@example(case=(_tilted((6, 4, 3)), Axis(0.8, 0.7)), trials=5, seed=3, piece=1, block=4)
+@example(case=(_tilted((6, 4, 3)), Axis(0.8, 0.7)), trials=5, seed=3, piece=1, part=None, block=4)
 # Three one-word runs against 32-word draws: each run's five trials in one draw.
-@example(case=(_tilted((6, 4, 3)), Axis(0.8, 0.7)), trials=5, seed=5, piece=1, block=32)
+@example(case=(_tilted((6, 4, 3)), Axis(0.8, 0.7)), trials=5, seed=5, piece=1, part=None, block=32)
 # Two large components' one-word runs ahead of four one-particle pieces: six
 # runs, each drawn as four trials and then one.
-@example(case=(_tilted((6, 1, 1, 1, 1, 3)), Axis(0.8, 0.7)), trials=5, seed=3, piece=1, block=4)
+@example(case=(_tilted((6, 1, 1, 1, 1, 3)), Axis(0.8, 0.7)), trials=5, seed=3, piece=1, part=None, block=4)
 # At the real sizes: the large component's one word, then a piece of the 3
 # particles; 2**64 - 1 as the key.
-@example(case=(_tilted((3, 70_000)), Axis(1.1, 0.4)), trials=3, seed=2**64 - 1, piece=None, block=None)
+@example(case=(_tilted((3, 70_000)), Axis(1.1, 0.4)), trials=3, seed=2**64 - 1, piece=None, part=None, block=None)
 # n = 13 at the real sizes: one piece mixes all three components, one word a
 # trial, 5000 trials in one draw.
-@example(case=(_tilted((6, 4, 3)), Axis(0.8, 0.7)), trials=5000, seed=2**64 + 1, piece=None, block=None)
+@example(case=(_tilted((6, 4, 3)), Axis(0.8, 0.7)), trials=5000, seed=2**64 + 1, piece=None, part=None, block=None)
 # PIECE particles share pieces: 3 and 1021 of the next fill one, 3 are left.
 # PIECE + 1 take a word of their own, ahead of the 3 particles' piece.
-@example(case=(_tilted((3, montecarlo.PIECE)), Axis(1.1, 0.4)), trials=3, seed=11, piece=None, block=None)
-@example(case=(_tilted((3, montecarlo.PIECE + 1)), Axis(1.1, 0.4)), trials=3, seed=11, piece=None, block=None)
+@example(case=(_tilted((3, montecarlo.PIECE)), Axis(1.1, 0.4)), trials=3, seed=11, piece=None, part=None, block=None)
+@example(case=(_tilted((3, montecarlo.PIECE + 1)), Axis(1.1, 0.4)), trials=3, seed=11, piece=None, part=None, block=None)
 # Preset B along x: two components at p+ = 1/2, bit-equal, merged into one
 # of 10 particles, above the 3-particle piece: one word a trial.
-@example(case=(make_ensemble_B(10), X), trials=7, seed=4, piece=3, block=None)
+@example(case=(make_ensemble_B(10), X), trials=7, seed=4, piece=3, part=None, block=None)
 # The first and third components share p+: merged into 8 particles, above
 # the 5-particle piece, so one word ahead of the second's 4-particle piece.
-@example(case=(_repeated(), Z), trials=9, seed=6, piece=5, block=3)
+@example(case=(_repeated(), Z), trials=9, seed=6, piece=5, part=None, block=3)
 # A component of no particles ahead of a later one with its p+: the merge
 # order starts at the first particle, so the -z particle is laid out first.
 @example(
@@ -530,23 +535,28 @@ SEEDS = st.one_of(st.integers(-(2**70), 2**70), st.integers(2**64 - 4, 2**64 + 4
         EnsembleComponent((0.0, 0.0, -1.0), 1),
         EnsembleComponent((0.0, 0.0, 1.0), 1),
     )), Axis(1.0, 0.0)),
-    trials=2, seed=0, piece=1, block=1,
+    trials=2, seed=0, piece=1, part=None, block=1,
 )
-def test_run_trials_matches_reference_sampler(case, trials, seed, piece, block):
+# Parts of at most 4 particles: 19 makes four of 4, one run of four words a
+# trial, each trial in column blocks of 3 and 1 words, then one of 3; the 2
+# particles make a piece.
+@example(case=(_tilted((19, 2)), Axis(0.8, 0.7)), trials=3, seed=8, piece=2, part=4, block=3)
+def test_run_trials_matches_reference_sampler(case, trials, seed, piece, part, block):
     """Trial by trial, ``run_trials`` counts what the plain reference sampler counts.
 
-    The piece and draw sizes are shrunk at random, so which components take
-    their own words, where pieces, remainders and draws end all vary; the
-    words must still be taken from the one stream run by run, in layout
-    order, and trial by trial within a run.
+    The piece, part and draw sizes are shrunk at random, so which
+    components take their own words, how many words a large one takes a
+    trial, and where pieces, remainders, draws and column blocks end all
+    vary; the words must still be taken from the one stream run by run, in
+    layout order, and trial by trial within a run.
     """
     e, axis = case
-    piece = piece or montecarlo.PIECE
-    with mock.patch.object(montecarlo, "PIECE", piece):
+    part, piece = part or montecarlo.MAX_SUPPORT_POINTS - 1, piece or montecarlo.PIECE
+    with mock.patch.multiple(montecarlo, MAX_SUPPORT_POINTS=part + 1, PIECE=piece):
         with mock.patch.object(montecarlo, "_BLOCK_WORDS", block or montecarlo._BLOCK_WORDS):
             n_plus = run_trials(e, axis, trials, seed)
         assert np.array_equal(n_plus, run_trials(e, axis, trials, seed))
-    assert n_plus.tolist() == reference_counts(e, axis, seed, trials, piece)
+    assert n_plus.tolist() == reference_counts(e, axis, seed, trials, piece, part)
 
 
 @pytest.mark.parametrize("counts, part, piece, block", [
@@ -731,7 +741,7 @@ def test_headline_b_along_x_draws_one_word_per_trial():
 
 @pytest.mark.parametrize("e, axis, digest", [
     pytest.param(
-        make_ensemble_B(1000), X, "a869c52bc344f42ac11782c0a2e5e8af7367f74dfe2e84051b6d547d9b48efef", id="B-x-n1000"
+        make_ensemble_B(1000), X, "dd1468d921bfbab23d55f493fdcf8a3bd86c6804d97a5115e8ddeb61a070d55a", id="B-x-n1000"
     ),
     pytest.param(
         _tilted((20_000, 20_000, 20_000)), Axis(0.8, 0.7),
@@ -741,11 +751,10 @@ def test_headline_b_along_x_draws_one_word_per_trial():
 def test_exact_distribution_bytes_are_pinned(e, axis, digest):
     """``exact_total_distribution`` convolves every component in order, unmerged: its bytes are pinned.
 
-    The B digest was taken before the sampler's pieces crossed component
-    boundaries; its two components of 500 are built by binary-power
-    convolution, which the sampler no longer calls.
-    The tilted digest pins components above ``PIECE``, built by the ratio
-    recurrence and convolved over each output's band.
+    The B digest pins two components of 500, each built by binary-power
+    ``_mix`` steps and then mixed together, with no BLAS call, so it holds
+    on every CPU. The tilted digest pins components above ``PIECE``, built
+    by the ratio recurrence and convolved over each output's band.
     """
     dist = exact_total_distribution(e, axis)
     assert hashlib.sha256(dist.probabilities.tobytes()).hexdigest() == digest
