@@ -66,11 +66,12 @@ __all__ = [
 # component's binomial costs O(window); each convolution across components
 # costs the output window times the band, about 22 sqrt(v1 v2 / (v1 + v2))
 # terms for windows of variances v1 and v2, plus 128 for the block. At the
-# edge, 999999 particles take 0.06-0.07 s in one component and 0.11-0.12 s in
-# three tilted ones, 0.33-0.38 s with whole-window convolutions (2-core x86
-# box, numpy 2.4). The sampler cuts a large component into parts of at most
-# MAX_SUPPORT_POINTS - 1 particles, so each part's window, cut at _BAND_FLOOR,
-# holds at most 10792 entries, an index range that _guide's int16 table holds.
+# edge, 999999 particles take 0.05-0.06 s in one component at p+ = 1/2 and
+# 0.06 s in three tilted ones, 0.25-0.28 s with whole-window convolutions
+# (2-core x86 box, numpy 2.4). The sampler cuts a large component into parts
+# of at most MAX_SUPPORT_POINTS - 1 particles, so each part's window, cut at
+# _BAND_FLOOR, holds at most 10792 entries, an index range that _guide's
+# int16 table holds.
 MAX_SUPPORT_POINTS = 1_000_000
 
 # Particles per piece, and the most a merged component may hold and still
@@ -123,10 +124,10 @@ _BAND_FLOOR = 2.0**-84
 
 # Outputs per banded convolution call. Each call convolves over the union of
 # its outputs' bands, which widens as the peak drifts across the block, while
-# each call costs about 5 us of Python. Measured on both convolutions of
-# 3 * 20000 particles (2-core x86 box, numpy 2.4): 11.2, 10.7, 10.2 and
-# 10.7 ms at 64, 128, 256 and 512 outputs; of 3 * 333333 particles: 60, 75
-# and 72 ms at 128, 256 and 512.
+# each call costs about 5 us of Python. Measured on the exact PMF of
+# 3 * 20000 tilted particles (2-core x86 box, numpy 2.4): 6.7, 5.1, 4.4 and
+# 5.0 ms at 64, 128, 256 and 512 outputs; of 3 * 333333 particles: 62, 61
+# and 65 ms at 128, 256 and 512.
 _BAND_BLOCK = 128
 
 
@@ -145,11 +146,12 @@ class TotalSpinDistribution:
         self.probabilities = probabilities
 
     def mean(self) -> float:
-        return float(self.probabilities @ self.support.astype(float))
+        """Sum of p x: ``math.fsum`` of the rounded products, correctly rounded, so no BLAS kernel moves a bit."""
+        return math.fsum(self.probabilities * self.support)
 
     def variance(self) -> float:
-        """Sum of p (x - mean)**2: the centred form, which does not cancel when |mean| >> sigma."""
-        return float(self.probabilities @ (self.support.astype(float) - self.mean()) ** 2)
+        """Sum of p (x - mean)**2, summed as in :meth:`mean`: the centred form, no cancelling when |mean| >> sigma."""
+        return math.fsum(self.probabilities * (self.support - self.mean()) ** 2)
 
 
 def _component_probabilities(e: EnsembleSpec, axis: Axis) -> list[tuple[int, float]]:
@@ -475,6 +477,15 @@ def _band_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     the searches run at the :data:`_BAND_BLOCK` block ends only, and each
     block is one ``np.convolve(..., "valid")`` of the union's slice of ``a``
     against ``b`` padded with zeros.
+
+    Each slice is first scaled by the power of two that puts its largest
+    entry in [1/2, 1), which is exact, and the block's outputs are scaled
+    back by one ``np.ldexp``, one correctly rounded step. So the kernel
+    sees no subnormal operand, which x86 multiplies in microcode, about 50
+    times slower. Where the unscaled convolution met no subnormal, the
+    scaling commutes with every rounding and no bit moves; where it did, an
+    output below 1e-280 is now within 1e-13 of the exact sum of the same
+    terms, plus half the least subnormal.
     """
     m, n = len(a), len(b)
     # An entry that underflowed inside a window counts as the least subnormal.
@@ -499,7 +510,9 @@ def _band_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.empty(size)
     for k0, i0, i1 in zip(starts.tolist(), edge[~ends].tolist(), edge[ends].tolist()):
         k1 = min(k0 + _BAND_BLOCK, size)
-        out[k0:k1] = np.convolve(a[i0:i1], padded[k0 - i1 + _BAND_BLOCK : k1 - i0 + _BAND_BLOCK - 1], "valid")
+        x, y = a[i0:i1], padded[k0 - i1 + _BAND_BLOCK : k1 - i0 + _BAND_BLOCK - 1]
+        ex, ey = np.frexp(x.max())[1], np.frexp(y.max())[1]
+        out[k0:k1] = np.ldexp(np.convolve(np.ldexp(x, -ex), np.ldexp(y, -ey), "valid"), ex + ey)
     return out
 
 
@@ -521,7 +534,9 @@ def _group_pmf(parts) -> tuple[np.ndarray, int]:
     The searches compare logarithms, which round; the 5% that 2**20 leaves
     over 10**6 covers that. Only where a factor is subnormal, so that its
     stored value is log-concave only up to rounding of a few digits, may a
-    band miss a term, and every such term is below 2.3e-308.
+    band miss a term, and every such term is below 2.3e-308. The band's
+    sums themselves see no subnormal: each block is convolved from slices
+    scaled clear of them and scaled back once (see :func:`_band_convolve`).
     """
     pmf, offset = np.array([1.0]), 0
     for count, p in parts:

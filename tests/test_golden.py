@@ -162,13 +162,19 @@ def _layout_digests(cases):
     return digests
 
 
+def _exact_distributions(cases):
+    """``exact_total_distribution`` of each ``(ensemble JSON, axis JSON)`` case."""
+    return [montecarlo.exact_total_distribution(ensemble_from_json(e), Axis.from_json(axis)) for e, axis in cases]
+
+
 def _exact_digests(cases):
     """SHA-256 of ``exact_total_distribution``'s probabilities, one per ``(ensemble JSON, axis JSON)`` case."""
-    digests = []
-    for ensemble, axis in cases:
-        dist = montecarlo.exact_total_distribution(ensemble_from_json(ensemble), Axis.from_json(axis))
-        digests.append(hashlib.sha256(dist.probabilities.tobytes()).hexdigest())
-    return digests
+    return [hashlib.sha256(dist.probabilities.tobytes()).hexdigest() for dist in _exact_distributions(cases)]
+
+
+def _exact_moments(cases):
+    """``mean()`` and ``variance()`` of ``exact_total_distribution`` in hex, one pair per case."""
+    return [[dist.mean().hex(), dist.variance().hex()] for dist in _exact_distributions(cases)]
 
 
 def _paradox_digests(cases):
@@ -195,30 +201,51 @@ def _core_and_digests(digests, cases, coretype=None):
     return core and core.group(1), json.loads(child.stdout)
 
 
+def _check_forced_kernels(digests, cases):
+    """Child interpreters under forced Haswell and Prescott kernels give what ``digests`` gives here, or skip.
+
+    ``OPENBLAS_VERBOSE=2`` makes OpenBLAS print the core it loaded; without
+    that line, or when no forced kernel differs from the default one,
+    nothing would be tested, and the caller skips.
+    """
+    default, _ = _core_and_digests(digests, [])
+    if default is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS that reports its core, so no kernel can be forced")
+    expected, cores = globals()[digests](cases), set()
+    for coretype in ("Haswell", "Prescott"):
+        core, got = _core_and_digests(digests, cases, coretype)
+        assert got == expected, (coretype, core)
+        cores.add(core)
+    if not cores - {None, default}:
+        pytest.skip(f"no forced kernel differs from the default {default} core")
+
+
 def test_sampler_cdfs_do_not_depend_on_the_blas_kernel():
     """Under forced Haswell and Prescott OpenBLAS kernels, every golden config's CDFs keep their bytes.
 
     Child interpreters hash the CDF of every run of each golden config's
     layout, under ``OPENBLAS_CORETYPE``, and must match this process. The
     kernels sum dot products in their own orders, so a CDF built through
-    BLAS moves in its last bits. ``OPENBLAS_VERBOSE=2`` makes OpenBLAS print
-    the core it loaded; without that line, or when no forced kernel differs
-    from the default one, nothing would be tested, and the test skips.
+    BLAS moves in its last bits. It skips as :func:`_check_forced_kernels`
+    says.
     """
     cases = []
     for name in sorted(CONFIGS):
         cfg = golden_config(name)
         cases.append((montecarlo._component_probabilities(cfg.ensemble, cfg.axis), cfg.config["trials"]))
-    default, _ = _core_and_digests("_layout_digests", [])
-    if default is None:
-        pytest.skip("numpy's BLAS is not an OpenBLAS that reports its core, so no kernel can be forced")
-    expected, cores = _layout_digests(cases), set()
-    for coretype in ("Haswell", "Prescott"):
-        core, digests = _core_and_digests("_layout_digests", cases, coretype)
-        assert digests == expected, (coretype, core)
-        cores.add(core)
-    if not cores - {None, default}:
-        pytest.skip(f"no forced kernel differs from the default {default} core")
+    _check_forced_kernels("_layout_digests", cases)
+
+
+# Preset B with n = 1000 along x, two components of 500, and 400 + 300 + 324
+# tilted particles that fill one piece: every exact-PMF window is at most
+# PIECE + 1 entries long.
+SHORT_WINDOW_CASES = [
+    ({"preset": "B", "n": 1000}, "x"),
+    ({"components": [
+        {"axis": {"theta": 0.4 + 0.7 * i, "phi": 1.3 * i}, "sign": 1 - 2 * (i % 2), "count": count}
+        for i, count in enumerate((400, 300, montecarlo.PIECE - 700))
+    ]}, {"theta": 2.0, "phi": 1.0}),
+]
 
 
 def test_short_exact_pmf_windows_do_not_depend_on_the_blas_kernel():
@@ -230,21 +257,20 @@ def test_short_exact_pmf_windows_do_not_depend_on_the_blas_kernel():
     window there is at most ``PIECE`` + 1 entries long, so each step is a
     ``_mix``. It skips where its sibling for the sampler CDFs does.
     """
-    tilted = [
-        {"axis": {"theta": 0.4 + 0.7 * i, "phi": 1.3 * i}, "sign": 1 - 2 * (i % 2), "count": count}
-        for i, count in enumerate((400, 300, montecarlo.PIECE - 700))
-    ]
-    cases = [({"preset": "B", "n": 1000}, "x"), ({"components": tilted}, {"theta": 2.0, "phi": 1.0})]
-    default, _ = _core_and_digests("_exact_digests", [])
-    if default is None:
-        pytest.skip("numpy's BLAS is not an OpenBLAS that reports its core, so no kernel can be forced")
-    expected, cores = _exact_digests(cases), set()
-    for coretype in ("Haswell", "Prescott"):
-        core, digests = _core_and_digests("_exact_digests", cases, coretype)
-        assert digests == expected, (coretype, core)
-        cores.add(core)
-    if not cores - {None, default}:
-        pytest.skip(f"no forced kernel differs from the default {default} core")
+    _check_forced_kernels("_exact_digests", SHORT_WINDOW_CASES)
+
+
+def test_exact_pmf_moments_do_not_depend_on_the_blas_kernel():
+    """Under forced Haswell and Prescott OpenBLAS kernels, the moments of the short-window exact PMFs keep their bits.
+
+    The cases are those of the digest test above, whose PMFs keep their
+    bytes on every kernel. ``mean`` and ``variance`` sum rounded products
+    with ``math.fsum``; a BLAS dot sums them in the kernel's own order, and
+    preset B's mean then read -2.91e-16, -2.53e-16 and -5.68e-16 under the
+    default, Haswell and Prescott kernels. It skips where its sibling for
+    the sampler CDFs does.
+    """
+    _check_forced_kernels("_exact_moments", SHORT_WINDOW_CASES)
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -305,13 +331,4 @@ def test_paradox_json_does_not_depend_on_the_blas_kernel():
     process. It skips where its sibling for the sampler CDFs does.
     """
     cases = [(samples, 0) for samples in PARADOX_CASES] + [(10**6, 5)]
-    default, _ = _core_and_digests("_paradox_digests", [])
-    if default is None:
-        pytest.skip("numpy's BLAS is not an OpenBLAS that reports its core, so no kernel can be forced")
-    expected, cores = _paradox_digests(cases), set()
-    for coretype in ("Haswell", "Prescott"):
-        core, digests = _core_and_digests("_paradox_digests", cases, coretype)
-        assert digests == expected, (coretype, core)
-        cores.add(core)
-    if not cores - {None, default}:
-        pytest.skip(f"no forced kernel differs from the default {default} core")
+    _check_forced_kernels("_paradox_digests", cases)

@@ -235,7 +235,9 @@ def test_exact_distribution_matches_dense_reference(components):
     reference sums to 1 only up to rounding, while
     ``exact_total_distribution`` divides each component by its exact sum, so
     the reference is divided by its own sum before the comparison. Below
-    1e-300 both hold subnormal rounding, so a point may be missing from one
+    1e-300 the two round subnormals differently, the reference in every
+    product and sum of its convolution, a banded output once, after its
+    slices were scaled clear of them; so a point may be missing from one
     and not the other only there.
     """
     e = EnsembleSpec(tuple(components))
@@ -444,6 +446,53 @@ def test_band_does_at_most_half_the_window_products_work():
     with mock.patch.object(np, "convolve", counted):
         montecarlo._group_pmf(ORACLES_SEED_1)
     assert 0 < work[0] <= (w1 * w2 + (w1 + w2) * w3) / 2
+
+
+def _units(x):
+    """The double ``x`` as an exact integer multiple of 2**-1074, the least subnormal."""
+    num, den = float(x).as_integer_ratio()
+    return num * ((1 << 1074) // den)
+
+
+@pytest.mark.parametrize("first, second", [((1100, 0.3), (1300, 0.62)), ((1500, 0.5), (1025, 0.15))])
+def test_band_tails_are_the_exact_sums_of_their_terms(first, second):
+    """Every banded output below 1e-280 is the exact sum of its terms, to 1e-13 plus half the least subnormal.
+
+    The windows of two binomials just above ``PIECE`` reach into subnormals.
+    Each output is compared with the exact integer sum of the products of
+    the same doubles, in units of 2**-2148; it is 0 only where that sum
+    rounds to 0. Scaling each block's slices to a largest entry in [1/2, 1)
+    keeps the convolution off subnormal operands; without it the tails
+    strayed up to 16 times this bound, and 6 such outputs read 0.
+    """
+    a, b = (montecarlo._binomial_count_pmf(count, p)[0] for count, p in (first, second))
+    got = montecarlo._band_convolve(a, b)
+    ua, ub = [_units(x) for x in a], [_units(x) for x in b]
+    tail = np.flatnonzero(got < 1e-280).tolist()
+    assert len(tail) > 100
+    for k in tail:
+        exact = sum(ua[i] * ub[k - i] for i in range(max(0, k - len(b) + 1), min(len(a) - 1, k) + 1))
+        # |got - exact| <= 1e-13 exact + 2**-1075, all in units of 2**-2148.
+        assert 10**13 * abs((_units(got[k]) << 1074) - exact) <= exact + 10**13 * (1 << 1073), k
+
+
+@pytest.mark.parametrize("n", [1500, 20_000, 333_333])
+def test_band_convolutions_see_no_subnormal_operand(n):
+    """No ``np.convolve`` call of a tilted exact PMF gets an operand entry in (0, 2**-1022).
+
+    x86 multiplies subnormals in microcode: one 1000 x 128 convolution took
+    815-823 us with subnormal operands or products, 15 us without. Unscaled
+    blocks sent one in 6 of 19, 38 of 138 and 134 of 562 calls at these n.
+    """
+    calls, convolve = [], np.convolve
+
+    def spy(x, y, mode="full"):
+        calls.append(any(np.any((v > 0.0) & (v < 2.0**-1022)) for v in (x, y)))
+        return convolve(x, y, mode)
+
+    with mock.patch.object(np, "convolve", spy):
+        exact_total_distribution(_tilted((n,) * 3), Axis(0.8, 0.7))
+    assert calls and not any(calls), f"{sum(calls)} of {len(calls)} calls"
 
 
 def test_exact_distribution_guard_rejects_before_any_work():
@@ -745,7 +794,7 @@ def test_headline_b_along_x_draws_one_word_per_trial():
     ),
     pytest.param(
         _tilted((20_000, 20_000, 20_000)), Axis(0.8, 0.7),
-        "1f132c9403658c2281f875d5f1a2a438f8e3b1f174ebdf31c40535d06a917cd0", id="tilted-3x20000",
+        "8151e2d20f2f8e25e729491647e738e1844cd0afabb23c87bbc678ea9185d800", id="tilted-3x20000",
     ),
 ])
 def test_exact_distribution_bytes_are_pinned(e, axis, digest):
