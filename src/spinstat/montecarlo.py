@@ -66,9 +66,9 @@ __all__ = [
 # component's binomial costs O(window); each convolution across components
 # costs the output window times the band, about 22 sqrt(v1 v2 / (v1 + v2))
 # terms for windows of variances v1 and v2, plus 128 for the block. At the
-# edge, 999999 particles take 0.05-0.06 s in one component at p+ = 1/2 and
-# 0.06 s in three tilted ones, 0.25-0.28 s with whole-window convolutions
-# (2-core x86 box, numpy 2.4). The sampler cuts a large component into parts
+# edge, 999999 particles take 0.06-0.09 s in one component at p+ = 1/2 and
+# 0.06-0.08 s in three tilted ones, 0.28-0.33 s with whole-window
+# convolutions (2-core x86 box, numpy 2.4). The sampler cuts a large component into parts
 # of at most MAX_SUPPORT_POINTS - 1 particles, so each part's window, cut at
 # _BAND_FLOOR, holds at most 10792 entries, an index range that _guide's
 # int16 table holds.
@@ -125,9 +125,9 @@ _BAND_FLOOR = 2.0**-84
 # Outputs per banded convolution call. Each call convolves over the union of
 # its outputs' bands, which widens as the peak drifts across the block, while
 # each call costs about 5 us of Python. Measured on the exact PMF of
-# 3 * 20000 tilted particles (2-core x86 box, numpy 2.4): 6.7, 5.1, 4.4 and
-# 5.0 ms at 64, 128, 256 and 512 outputs; of 3 * 333333 particles: 62, 61
-# and 65 ms at 128, 256 and 512.
+# 3 * 20000 tilted particles (2-core x86 box, numpy 2.4): 5.4, 4.5, 4.2 and
+# 5.1 ms at 64, 128, 256 and 512 outputs; of 3 * 333333 particles: 71, 71
+# and 73 ms at 128, 256 and 512.
 _BAND_BLOCK = 128
 
 
@@ -479,8 +479,8 @@ def _band_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     against ``b`` padded with zeros.
 
     Each slice is first scaled by the power of two that puts its largest
-    entry in [1/2, 1), which is exact, and the block's outputs are scaled
-    back by one ``np.ldexp``, one correctly rounded step. So the kernel
+    entry in [1/2, 1), which is exact, and each output is scaled back by
+    one ``np.ldexp``, one correctly rounded step. So the kernel
     sees no subnormal operand, which x86 multiplies in microcode, about 50
     times slower. Where the unscaled convolution met no subnormal, the
     scaling commutes with every rounding and no bit moves; where it did, an
@@ -506,14 +506,19 @@ def _band_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # it: one past each is where the block's band starts and stops.
     ends = np.arange(len(k)) >= len(starts)
     edge = _last_true(lambda i: (term(i) >= floor) == ends, np.where(ends, peak, first), np.where(ends, last, peak)) + 1
-    padded = np.concatenate((np.zeros(_BAND_BLOCK - 1), b, np.zeros(_BAND_BLOCK - 1)))
+    # One zero more than a block needs at the end: reduceat takes every slice's end as an index.
+    padded = np.concatenate((np.zeros(_BAND_BLOCK - 1), b, np.zeros(_BAND_BLOCK)))
+    lo, hi, stops = edge[~ends], edge[ends], np.minimum(starts + _BAND_BLOCK, size)
+    y_lo, y_hi = starts - hi + _BAND_BLOCK, stops - lo + _BAND_BLOCK - 1
+    # A block convolves a[lo:hi] against padded[y_lo:y_hi]. maximum.reduceat
+    # over the interleaved (start, end) pairs gives each slice's largest
+    # entry at the even places.
+    ex = np.frexp(np.maximum.reduceat(np.append(a, 0.0), np.ravel((lo, hi), "F"))[::2])[1]
+    ey = np.frexp(np.maximum.reduceat(padded, np.ravel((y_lo, y_hi), "F"))[::2])[1]
     out = np.empty(size)
-    for k0, i0, i1 in zip(starts.tolist(), edge[~ends].tolist(), edge[ends].tolist()):
-        k1 = min(k0 + _BAND_BLOCK, size)
-        x, y = a[i0:i1], padded[k0 - i1 + _BAND_BLOCK : k1 - i0 + _BAND_BLOCK - 1]
-        ex, ey = np.frexp(x.max())[1], np.frexp(y.max())[1]
-        out[k0:k1] = np.ldexp(np.convolve(np.ldexp(x, -ex), np.ldexp(y, -ey), "valid"), ex + ey)
-    return out
+    for k0, k1, i0, i1, j0, j1, sx, sy in zip(*(v.tolist() for v in (starts, stops, lo, hi, y_lo, y_hi, -ex, -ey))):
+        out[k0:k1] = np.convolve(np.ldexp(a[i0:i1], sx), np.ldexp(padded[j0:j1], sy), "valid")
+    return np.ldexp(out, np.repeat(ex + ey, _BAND_BLOCK)[:size])
 
 
 def _group_pmf(parts) -> tuple[np.ndarray, int]:
