@@ -1,11 +1,14 @@
 """Ideal Stern-Gerlach simulation: binomial sampling of each trial's + count,
 the preparation-aware prediction of the total's mean and variance, and the
 exact total-spin distribution: each component's binomial PMF, convolved
-across components by :func:`_group_pmf`. Windows of at most a piece's length
-are mixed by :func:`_mix`, the fixed-order shift-and-add that builds the
-sampler's CDFs. Where a window is longer, each output of a convolution is
-summed over its band, the terms at least 2**-84 times its largest; the
-dropped ones together are below 2**-64 of it, past a double's precision.
+across components by :func:`_group_pmf`, starting from the first one's.
+Windows of at most a piece's length are mixed by :func:`_mix`, the
+fixed-order shift-and-add that builds the sampler's CDFs. Where a window is
+longer, each output of a convolution is summed over its band, the terms at
+least 2**-84 times its largest; the dropped ones together are below 2**-64
+of it, past a double's precision. Outputs are summed in blocks, and a block
+whose every term is below 2**-1078 over the shorter window's length is not
+convolved: each of its outputs would round to 0 (see :func:`_band_convolve`).
 
 Every particle is an independent two-point variable, so only the law of a
 trial's total matters, not which component a particle belongs to.
@@ -124,10 +127,12 @@ _BAND_FLOOR = 2.0**-84
 
 # Outputs per banded convolution call. Each call convolves over the union of
 # its outputs' bands, which widens as the peak drifts across the block, while
-# each call costs about 5 us of Python. Measured on the exact PMF of
-# 3 * 20000 tilted particles (2-core x86 box, numpy 2.4): 5.4, 4.5, 4.2 and
-# 5.1 ms at 64, 128, 256 and 512 outputs; of 3 * 333333 particles: 71, 71
-# and 73 ms at 128, 256 and 512.
+# each call costs about 5 us of Python. Measured on the exact PMF of the
+# oracles seed-1 groups, 3 * 20000 tilted particles, with the blocks that
+# round to 0 skipped (2-core x86 box, numpy 2.4): 6.1-9.4, 5.4-5.9, 5.2 and
+# 5.2-5.3 ms at 64, 128, 256 and 512 outputs; of 3 * 333333 particles: 58,
+# 53-54, 52-53 and 52-53 ms. The grid sets which terms each output sums, so
+# another size would move bits of PMFs of three or more components.
 _BAND_BLOCK = 128
 
 
@@ -182,8 +187,9 @@ def _pieces(probs, trials: int) -> tuple[int, list[tuple[int, tuple[tuple[int, f
     most two runs, and after the merge no two runs have the same parts. The
     runs' words add up to the width, the large components' parts plus
     ceil(other random particles / PIECE), read from the counts alone.
-    Raises ConfigError naming ``trials`` when ``trials`` times the width
-    exceeds :data:`MAX_WORDS`, before any layout.
+    Raises ConfigError before any layout when ``trials`` times the width
+    exceeds :data:`MAX_WORDS`. It names ``ensemble`` when even 2 trials, the
+    least a run takes, would exceed it, and ``trials`` otherwise.
     """
     certain, merged = 0, {}
     for count, p in probs:
@@ -193,6 +199,9 @@ def _pieces(probs, trials: int) -> tuple[int, list[tuple[int, tuple[tuple[int, f
             merged[p] = merged.get(p, 0) + count
     split = {p: -(-count // (MAX_SUPPORT_POINTS - 1)) for p, count in merged.items() if count > PIECE}
     width = sum(split.values()) + -(-sum(count for p, count in merged.items() if p not in split) // PIECE)
+    if 2 * width > MAX_WORDS:
+        problem = f"takes {width} words per trial, so even 2 trials exceed the budget of {MAX_WORDS} words"
+        raise ConfigError(problem, "ensemble")
     if trials * width > MAX_WORDS:
         problem = f"is {trials}, and at {width} words per trial the run exceeds the budget of {MAX_WORDS} words"
         raise ConfigError(problem, "trials")
@@ -486,12 +495,41 @@ def _band_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     scaling commutes with every rounding and no bit moves; where it did, an
     output below 1e-280 is now within 1e-13 of the exact sum of the same
     terms, plus half the least subnormal.
+
+    A block whose outputs all round to 0 is not convolved; its outputs are
+    left 0, and the other blocks keep the same grid, slices and bits. Let
+    T = 2**-1078 / min(m, n). Rounding to nearest at most doubles a
+    nonnegative value, and a term passes at most three roundings that can
+    underflow: the product, and the scaling of each slice, which rounds only
+    where a slice's largest entry is at least 1 and is halved. Adding
+    subnormals is exact and any other sum grows by at most 1 + 2**-53, with
+    or without fused multiply-adds. So an output of at most min(m, n)
+    nonzero terms, each below T, computes below 8 (1 + 2**-53)**(10**6)
+    2**-1078 < 2**-1075, and ``np.ldexp`` rounds it to 0. No log-concavity
+    is assumed, since the stored subnormal tails do not keep it: ``a`` is
+    bounded by its largest entry over each chunk of :data:`_BAND_BLOCK`
+    entries, and ``b`` by its unimodal envelope, the running maximum from
+    each end to its mode. Over each chunk the envelope's indices at or
+    above T over the chunk's bound form one run, its ends found by one
+    ``searchsorted`` per side; only blocks that meet the hull of the
+    outputs these runs reach are convolved. The comparisons of logarithms
+    take a margin of 1e-6, far above the error of ``np.log`` and the
+    2e-10 that the sums' rounding adds.
     """
     m, n = len(a), len(b)
     # An entry that underflowed inside a window counts as the least subnormal.
     log_a, log_b = (np.concatenate(([-np.inf], np.log(np.fmax(x, 5e-324)), [-np.inf])) for x in (a, b))
     size = m + n - 1
-    starts = np.arange(0, size, _BAND_BLOCK)
+    # Outputs k_lo..k_hi are the hull of those that may hold a term of at
+    # least T (see above); only the blocks that meet it are convolved.
+    chunks = np.arange(0, m, _BAND_BLOCK)
+    need = -1078 * math.log(2.0) - math.log(min(m, n)) - 1e-6 - np.maximum.reduceat(log_a[1:-1], chunks)
+    mode = int(np.argmax(b))
+    j_lo = np.searchsorted(np.maximum.accumulate(log_b[1 : mode + 2]), need)
+    j_hi = n - 1 - np.searchsorted(np.maximum.accumulate(log_b[n : mode + 1 : -1]), need)
+    reach = j_lo <= j_hi
+    k_lo, k_hi = np.min((chunks + j_lo)[reach]), np.max((np.minimum(chunks + _BAND_BLOCK, m) - 1 + j_hi)[reach])
+    starts = np.arange(k_lo - k_lo % _BAND_BLOCK, k_hi + 1, _BAND_BLOCK)
     k = np.concatenate((starts, np.minimum(starts + _BAND_BLOCK, size) - 1))
     first, last = np.maximum(0, k - n + 1), np.minimum(m - 1, k)
 
@@ -515,18 +553,22 @@ def _band_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # entry at the even places.
     ex = np.frexp(np.maximum.reduceat(np.append(a, 0.0), np.ravel((lo, hi), "F"))[::2])[1]
     ey = np.frexp(np.maximum.reduceat(padded, np.ravel((y_lo, y_hi), "F"))[::2])[1]
-    out = np.empty(size)
+    out = np.zeros(size)
     for k0, k1, i0, i1, j0, j1, sx, sy in zip(*(v.tolist() for v in (starts, stops, lo, hi, y_lo, y_hi, -ex, -ey))):
         out[k0:k1] = np.convolve(np.ldexp(a[i0:i1], sx), np.ldexp(padded[j0:j1], sy), "valid")
-    return np.ldexp(out, np.repeat(ex + ey, _BAND_BLOCK)[:size])
+    live = out[starts[0] : stops[-1]]
+    np.ldexp(live, np.repeat(ex + ey, _BAND_BLOCK)[: len(live)], out=live)
+    return out
 
 
 def _group_pmf(parts) -> tuple[np.ndarray, int]:
     """PMF of the + count of independent groups of particles, ``parts`` listing each group's ``(count, p)``.
 
     Returns ``(pmf, offset)`` as :func:`_binomial_count_pmf` does: the
-    groups' binomial PMFs convolved in order, trimmed after every step. One
-    group gives its binomial PMF with every bit unchanged.
+    groups' binomial PMFs convolved in order, trimmed after every step. The
+    first group's PMF starts the product as it is: convolving it with [1.0]
+    would give every output one term, itself, so no bit moves. One group
+    gives its binomial PMF unconvolved; an empty ``parts`` gives [1.0].
 
     Only the exact PMF calls it. Where both windows are at most
     :data:`PIECE` + 1 long, the step is :func:`_mix`. Where either is
@@ -542,9 +584,14 @@ def _group_pmf(parts) -> tuple[np.ndarray, int]:
     band miss a term, and every such term is below 2.3e-308. The band's
     sums themselves see no subnormal: each block is convolved from slices
     scaled clear of them and scaled back once (see :func:`_band_convolve`).
+    A block is not convolved where every term it could sum is below
+    T = 2**-1078 / min(len(a), len(b)); its outputs, which would round to 0,
+    are left 0, and the trim drops them as it dropped the computed zeros.
+    That bound holds for the stored windows, subnormal tails included,
+    without log-concavity (proof at :func:`_band_convolve`).
     """
-    pmf, offset = np.array([1.0]), 0
-    for count, p in parts:
+    pmf, offset = _binomial_count_pmf(*parts[0]) if parts else (np.array([1.0]), 0)
+    for count, p in parts[1:]:
         binomial, shift = _binomial_count_pmf(count, p)
         convolve = _band_convolve if max(len(pmf), len(binomial)) > PIECE + 1 else _mix
         pmf, offset = _trim(convolve(pmf, binomial), offset + shift)

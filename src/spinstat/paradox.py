@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 # Most random states a run may draw, checked before any work starts. It bounds
-# the time, 58 ms in-process and 0.20-0.23 s at the CLI for 10**7 samples;
+# the time, 47-48 ms in-process and 0.21-0.24 s at the CLI for 10**7 samples;
 # memory does not grow with the count, and the whole CLI run peaks at 35 MB
 # RSS (2-core x86 box, numpy 2.4).
 MAX_PARADOX_SAMPLES = 10**7
@@ -65,12 +65,13 @@ def annihilation_residual(beta: Vector) -> float:
     return math.sqrt(max(a * a + dot(b, b) + 2.0 * a * dot(b, beta), 0.0))
 
 
-# Uniforms drawn per chunk by fixed_operator_infeasibility, which keeps its
-# peak memory to a few chunk-sized buffers, 198 KB traced, at any sample
-# count. The states of a seed do not depend on it, but the residual sums are
-# grouped by chunk, so the last bit of the rms does: it is a constant. 10**6
-# samples took 5.4-5.9 ms at 2**13, 5.1-5.3 ms at 2**14 and 4.5-4.7 ms at
-# 2**16 (medians of 15, 2-core x86 box, numpy 2.4).
+# Uniforms per residual sum in fixed_operator_infeasibility, which draws two
+# chunks at a time into one buffer, so its peak memory is that buffer, 133 KB
+# traced, at any sample count. The states of a seed do not depend on it, but
+# the residual sums are grouped by chunk, so the last bit of the rms does: it
+# is a constant. 10**6 samples took 4.5-5.1 ms at 2**13, 4.4-4.5 ms at 2**14
+# (264 KB traced) and 4.2-4.4 ms at 2**16 (1.05 MB) (medians of 15, 2-core
+# x86 box, numpy 2.4).
 _CHUNK = 1 << 13
 
 
@@ -84,21 +85,35 @@ def fixed_operator_infeasibility(samples: int, seed: int) -> tuple[float, float]
     uniform on [-1, 1], so each state is the one draw 2u - 1, u from
     ``default_rng(seed).random()`` in stream order, ``_CHUNK`` at a time.
     Each residual is taken as (3 m_x^2 - 1) / 3, whose every step rounds
-    monotonically, so the max cannot round past 2/3. Each chunk's squared
-    residuals are summed by ``np.sum``, in a fixed pairwise order.
+    monotonically, so the max cannot round past 2/3. It is computed in
+    place as 12 d^2 - 1 with d = u - 1/2, which has the same bits: d is
+    exact, m_x = 2d, and a factor of 4 commutes with rounding, so
+    fl(12 fl(d^2)) = fl(3 fl(m_x^2)). The residual before the division by 3
+    is at least -1, so a chunk's least one is read only while the largest
+    so far is below 1. Each chunk's squared residuals are summed by
+    ``np.sum``, in a fixed pairwise order, and the sums are added in chunk
+    order. Two chunks are drawn at a time as the rows of one array, and
+    ``np.sum(axis=-1)`` sums each row as it would the chunk alone; the last
+    chunks go one row at a time, the short one last.
     ``samples`` must lie in [100, :data:`MAX_PARADOX_SAMPLES`] and ``seed``
     be non-negative, or a :class:`ConfigError` names the field.
     """
     check_int(samples, "samples", 100, MAX_PARADOX_SAMPLES)
     check_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
-    chunk = np.empty(min(samples, _CHUNK))
-    squares, worst = 0.0, 0.0
-    for start in range(0, samples, _CHUNK):
-        u = rng.random(out=chunk[: samples - start])
-        r = np.square(2.0 * u - 1.0, out=u)
-        r *= 3.0
+    rows = np.empty((2, min(samples, _CHUNK)))
+    squares, worst, left = 0.0, 0.0, samples
+    while left:
+        height, width = 2 if left >= 2 * _CHUNK else 1, min(left, _CHUNK)
+        left -= height * width
+        r = rng.random(out=rows[:height, :width])
+        r -= 0.5
+        np.square(r, out=r)
+        r *= 12.0
         r -= 1.0
-        worst = max(worst, float(r.max()), -float(r.min()))
-        squares += float(np.sum(np.square(r, out=r)))
+        worst = max(worst, float(r.max()))
+        if worst < 1.0:
+            worst = max(worst, -float(r.min()))
+        for square in np.sum(np.square(r, out=r), axis=-1).tolist():
+            squares += square
     return math.sqrt(squares / samples) / 3.0, worst / 3.0

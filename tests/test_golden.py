@@ -314,6 +314,9 @@ PARADOX_CASES = {
     # Two and three chunks of paradox._CHUNK states plus 5: the chunk sums and the short last chunk.
     16389: "93ddef37dc9f5abcdfda019fb374e5a9a64b31e2ce99580ade67252c68a5b5ae",
     24581: "9d60833172259a9d25b6331e1d28227f8375f00849ef4797e404a388a67b5853",
+    # Three whole chunks, no short one; and the benchmark's sample count.
+    24576: "88d308e95895fdbda5c21968cfea5a70c2fa444709e25368511f821717466f06",
+    10**6: "04018f3e094685e6aead88d9b3c05aa51bb79ebcde8d06fc497851ce5c24f268",
 }
 
 

@@ -578,13 +578,14 @@ class TestMalformedConfigs:
 
     def test_simulation_budget_is_checked_before_any_draw(self, tmp_path, capsys, monkeypatch):
         # 2**53 particles at p+ = 1/2 take 9007208262 words per trial, one per
-        # part of at most 999999 particles.
+        # part of at most 999999 particles: no trial count fits, so the
+        # refusal names the ensemble.
         data = dict(_tilted_config(axis="z", count=2**53), trials=2)
         monkeypatch.setattr(np.random, "Philox", lambda **kwargs: pytest.fail("opened a stream past the budget"))
         start = time.perf_counter()
         err = self.run_config(tmp_path, capsys, data)
         assert time.perf_counter() - start < 1.0
-        assert "field 'trials'" in err and "9007208262 words per trial" in err
+        assert "field 'ensemble'" in err and "9007208262 words per trial" in err
 
     def test_simulation_budget_is_checked_before_any_cdf_is_built(self, tmp_path, capsys, monkeypatch):
         # 2000 components of 2047 particles, each at its own tilt and above

@@ -448,17 +448,48 @@ def test_band_does_at_most_half_the_window_products_work():
     assert 0 < work[0] <= (w1 * w2 + (w1 + w2) * w3) / 2
 
 
+def test_exact_pmf_convolves_no_first_step_and_no_block_that_rounds_to_zero():
+    """``_group_pmf`` starts from the first group's binomial, and the band skips the blocks that round to 0.
+
+    Counted through ``np.convolve``, one call per banded block: one group
+    above ``PIECE`` makes none, and the oracles seed-1 components' two
+    banded steps convolve fewer blocks than their grids of
+    ``_BAND_BLOCK`` outputs hold.
+    """
+    calls, grid, convolve, band = [0], [0], np.convolve, montecarlo._band_convolve
+
+    def counted(a, v, mode="full"):
+        calls[0] += 1
+        return convolve(a, v, mode)
+
+    def gridded(a, b):
+        grid[0] += -(-(len(a) + len(b) - 1) // montecarlo._BAND_BLOCK)
+        return band(a, b)
+
+    with mock.patch.object(np, "convolve", counted), mock.patch.object(montecarlo, "_band_convolve", gridded):
+        montecarlo._group_pmf([(20000, 0.3)])
+        assert calls == grid == [0]
+        montecarlo._group_pmf(ORACLES_SEED_1)
+    assert 0 < calls[0] < grid[0], (calls, grid)
+
+
 def _units(x):
     """The double ``x`` as an exact integer multiple of 2**-1074, the least subnormal."""
     num, den = float(x).as_integer_ratio()
     return num * ((1 << 1074) // den)
 
 
-@pytest.mark.parametrize("first, second", [((1100, 0.3), (1300, 0.62)), ((1500, 0.5), (1025, 0.15))])
+@pytest.mark.parametrize("first, second", [
+    ((1100, 0.3), (1300, 0.62)),
+    ((1500, 0.5), (1025, 0.15)),
+    ((3000, 0.3), (2500, 0.6)),
+])
 def test_band_tails_are_the_exact_sums_of_their_terms(first, second):
     """Every banded output below 1e-280 is the exact sum of its terms, to 1e-13 plus half the least subnormal.
 
-    The windows of two binomials just above ``PIECE`` reach into subnormals.
+    The windows of two binomials just above ``PIECE`` reach into subnormals;
+    the third pair's reach far enough that 5 of its 29 blocks are not
+    convolved, and their outputs are 0 only where the exact sums round to 0.
     Each output is compared with the exact integer sum of the products of
     the same doubles, in units of 2**-2148; it is 0 only where that sum
     rounds to 0. Scaling each block's slices to a largest entry in [1/2, 1)
