@@ -1,4 +1,4 @@
-"""Density operators as (trace, bloch) pairs, with trace-based expectation and variance.
+"""Density operators as (trace, bloch) pairs, with the trace-based mean and variance.
 
 A density operator is rho = (t I + s.sigma)/2: t is its trace and s its Bloch
 vector, the weighted sum of the component states' Bloch vectors. It is
@@ -21,8 +21,7 @@ from .spin import Axis, Vector, dot
 
 __all__ = [
     "density_operator",
-    "expectation_tr",
-    "variance_tr",
+    "moments_tr",
     "entrywise_difference",
     "density_equal",
 ]
@@ -44,19 +43,16 @@ def density_operator(e: EnsembleSpec, normalized: bool = True) -> tuple[float, V
     return 1.0 if normalized else float(n), bloch
 
 
-def expectation_tr(p: tuple[float, Vector], axis: Axis) -> float:
-    """Trace-formalism expectation Tr[P n.sigma] = s.n, in half-quantum units."""
-    return dot(p[1], axis.bloch())
+def moments_tr(p: tuple[float, Vector], axis: Axis) -> tuple[float, float]:
+    """Trace-formalism ``(mean, variance)`` along ``axis``, in half-quantum units, from one projection s.n.
 
-
-def variance_tr(p: tuple[float, Vector], axis: Axis) -> float:
-    """Trace-formalism variance Tr[P (n.sigma)^2] - (Tr[P n.sigma])^2 = t - (s.n)^2.
-
-    Applied to an unnormalized operator this is the count-weighted variant;
-    both are reproduced exactly as the formalism defines them.
+    The mean is Tr[P n.sigma] = s.n and the variance Tr[P (n.sigma)^2] -
+    (Tr[P n.sigma])^2 = t - (s.n)^2. Applied to an unnormalized operator the
+    variance is the count-weighted variant; both are reproduced exactly as
+    the formalism defines them.
     """
-    first = expectation_tr(p, axis)
-    return p[0] - first * first
+    mean = dot(p[1], axis.bloch())
+    return mean, p[0] - mean * mean
 
 
 def entrywise_difference(p: tuple[float, Vector], q: tuple[float, Vector]) -> float:

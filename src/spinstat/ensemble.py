@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import reprlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 from .spin import Axis, ConfigError, SpinOutcome, Vector, X, Z, check_int, check_object, eigenstate, within
@@ -56,9 +56,14 @@ class EnsembleComponent:
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Full preparation record: component states with exact particle counts."""
+    """Full preparation record: component states with exact particle counts.
+
+    ``total_count``, the sum of the counts, is computed once, when the record
+    is built, so reading it costs no pass over the components.
+    """
 
     components: tuple[EnsembleComponent, ...]
+    total_count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         components = tuple(self.components)
@@ -68,10 +73,7 @@ class EnsembleSpec:
         if total > MAX_COUNT:
             raise ConfigError("must have a total particle count of at most 2**53", "components")
         object.__setattr__(self, "components", components)
-
-    @property
-    def total_count(self) -> int:
-        return sum(c.count for c in self.components)
+        object.__setattr__(self, "total_count", total)
 
 
 def make_pair_ensemble(axis: Axis, n: int) -> EnsembleSpec:

@@ -11,7 +11,7 @@ own copy of the ``config`` block. It is written as canonical JSON (plus a CSV
 of per-trial totals), byte-identical for identical configurations, and a
 saved report renders to the same text as a fresh one. :func:`demo_paradox`
 builds the paradox payload the same way, from the witness operators and the
-fit residuals.
+residuals of (2/3) I over random states.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import density_operator, entrywise_difference, expectation_tr, variance_tr
+from .density import density_operator, entrywise_difference, moments_tr
 from .ensemble import EnsembleSpec, ensemble_from_json, make_ensemble_A, make_ensemble_B
 from .montecarlo import MAX_TRIALS, preparation_aware_prediction, run_trials
 from .paradox import Operator, annihilation_residual, expectation, fixed_operator_infeasibility, variance_pseudo_operator
@@ -253,8 +253,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     """
     moments = {"preparation_aware": preparation_aware_prediction(cfg.ensemble, cfg.axis)}
     for name, normalized in (("density_normalized", True), ("density_unnormalized", False)):
-        rho = density_operator(cfg.ensemble, normalized=normalized)
-        moments[name] = expectation_tr(rho, cfg.axis), variance_tr(rho, cfg.axis)
+        moments[name] = moments_tr(density_operator(cfg.ensemble, normalized=normalized), cfg.axis)
     predictions = {
         name: {"mean": m, "variance": v, "sigma": math.sqrt(max(v, 0.0)), "method": name, "units": "half_quanta"}
         for name, (m, v) in moments.items()

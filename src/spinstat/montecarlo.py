@@ -55,7 +55,7 @@ import math
 import numpy as np
 
 from .ensemble import EnsembleSpec
-from .spin import Axis, ConfigError, SpinOutcome, born_probability, check_int, state_mean_and_variance
+from .spin import Axis, ConfigError, SpinOutcome, _probability, born_probability, check_int, dot
 
 __all__ = [
     "TotalSpinDistribution",
@@ -241,17 +241,16 @@ def _word_cdf(parts) -> tuple[np.ndarray, int]:
     the window's total.
 
     The windows are mixed in order by :func:`_mix` into a running PMF that
-    starts as [1.0], and the ``cumsum`` of the result is divided by its last
-    entry, so the bits do not depend on the CPU; the first mix, with [1.0],
-    is exact, so a one-part word's CDF is its window's. A part that keeps
-    1 - e_j of its mass leaves the mix at least prod(1 - e_j) >= 1 - sum(e_j)
-    of it: the dropped mass is at most the sum of the parts', each below
-    2**-68 of its window, and a piece of at most PIECE = 2**10 parts drops
-    below 2**-58 of its total. So no CDF entry moves by as much as 2**-53,
-    the spacing of the words.
+    starts as the first part's window, and the ``cumsum`` of the result is
+    divided by its last entry, so the bits do not depend on the CPU. A part
+    that keeps 1 - e_j of its mass leaves the mix at least prod(1 - e_j) >=
+    1 - sum(e_j) of it: the dropped mass is at most the sum of the parts',
+    each below 2**-68 of its window, and a piece of at most PIECE = 2**10
+    parts drops below 2**-58 of its total. So no CDF entry moves by as much
+    as 2**-53, the spacing of the words.
     """
-    pmf, offset = np.array([1.0]), 0
-    for count, p in parts:
+    pmf, offset = _binomial_window(*parts[0], _BAND_FLOOR)
+    for count, p in parts[1:]:
         window, shift = _binomial_window(count, p, _BAND_FLOOR)
         pmf, offset = _mix(pmf, window), offset + shift
     cdf = np.cumsum(pmf)
@@ -623,13 +622,17 @@ def exact_total_distribution(e: EnsembleSpec, axis: Axis) -> TotalSpinDistributi
 def preparation_aware_prediction(e: EnsembleSpec, axis: Axis) -> tuple[float, float]:
     """``(mean, variance)`` of the total, in half quanta, from the preparation record.
 
-    Particles are independent, so component means and variances add with
-    multiplicity; matches the exact distribution's moments.
+    Each component's p+ and p- come from its one projection m.n on the axis,
+    as :func:`~spinstat.spin.born_probability` gives them. A single
+    measurement has mean p+ - p- and, its outcomes being +-1, second moment
+    exactly 1, so variance 1 - mean^2. Particles are independent, so
+    component means and variances add with multiplicity; matches the exact
+    distribution's moments.
     """
-    mean = 0.0
-    variance = 0.0
+    n, mean, variance = axis.bloch(), 0.0, 0.0
     for component in e.components:
-        m, v = state_mean_and_variance(component.state, axis)
+        projection = dot(component.state, n)
+        m = _probability(projection, SpinOutcome.PLUS) - _probability(projection, SpinOutcome.MINUS)
         mean += component.count * m
-        variance += component.count * v
+        variance += component.count * (1.0 - m * m)
     return mean, variance

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import reprlib
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Any
 
@@ -32,7 +32,6 @@ __all__ = [
     "dot",
     "eigenstate",
     "born_probability",
-    "state_mean_and_variance",
 ]
 
 Vector = tuple[float, float, float]
@@ -128,19 +127,23 @@ class Axis:
 
     theta: float
     phi: float = 0.0
+    _bloch: Vector = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "theta", check_number(self.theta, "theta"))
-        object.__setattr__(self, "phi", check_number(self.phi, "phi"))
+        theta, phi = check_number(self.theta, "theta"), check_number(self.phi, "phi")
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "phi", phi)
+        sin_t, unit = math.sin(theta), (-1.0, 0.0, 1.0)
+        vector = _snap(sin_t * math.cos(phi), unit), _snap(sin_t * math.sin(phi), unit), _snap(math.cos(theta), unit)
+        object.__setattr__(self, "_bloch", vector)
 
     def bloch(self) -> Vector:
-        """Unit Bloch vector, with components snapped to exact 0/+-1."""
-        sin_t = math.sin(self.theta)
-        return (
-            _snap(sin_t * math.cos(self.phi), (-1.0, 0.0, 1.0)),
-            _snap(sin_t * math.sin(self.phi), (-1.0, 0.0, 1.0)),
-            _snap(math.cos(self.theta), (-1.0, 0.0, 1.0)),
-        )
+        """Unit Bloch vector, with components snapped to exact 0/+-1.
+
+        It is computed once, when the axis is built, so reading it costs no
+        trigonometry.
+        """
+        return self._bloch
 
     @classmethod
     def from_json(cls, data: Any, path: str = "axis") -> "Axis":
@@ -192,17 +195,10 @@ def born_probability(state: Vector, axis: Axis, sign: SpinOutcome) -> float:
     when within 1e-12, so outcomes that are certain (or exactly even) by
     construction behave that way bit-exactly.
     """
-    p = (1.0 + SpinOutcome(sign) * dot(state, axis.bloch())) / 2.0
+    return _probability(dot(state, axis.bloch()), sign)
+
+
+def _probability(projection: float, sign: SpinOutcome) -> float:
+    """:func:`born_probability` of a state whose projection m.n on the axis is ``projection``."""
+    p = (1.0 + SpinOutcome(sign) * projection) / 2.0
     return _snap(min(max(p, 0.0), 1.0), (0.0, 0.5, 1.0))
-
-
-def state_mean_and_variance(state: Vector, axis: Axis) -> tuple[float, float]:
-    """Mean and variance of a single measurement along ``axis``, half-quantum units.
-
-    With outcomes +-1 the second moment is exactly 1, so the variance is
-    1 - mean^2.
-    """
-    p_plus = born_probability(state, axis, SpinOutcome.PLUS)
-    p_minus = born_probability(state, axis, SpinOutcome.MINUS)
-    mean = p_plus - p_minus
-    return mean, 1.0 - mean * mean

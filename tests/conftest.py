@@ -309,7 +309,7 @@ def slow_enumerate_totals(e: EnsembleSpec, axis: Axis) -> dict[int, float]:
 
 
 def statistical_average_expectation(e: EnsembleSpec, axis: Axis, extensive: bool = False) -> float:
-    """Oracle for ``expectation_tr``: the weighted average of per-state expectations.
+    """Oracle for the mean of ``moments_tr``: the weighted average of per-state expectations.
 
     Each state's expectation of n.sigma is taken with numpy's complex
     algebra. Weights are particle fractions for intensive quantities or raw

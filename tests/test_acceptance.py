@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from conftest import density_matrix, enumerate_totals, random_axis, random_ensemble, statistical_average_expectation
-from spinstat.density import density_equal, density_operator, expectation_tr, variance_tr
+from spinstat.density import density_equal, density_operator, moments_tr
 from spinstat.ensemble import make_ensemble_A, make_ensemble_B, make_pair_ensemble
 from spinstat.harness import run_experiment
 from spinstat.montecarlo import exact_total_distribution, preparation_aware_prediction, run_trials
@@ -68,11 +68,11 @@ def test_criterion_3_density_operators_identical():
 
 
 def test_criterion_4_trace_variance_blind_to_preparation():
-    """variance_tr exactly 1 (normalized) and exactly 1000 (unnormalized) for both presets;
+    """The trace variance exactly 1 (normalized) and exactly 1000 (unnormalized) for both presets;
     harness flags normalized wrong for both, unnormalized wrong for A and right for B."""
     for make in (make_ensemble_A, make_ensemble_B):
-        assert variance_tr(density_operator(make(1000)), X) == 1.0
-        assert variance_tr(density_operator(make(1000), normalized=False), X) == 1000.0
+        assert moments_tr(density_operator(make(1000)), X)[1] == 1.0
+        assert moments_tr(density_operator(make(1000), normalized=False), X)[1] == 1000.0
 
     verdicts_a = run_experiment(make_config(preset="A", n=1000, trials=10_000, seed=42))["verdicts"]
     verdicts_b = run_experiment(make_config(preset="B", n=1000, trials=10_000, seed=42))["verdicts"]
@@ -81,25 +81,25 @@ def test_criterion_4_trace_variance_blind_to_preparation():
     assert not verdicts_a["density_unnormalized"]["matches_empirical"]
     assert verdicts_b["density_unnormalized"]["matches_empirical"]
     report(
-        "PASS criterion 4: variance_tr exactly 1 (normalized) and exactly 1000 (unnormalized) for A and B; "
+        "PASS criterion 4: trace variance exactly 1 (normalized) and exactly 1000 (unnormalized) for A and B; "
         "verdicts reject normalized for both and unnormalized for A only"
     )
 
 
 def test_criterion_5_expectation_agreement_theorem():
     """1000 random ensembles (<= 4 components, N <= 100), random axes:
-    statistical_average_expectation == expectation_tr within 1e-10, 100% of cases."""
+    statistical_average_expectation == the trace mean within 1e-10, 100% of cases."""
     rng = np.random.default_rng(314159)
     failures = 0
     for _ in range(1000):
         e = random_ensemble(rng, max_components=4, max_count=25)
         axis = random_axis(rng)
         intensive_gap = abs(
-            statistical_average_expectation(e, axis) - expectation_tr(density_operator(e), axis)
+            statistical_average_expectation(e, axis) - moments_tr(density_operator(e), axis)[0]
         )
         extensive_gap = abs(
             statistical_average_expectation(e, axis, extensive=True)
-            - expectation_tr(density_operator(e, normalized=False), axis)
+            - moments_tr(density_operator(e, normalized=False), axis)[0]
         )
         if intensive_gap > 1e-10 or extensive_gap > 1e-10:
             failures += 1

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import density_matrix, random_axis, random_ensemble, statistical_average_expectation
-from spinstat.density import density_equal, density_operator, entrywise_difference, expectation_tr, variance_tr
+from spinstat.density import density_equal, density_operator, entrywise_difference, moments_tr
 from spinstat.ensemble import EnsembleComponent, EnsembleSpec, make_ensemble_A, make_ensemble_B
 from spinstat.spin import SpinOutcome, X, Z, eigenstate
 
@@ -76,18 +76,16 @@ class TestTraceFormulas:
         z_plus = eigenstate(Z, SpinOutcome.PLUS)
         e = EnsembleSpec((EnsembleComponent(z_plus, 5),))
         rho = density_operator(e)
-        assert expectation_tr(rho, Z) == 1.0
-        assert variance_tr(rho, Z) == 0.0
-        assert expectation_tr(rho, X) == 0.0
-        assert variance_tr(rho, X) == 1.0
+        assert moments_tr(rho, Z) == (1.0, 0.0)
+        assert moments_tr(rho, X) == (0.0, 1.0)
 
     def test_variance_tr_is_blind_to_preparation(self):
         rho_a = density_operator(make_ensemble_A(1000))
         rho_b = density_operator(make_ensemble_B(1000))
-        assert variance_tr(rho_a, X) == variance_tr(rho_b, X) == 1.0
+        assert moments_tr(rho_a, X)[1] == moments_tr(rho_b, X)[1] == 1.0
         raw_a = density_operator(make_ensemble_A(1000), normalized=False)
         raw_b = density_operator(make_ensemble_B(1000), normalized=False)
-        assert variance_tr(raw_a, X) == variance_tr(raw_b, X) == 1000.0
+        assert moments_tr(raw_a, X)[1] == moments_tr(raw_b, X)[1] == 1000.0
 
     def test_statistical_average_agrees_with_trace(self):
         rng = np.random.default_rng(77)
@@ -96,12 +94,12 @@ class TestTraceFormulas:
             axis = random_axis(rng)
             assert_allclose(
                 statistical_average_expectation(e, axis),
-                expectation_tr(density_operator(e), axis),
+                moments_tr(density_operator(e), axis)[0],
                 atol=1e-12,
             )
             assert_allclose(
                 statistical_average_expectation(e, axis, extensive=True),
-                expectation_tr(density_operator(e, normalized=False), axis),
+                moments_tr(density_operator(e, normalized=False), axis)[0],
                 atol=1e-10,
             )
 

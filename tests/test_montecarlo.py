@@ -407,7 +407,8 @@ def test_group_pmf_of_a_piece_is_the_plain_convolution(parts):
 @example(parts=[(montecarlo.PIECE // 2, 0.3), (montecarlo.PIECE // 2, 0.7)])
 @example(parts=[(1000, 0.5)])
 @example(parts=[(5, 0.3), (4, 0.6), (3, 0.8)])
-# A large component's part: one window, mixed once into [1.0].
+# A large component's part: one window, which the builder takes as it is
+# and the reference mixes once into [1.0].
 @example(parts=[(5000, 0.3)])
 def test_word_cdf_is_the_plain_python_mix(parts):
     """Every word's CDF has the bytes of ``reference_word_cdf`` and is the group PMF's CDF to 1e-14.

@@ -19,7 +19,9 @@ from spinstat.paradox import (
     fixed_operator_infeasibility,
     variance_pseudo_operator,
 )
-from spinstat.spin import ConfigError, SpinOutcome, X, Y, Z, eigenstate, state_mean_and_variance
+from spinstat.ensemble import EnsembleComponent, EnsembleSpec
+from spinstat.montecarlo import preparation_aware_prediction
+from spinstat.spin import ConfigError, SpinOutcome, X, Y, Z, eigenstate
 
 RMS_LIMIT = math.sqrt(4.0 / 45.0)  # best-possible rms residual over the sphere
 MAX_LIMIT = 2.0 / 3.0
@@ -59,7 +61,7 @@ class TestVariancePseudoOperator:
     @given(states())
     def test_expectation_on_source_is_the_x_variance(self, state):
         op = variance_pseudo_operator(state)
-        _, variance = state_mean_and_variance(state, X)
+        _, variance = preparation_aware_prediction(EnsembleSpec((EnsembleComponent(state, 1),)), X)
         assert_allclose(expectation(op, state), variance, atol=1e-9)
         assert_allclose(quantum_expectation(matrix(*op), state), variance, atol=1e-9)
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import density_matrix, ket, matrix, quantum_expectation, random_axis, random_ensemble, states
-from spinstat.density import density_operator, expectation_tr, variance_tr
+from spinstat.density import density_operator, moments_tr
 from spinstat.ensemble import EnsembleComponent, EnsembleSpec
 from spinstat.paradox import annihilation_residual, expectation, variance_pseudo_operator
 
@@ -117,9 +117,10 @@ class TestProducts:
                 r = density_matrix(rho)
                 mean = np.trace(r @ obs).real
                 scale = rho[0]
-                assert_allclose(expectation_tr(rho, axis), mean, atol=1e-12 * scale)
+                trace_mean, trace_variance = moments_tr(rho, axis)
+                assert_allclose(trace_mean, mean, atol=1e-12 * scale)
                 second = np.trace(r @ obs @ obs).real
-                assert_allclose(variance_tr(rho, axis), second - mean**2, atol=1e-12 * scale**2)
+                assert_allclose(trace_variance, second - mean**2, atol=1e-12 * scale**2)
 
 
 class TestEigensystem:

@@ -8,7 +8,10 @@ from hypothesis import given
 from numpy.testing import assert_allclose
 
 from conftest import axes, ket, matrix, quantum_expectation, states
-from spinstat.harness import ConfigError, ExperimentConfig, _physical
+from spinstat import montecarlo, spin
+from spinstat.ensemble import EnsembleComponent, EnsembleSpec
+from spinstat.harness import ConfigError, ExperimentConfig, _physical, run_experiment
+from spinstat.montecarlo import preparation_aware_prediction
 from spinstat.spin import (
     Axis,
     SpinOutcome,
@@ -18,7 +21,6 @@ from spinstat.spin import (
     born_probability,
     dot,
     eigenstate,
-    state_mean_and_variance,
 )
 
 
@@ -131,10 +133,69 @@ class TestBornRule:
         # the textbook Born rule |<n+|psi>|^2, in numpy's complex algebra
         amplitude = np.vdot(ket(eigenstate(axis, SpinOutcome.PLUS)), ket(state))
         assert_allclose(p, abs(amplitude) ** 2, atol=1e-12)
-        mean, variance = state_mean_and_variance(state, axis)
+        mean, variance = preparation_aware_prediction(EnsembleSpec((EnsembleComponent(state, 1),)), axis)
         assert_allclose(mean, 2.0 * p - 1.0, atol=1e-10)
         assert_allclose(variance, 4.0 * p * (1.0 - p), atol=1e-9)
         assert_allclose(mean, quantum_expectation(matrix(0.0, axis.bloch()), state), atol=1e-10)
+
+
+class TestProjectOnce:
+    """Each axis's vector is computed when the axis is built, and each prediction projects each state once."""
+
+    TILTED = {
+        "ensemble": {"name": "tilted", "components": [
+            {"axis": {"theta": 0.9, "phi": 0.3}, "sign": 1, "count": 5},
+            {"axis": "y", "sign": -1, "count": 4},
+            {"axis": {"theta": 2.0, "phi": 1.3}, "sign": 1, "count": 3},
+        ]},
+        "axis": {"theta": 0.8, "phi": 0.7}, "trials": 200, "seed": 3,
+    }
+
+    def test_a_parsed_run_takes_no_trigonometry(self, monkeypatch):
+        calls = []
+
+        class CountingMath:
+            def __getattr__(self, name):
+                found = getattr(math, name)
+                if name not in ("sin", "cos"):
+                    return found
+
+                def counted(x):
+                    calls.append(name)
+                    return found(x)
+
+                return counted
+
+        monkeypatch.setattr(spin, "math", CountingMath())
+        cfg = ExperimentConfig.from_json_dict(self.TILTED)
+        assert calls, "building the tilted axes takes their trigonometry"
+        calls.clear()
+        run_experiment(cfg)
+        assert calls == []
+
+    def test_prediction_reads_one_projection_per_component(self, monkeypatch):
+        states_ = [eigenstate(Axis(0.3 * k, 0.7 * k), SpinOutcome(1 - 2 * (k % 2))) for k in range(7)]
+        e = EnsembleSpec(tuple(EnsembleComponent(state, k + 1) for k, state in enumerate(states_)))
+        projections, dot_ = [], spin.dot
+
+        def counted(u, v):
+            projections.append(u)
+            return dot_(u, v)
+
+        monkeypatch.setattr(spin, "dot", counted)
+        monkeypatch.setattr(montecarlo, "dot", counted, raising=False)
+        preparation_aware_prediction(e, Axis(0.8, 0.7))
+        assert projections == states_
+
+    @given(states(), states(), axes())
+    def test_prediction_has_the_bits_of_the_born_probabilities(self, first, second, axis):
+        e = EnsembleSpec((EnsembleComponent(first, 3), EnsembleComponent(second, 5)))
+        mean = variance = 0.0
+        for c in e.components:
+            m = born_probability(c.state, axis, SpinOutcome.PLUS) - born_probability(c.state, axis, SpinOutcome.MINUS)
+            mean += c.count * m
+            variance += c.count * (1.0 - m * m)
+        assert preparation_aware_prediction(e, axis) == (mean, variance)
 
 
 class TestHbarScale:
